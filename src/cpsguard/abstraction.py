@@ -499,31 +499,42 @@ def load_model(path) -> AbstractMdp:
     )
 
 
-def export_tra_lab(model: AbstractMdp, tra_path, lab_path) -> None:
-    """Explicit-state export. ``.tra``: header then ``s act s' p [label]``
-    rows sorted by (s, act, s'), probabilities with 12 significant
-    digits; the act column renumbers each state's actions 0..n-1 (the
-    original integer action is kept as the trailing label) so the file
-    is digestible by explicit-state model checkers. ``.lab``: the usual
-    id=name header then ``state: ids`` lines."""
+def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:
+    """Explicit-state export, as the texts of the ``.tra`` and ``.lab``
+    files. ``.tra``: header then ``s act s' p [label]`` rows sorted by
+    (s, act, s'), probabilities with 12 significant digits; the act
+    column renumbers each state's actions 0..n-1 (the original integer
+    action is kept as the trailing label) so the file is digestible by
+    explicit-state model checkers. ``.lab``: the usual id=name header
+    then ``state: ids`` lines."""
     order = sorted(model.states)
     index = {sid: i for i, sid in enumerate(order)}
+    acts_of: dict[StateId, list[int]] = {}
+    for sid, act in model.transitions:
+        acts_of.setdefault(sid, []).append(act)
     rows = []
     n_choices = 0
     for sid in order:
-        acts = sorted(act for (s, act) in model.transitions if s == sid)
+        acts = sorted(acts_of.get(sid, ()))
         n_choices += len(acts)
         for choice, act in enumerate(acts):
             for dst, p in sorted(model.transitions[(sid, act)].items()):
                 rows.append(f"{index[sid]} {choice} {index[dst]} {p:.12g} a{act}")
+    tra = f"{len(order)} {n_choices} {len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
+    lab = ['0="init" 1="rob=-1" 2="rob=+1"\n']
+    for sid in order:
+        ids = []
+        if sid == model.initial:
+            ids.append(0)
+        ids.append(1 if model.states[sid].label == -1 else 2)
+        lab.append(f"{index[sid]}: {' '.join(str(i) for i in ids)}\n")
+    return tra, "".join(lab)
+
+
+def export_tra_lab(model: AbstractMdp, tra_path, lab_path) -> None:
+    """Write `tra_lab_text` to the two paths."""
+    tra, lab = tra_lab_text(model)
     with open(tra_path, "w") as fh:
-        fh.write(f"{len(order)} {n_choices} {len(rows)}\n")
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
+        fh.write(tra)
     with open(lab_path, "w") as fh:
-        fh.write('0="init" 1="rob=-1" 2="rob=+1"\n')
-        for sid in order:
-            ids = []
-            if sid == model.initial:
-                ids.append(0)
-            ids.append(1 if model.states[sid].label == -1 else 2)
-            fh.write(f"{index[sid]}: {' '.join(str(i) for i in ids)}\n")
+        fh.write(lab)

@@ -238,8 +238,7 @@ def cmd_collect(cfg: RunConfig, num: int | None) -> int:
             continue
         robs = stl.labeling_robustness(trace, labeling)
         name = f"trace_{i:04d}.txt"
-        buffer = _trace_text(trace, cfg.config_hash, robs)
-        _atomic_write(out / name, buffer)
+        _atomic_write(out / name, signals.trace_text(trace, cfg.config_hash, {"rob": robs}))
         entries.append({"file": f"traces/{name}", "seed": seed})
     manifest = {
         "config_hash": cfg.config_hash,
@@ -250,24 +249,6 @@ def cmd_collect(cfg: RunConfig, num: int | None) -> int:
     _atomic_write(cfg.output_dir / "collect_manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     print(f"collected {len(entries)} traces ({len(failures)} failures) -> {out}")
     return 0 if not failures else 2
-
-
-def _trace_text(trace: signals.Trace, config_hash: str, robs: np.ndarray) -> str:
-    lines = []
-    lines.append("# cpsguard-trace v1")
-    lines.append(f"# dt={float(trace.dt)!r}")
-    lines.append(f"# config={config_hash}")
-    exo_names = [f"input_{j}" for j in range(trace.inputs.shape[1])]
-    header = ["time", *trace.channels, "action", *exo_names, "rob"]
-    lines.append(" ".join(header))
-    for i in range(len(trace)):
-        row = [repr(float(i * trace.dt))]
-        row += [repr(float(v)) for v in trace.states[i]]
-        row.append(repr(float(trace.actions[i])))
-        row += [repr(float(v)) for v in trace.inputs[i]]
-        row.append(repr(float(robs[i])))
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
@@ -318,9 +299,9 @@ def cmd_refine(cfg: RunConfig) -> int:
 def _write_model(cfg: RunConfig, model: abstraction.AbstractMdp) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.output_dir / "model.json", abstraction.model_to_json(model, cfg.config_hash))
-    tra = cfg.output_dir / "model.tra"
-    lab = cfg.output_dir / "model.lab"
-    abstraction.export_tra_lab(model, tra, lab)
+    tra, lab = abstraction.tra_lab_text(model)
+    _atomic_write(cfg.output_dir / "model.tra", tra)
+    _atomic_write(cfg.output_dir / "model.lab", lab)
 
 
 def cmd_check(cfg: RunConfig, query: str | None, state: str | None, state_file: str | None,
@@ -382,7 +363,7 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
             ],
         })
         _atomic_write(out / f"monitored_{i:04d}.txt",
-                      _monitored_text(mt, cfg.config_hash))
+                      signals.trace_text(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
     mean_safety = statistics.fmean(r["safety_frac"] for r in rows)
     mean_perf = statistics.fmean(r["perf_frac"] for r in rows)
     overhead = total_query / total_wall if total_wall > 0 else 0.0
@@ -392,21 +373,6 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
     print(f"monitored {n} runs: safety_frac={mean_safety:.4f} perf_frac={mean_perf:.4f} "
           f"overhead_ratio={overhead:.4%}")
     return 0
-
-
-def _monitored_text(mt: monitor.MonitoredTrace, config_hash: str) -> str:
-    trace = mt.trace
-    lines = ["# cpsguard-trace v1", f"# dt={float(trace.dt)!r}", f"# config={config_hash}"]
-    exo_names = [f"input_{j}" for j in range(trace.inputs.shape[1])]
-    lines.append(" ".join(["time", *trace.channels, "action", *exo_names, "controller"]))
-    for i in range(len(trace)):
-        row = [repr(float(i * trace.dt))]
-        row += [repr(float(v)) for v in trace.states[i]]
-        row.append(repr(float(trace.actions[i])))
-        row += [repr(float(v)) for v in trace.inputs[i]]
-        row.append(str(int(mt.controller_tags[i])))
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_falsify(cfg: RunConfig, algo: str, trials: int | None,
@@ -574,9 +540,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (stl.StlSyntaxError, pmc.PctlSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

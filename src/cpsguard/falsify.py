@@ -54,7 +54,6 @@ class FalsifyConfig:
     step_init: float = 0.1  # initial step, fraction of each channel range
     step_decay: float = 0.85  # on a rejected candidate
     step_growth: float = 1.5  # on an accepted candidate
-    semantics: str = "MAX"
 
     def __post_init__(self):
         if self.queue_seed_count < 1:
@@ -128,11 +127,11 @@ def _checkpoint_state(trace, checkpoint_time: float) -> np.ndarray:
 
 def _unsafe_flag(model: AbstractMdp, cfg: FalsifyConfig, trace) -> bool:
     """Whether the trace's checkpoint state can reach the unsafe region
-    per the safety query; unknown states are not enqueued."""
+    per the safety query (MAX semantics); unknown states are not enqueued."""
     sid = abstract_state_of(model, _checkpoint_state(trace, cfg.checkpoint_time))
     if sid is None:
         return False
-    return pmc.check_all(model, cfg.safety_query, cfg.semantics)[sid].holds
+    return pmc.check_all(model, cfg.safety_query)[sid].holds
 
 
 def model_guided_falsify(system: ClosedLoopSystem, model: AbstractMdp, cfg: FalsifyConfig,
@@ -147,11 +146,16 @@ def _guided(system: ClosedLoopSystem, model: AbstractMdp | None, cfg: FalsifyCon
     start = time.perf_counter()
     queue: list[tuple[int, InputSignal]] = []
     next_id = 0
-    for _ in range(cfg.queue_seed_count):
-        queue.append((next_id, random_signal(system.input_spec, rng)))
+
+    def enqueue(signal: InputSignal) -> None:
+        nonlocal next_id
+        queue.append((next_id, signal))
         if event_log is not None:
             event_log.append(("enqueue", next_id))
         next_id += 1
+
+    for _ in range(cfg.queue_seed_count):
+        enqueue(random_signal(system.input_spec, rng))
     history: list[float] = []
     sims = 0
     for _ in range(cfg.global_budget):
@@ -182,17 +186,11 @@ def _guided(system: ClosedLoopSystem, model: AbstractMdp | None, cfg: FalsifyCon
                 return FalsificationOutcome(True, candidate, history, sims, time.perf_counter() - start)
             if use_model:
                 if _unsafe_flag(model, cfg, trace):
-                    queue.append((next_id, candidate))
-                    if event_log is not None:
-                        event_log.append(("enqueue", next_id))
-                    next_id += 1
+                    enqueue(candidate)
             else:
                 # GUIDED_RAND: the model check is replaced by pushing a
                 # fresh random sample.
-                queue.append((next_id, random_signal(system.input_spec, rng)))
-                if event_log is not None:
-                    event_log.append(("enqueue", next_id))
-                next_id += 1
+                enqueue(random_signal(system.input_spec, rng))
     assert sims <= cfg.global_budget * cfg.local_budget
     return FalsificationOutcome(False, None, history, sims, time.perf_counter() - start)
 

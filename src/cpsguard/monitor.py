@@ -10,6 +10,12 @@ runs (returning to it after a safe verdict only when switch_back is
 set). States the model has never seen resolve per unknown_policy:
 "SAFE" switches conservatively, "AI" stays.
 
+The closed loop itself is `plants.simulate`; a monitored run supplies
+its per-step hook, which queries the model at period boundaries, tags
+each step with the active controller and hands that controller back.
+Both controllers start each run from a fresh copy (PID state cleared),
+and the safety controller is fresh again at every switch-in.
+
 Query verdicts for a fixed (model, query) pair are computed for all
 states in one pass and memoized on the model, so repeated queries are
 lookups; wall time is recorded per query and for the run as a whole.
@@ -19,7 +25,6 @@ so runs with equal seeds produce identical files).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -27,19 +32,8 @@ import numpy as np
 
 from . import pmc, stl
 from .abstraction import AbstractMdp, abstract_state_of
-from .controllers import PidController
-from .plants import (
-    PlantModel,
-    SimConfig,
-    SimulationBlowup,
-    channel_row,
-    controller_action,
-    initial_state,
-    observe,
-    project_state,
-    rk4_step,
-)
-from .signals import InputSignal, Trace, sample
+from .plants import PlantModel, SimConfig, _fresh_controller, simulate
+from .signals import InputSignal, Trace
 
 SAFE = "SAFE"
 UNSAFE = "UNSAFE"
@@ -55,7 +49,6 @@ class MonitorConfig:
     period: float = 5.0
     unknown_policy: str = "SAFE"  # "SAFE" switches on unknown states, "AI" stays
     switch_back: bool = True
-    semantics: str = "MAX"
 
     def __post_init__(self):
         if self.unknown_policy not in ("SAFE", "AI"):
@@ -90,13 +83,14 @@ class MonitoredTrace:
 
 
 def monitor_step(model: AbstractMdp, config: MonitorConfig, q: np.ndarray, t: float = 0.0) -> QueryRecord:
-    """One safety query against the model for a concrete state."""
+    """One safety query against the model for a concrete state, under MAX
+    semantics (the worst case over schedulers)."""
     start = time.perf_counter()
     sid = abstract_state_of(model, q)
     if sid is None:
         verdict = UNSAFE if config.unknown_policy == "SAFE" else SAFE
         return QueryRecord(t, verdict, True, None, time.perf_counter() - start)
-    result = pmc.check_all(model, config.query, config.semantics)[sid]
+    result = pmc.check_all(model, config.query)[sid]
     # The safety query asks for a high probability of reaching the
     # unsafe label, so a holding query means danger.
     verdict = UNSAFE if result.holds else SAFE
@@ -113,54 +107,34 @@ def run_monitored(plant: PlantModel, ai, safe, model: AbstractMdp, config: Monit
             f"monitor period {config.period} must be a multiple of the control period {simcfg.control_period}"
         )
     run_start = time.perf_counter()
-    safe_fresh = safe
-    active_tag = AI_TAG
-    rows, acts, exos, tags = [], [], [], []
-    queries: list[QueryRecord] = []
-    state = initial_state(plant)
-    action = 0.0
     n_steps = simcfg.n_steps
-    active = ai
-    for i in range(n_steps + 1):
-        t = i * simcfg.dt
-        exo = sample(input_signal, t)
+    ai = _fresh_controller(ai)
+    active, active_tag = ai, AI_TAG
+    tags: list[int] = []
+    queries: list[QueryRecord] = []
+
+    def supervise(i: int, t: float, row: np.ndarray):
+        nonlocal active, active_tag
         if i % period_steps == 0 and i < n_steps:
-            record = monitor_step(model, config, channel_row(plant, state, exo, t), t)
+            record = monitor_step(model, config, row, t)
             queries.append(record)
             if record.verdict == UNSAFE:
                 if active_tag == AI_TAG:
                     # fresh PID state at switch-in
-                    safe_fresh = _fresh(safe)
-                active, active_tag = safe_fresh, SAFE_TAG
+                    active = _fresh_controller(safe)
+                active_tag = SAFE_TAG
             elif config.switch_back or active_tag == AI_TAG:
                 active, active_tag = ai, AI_TAG
-        if i % per == 0 and i < n_steps:
-            obs = observe(plant, state, exo, t)
-            action = controller_action(active, plant, obs, simcfg.control_period)
-        rows.append(channel_row(plant, state, exo, t))
-        acts.append(action)
-        exos.append(exo)
         tags.append(active_tag)
-        if i < n_steps:
-            state = project_state(plant, rk4_step(plant, state, action, exo, simcfg.dt))
-            if not np.all(np.isfinite(state)):
-                partial = Trace(simcfg.dt, plant.channels, np.array(rows), np.array(acts), np.array(exos))
-                raise SimulationBlowup(f"{plant.name}: state diverged at t={t + simcfg.dt:.3f}", partial)
-    trace = Trace(simcfg.dt, plant.channels, np.array(rows), np.array(acts), np.array(exos))
+        return active
+
+    trace = simulate(plant, ai, input_signal, simcfg, supervise)
     return MonitoredTrace(
         trace=trace,
         controller_tags=np.array(tags, dtype=int),
         queries=queries,
         wall_time=time.perf_counter() - run_start,
     )
-
-
-def _fresh(controller):
-    if isinstance(controller, PidController):
-        pid = dataclasses.replace(controller)
-        pid.reset()
-        return pid
-    return controller
 
 
 def eval_metrics(trace: Trace, safety_spec: stl.StlFormula, perf_spec: stl.StlFormula) -> tuple[float, float]:

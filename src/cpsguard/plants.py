@@ -5,7 +5,9 @@ control instant the active controller reads the plant observation and
 emits one action, the action is held for control_period seconds, and
 the continuous state is advanced with classical RK4 at the dt grid.
 Exogenous inputs come from an `signals.InputSignal` sampled at each
-step.
+step. `simulate` is the only step loop: collection and falsification
+run it with one controller, and the online monitor (`monitor`) runs it
+with a per-step hook that picks the controller.
 
 Three plants ship with documented channels, observations, and PID error
 maps (the observation is what learned controllers see; the error map is
@@ -352,13 +354,20 @@ def controller_action(controller, plant: PlantModel, obs: np.ndarray, dt: float)
     raise TypeError(f"not a controller: {controller!r}")
 
 
-def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimConfig) -> Trace:
+def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimConfig,
+             step_hook=None) -> Trace:
     """Run the closed loop and record one trace.
 
     The controller acts every control_period seconds on the current
     observation; its output is held between control instants. PID
     controllers get a fresh copy with cleared state, so a shared
     instance can be reused across runs.
+
+    step_hook, when given, is called at every step i (time t) with
+    (i, t, row), row being the channel vector recorded for that step,
+    before the controller acts; it returns the controller to act from
+    that step on, in place of `controller`. The online monitor uses it
+    to switch controllers at its period boundaries.
     """
     if input_signal.spec.duration + 1e-9 < cfg.horizon:
         raise ValueError(
@@ -373,10 +382,13 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     for i in range(n_steps + 1):
         t = i * cfg.dt
         exo = sample(input_signal, t)
+        row = channel_row(plant, state, exo, t)
+        if step_hook is not None:
+            controller = step_hook(i, t, row)
         if i % per == 0 and i < n_steps:
             obs = observe(plant, state, exo, t)
             action = controller_action(controller, plant, obs, cfg.control_period)
-        rows.append(channel_row(plant, state, exo, t))
+        rows.append(row)
         acts.append(action)
         exos.append(exo)
         if i < n_steps:

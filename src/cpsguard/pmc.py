@@ -364,10 +364,18 @@ def _sat_mask(model: AbstractMdp, formula: PctlFormula, semantics: str) -> np.nd
     if isinstance(formula, AndF):
         return _sat_mask(model, formula.left, semantics) & _sat_mask(model, formula.right, semantics)
     if isinstance(formula, ProbF):
-        probs = _path_probs(model, formula.path, semantics)
-        cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}[formula.op]
-        return cmp(probs, formula.bound)
+        return _prob_sat(model, formula, semantics)[1]
     raise TypeError(f"not a PCTL state formula: {formula!r}")
+
+
+_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _prob_sat(model: AbstractMdp, formula: ProbF, semantics: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state path probabilities of a probability operator and where
+    they meet its bound."""
+    probs = _path_probs(model, formula.path, semantics)
+    return probs, _COMPARE[formula.op](probs, formula.bound)
 
 
 def _path_probs(model: AbstractMdp, path: PathFormula, semantics: str) -> np.ndarray:
@@ -431,9 +439,7 @@ def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") 
         return cached
     ix = _indexed(model)
     if isinstance(formula, ProbF):
-        probs = _path_probs(model, formula.path, semantics)
-        cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}[formula.op]
-        sat = cmp(probs, formula.bound)
+        probs, sat = _prob_sat(model, formula, semantics)
     else:
         probs = None
         sat = _sat_mask(model, formula, semantics)

@@ -18,7 +18,9 @@ the nearest grid index, never inter-sample interpolation.
 
 Trace files are plain text: ``#`` comment lines carrying dt and an
 optional config hash, a header row of column names, then one line per
-step. Input signals round-trip through a JSON document carrying the
+step. `trace_text` is the one writer of that format; callers add named
+extra columns (collected traces their ``rob`` labeling robustness,
+monitored runs their ``controller`` tags). Input signals round-trip through a JSON document carrying the
 spec and the control values together. All values are immutable after
 construction and safe to share across concurrent runs.
 """
@@ -208,31 +210,32 @@ def trace_value(trace: Trace, channel: str, t: float) -> float:
     return float(trace.states[time_index(trace, t), col])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def save_trace(trace: Trace, path, config_hash: str | None = None, extra_columns: dict[str, np.ndarray] | None = None) -> None:
-    """Write the columnar text format; extra_columns append named data of trace length."""
+def trace_text(trace: Trace, config_hash: str | None = None,
+               extra_columns: dict[str, np.ndarray] | None = None) -> str:
+    """The columnar text format; extra_columns append named data of trace
+    length, integer columns written as integers and the rest as floats."""
     extra = extra_columns or {}
     for name, col in extra.items():
         if len(col) != len(trace):
             raise ValueError(f"extra column {name!r} has length {len(col)}, trace has {len(trace)}")
-    lines = ["# cpsguard-trace v1", f"# dt={_fmt(trace.dt)}"]
+    lines = ["# cpsguard-trace v1", f"# dt={float(trace.dt)!r}"]
     if config_hash is not None:
         lines.append(f"# config={config_hash}")
     exo_names = [f"input_{j}" for j in range(trace.inputs.shape[1])]
     header = ["time", *trace.channels, "action", *exo_names, *extra.keys()]
     lines.append(" ".join(header))
-    for i in range(len(trace)):
-        row = [_fmt(i * trace.dt)]
-        row += [_fmt(v) for v in trace.states[i]]
-        row.append(_fmt(trace.actions[i]))
-        row += [_fmt(v) for v in trace.inputs[i]]
-        row += [_fmt(extra[name][i]) for name in extra]
-        lines.append(" ".join(row))
+    # tolist() yields Python floats and ints, whose repr is the format
+    body = np.column_stack([trace.states, trace.actions, trace.inputs]).tolist()
+    extras = [np.asarray(col).tolist() for col in extra.values()]
+    for i, values in enumerate(body):
+        lines.append(" ".join(map(repr, [float(i * trace.dt), *values, *(col[i] for col in extras)])))
+    return "\n".join(lines) + "\n"
+
+
+def save_trace(trace: Trace, path, config_hash: str | None = None, extra_columns: dict[str, np.ndarray] | None = None) -> None:
+    """Write `trace_text` to path."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trace_text(trace, config_hash, extra_columns))
 
 
 def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:

@@ -129,6 +129,18 @@ class TestRunMonitored:
         np.testing.assert_array_equal(a.controller_tags, b.controller_tags)
         assert [q.verdict for q in a.queries] == [q.verdict for q in b.queries]
 
+    def test_pid_ai_controller_starts_fresh_each_run(self):
+        plant, cfg, sig, _ = tank_setup()
+        pid = default_pid(plant)
+        model = model_from_trace(simulate(plant, pid, sig, cfg), 1.0)
+        mcfg = MonitorConfig(QUERY, period=5.0, unknown_policy="AI")
+        a = run_monitored(plant, pid, default_pid(plant), model, mcfg, sig, cfg)
+        b = run_monitored(plant, pid, default_pid(plant), model, mcfg, sig, cfg)
+        assert np.all(a.controller_tags == AI_TAG)
+        np.testing.assert_array_equal(a.trace.states, b.trace.states)
+        np.testing.assert_array_equal(a.trace.actions, b.trace.actions)
+        assert pid.integral == 0.0 and pid.prev_error is None
+
     def test_switch_back_disabled_is_one_way(self):
         plant, cfg, sig, ai = tank_setup()
         trace = simulate(plant, ai, sig, cfg)

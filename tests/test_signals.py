@@ -138,6 +138,11 @@ class TestTrace:
     def test_save_load_extra_columns(self, tmp_path):
         tr = small_trace()
         robs = np.linspace(-1, 1, len(tr))
-        save_trace(tr, tmp_path / "t.txt", extra_columns={"rob": robs})
+        tags = np.array([0, 0, 1, 1, 0, 1])
+        save_trace(tr, tmp_path / "t.txt", extra_columns={"rob": robs, "controller": tags})
+        lines = (tmp_path / "t.txt").read_text().splitlines()
+        assert lines[2].split()[-2:] == ["rob", "controller"]
+        assert [line.split()[-1] for line in lines[3:]] == ["0", "0", "1", "1", "0", "1"]
         _, extras = load_trace(tmp_path / "t.txt")
         np.testing.assert_array_equal(extras["rob"], robs)
+        np.testing.assert_array_equal(extras["controller"], tags)
