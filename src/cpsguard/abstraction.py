@@ -165,7 +165,7 @@ def cell_of(config: AbstractionConfig, q_hat: np.ndarray) -> int:
         raise ValueError("config carries no grid bounds yet (build a model first)")
     cell = 0
     radix = 1
-    for j, v in enumerate(np.asarray(q_hat, dtype=float)):
+    for j, v in enumerate(np.asarray(q_hat, dtype=float).tolist()):
         lo, hi = config.bounds[j]
         if v < lo or v > hi:
             return OUT_OF_BOUNDS

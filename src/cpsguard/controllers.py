@@ -49,8 +49,8 @@ class MlpNet:
 def mlp_forward(net: MlpNet, obs: np.ndarray) -> float:
     """Deterministic forward pass, output clamped to the control range."""
     h = np.asarray(obs, dtype=float)
-    if h.shape != (net.layer_dims[0],):
-        raise ValueError(f"observation has shape {h.shape}, net expects ({net.layer_dims[0]},)")
+    if h.shape != (net.weights[0].shape[1],):
+        raise ValueError(f"observation has shape {h.shape}, net expects ({net.weights[0].shape[1]},)")
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         h = np.tanh(w @ h + b)
     out = float((net.weights[-1] @ h + net.biases[-1])[0])

@@ -280,25 +280,16 @@ class _Indexed:
         self.order: list[StateId] = sorted(model.states)
         self.index = {sid: i for i, sid in enumerate(self.order)}
         self.n = len(self.order)
-        by_state: dict[StateId, list[int]] = {}
-        for (s, act) in model.transitions:
-            by_state.setdefault(s, []).append(act)
-        src_g, dst, prob = [], [], []
-        group_src = []
-        group = 0
-        for sid in self.order:
-            for act in sorted(by_state.get(sid, ())):
-                for d, p in sorted(model.transitions[(sid, act)].items()):
-                    src_g.append(group)
-                    dst.append(self.index[d])
-                    prob.append(p)
-                group_src.append(self.index[sid])
-                group += 1
-        self.tr_group = np.array(src_g, dtype=int)
-        self.tr_dst = np.array(dst, dtype=int)
-        self.tr_prob = np.array(prob, dtype=float)
-        self.group_src = np.array(group_src, dtype=int)
-        self.n_groups = group
+        # one group per (state, action) of a known state, both sorted, and
+        # destinations sorted within a group: this fixes a sweep's summation order
+        groups = sorted(key for key in model.transitions if key[0] in self.index)
+        rows = [(g, self.index[d], p) for g, key in enumerate(groups)
+                for d, p in sorted(model.transitions[key].items())]
+        self.tr_group = np.array([r[0] for r in rows], dtype=int)
+        self.tr_dst = np.array([r[1] for r in rows], dtype=int)
+        self.tr_prob = np.array([r[2] for r in rows], dtype=float)
+        self.group_src = np.array([self.index[s] for s, _ in groups], dtype=int)
+        self.n_groups = len(groups)
         self.has_choice = np.zeros(self.n, dtype=bool)
         self.has_choice[self.group_src] = True
 
@@ -433,7 +424,7 @@ def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") 
     """Verdicts for every state in one pass (memoized on the model)."""
     if semantics not in ("MAX", "MIN"):
         raise ValueError(f"semantics must be MAX or MIN, got {semantics!r}")
-    key = ("verdicts", format_pctl(formula), semantics)
+    key = ("verdicts", formula, semantics)
     cached = model.caches.get(key)
     if cached is not None:
         return cached
@@ -443,9 +434,8 @@ def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") 
     else:
         probs = None
         sat = _sat_mask(model, formula, semantics)
-    verdicts = {}
-    for i, sid in enumerate(ix.order):
-        p = float(probs[i]) if probs is not None else None
-        verdicts[sid] = Verdict(holds=bool(sat[i]), probability=p, semantics=semantics)
+    probs = probs.tolist() if probs is not None else [None] * ix.n
+    verdicts = {sid: Verdict(holds=holds, probability=p, semantics=semantics)
+                for sid, holds, p in zip(ix.order, sat.tolist(), probs)}
     model.caches[key] = verdicts
     return verdicts

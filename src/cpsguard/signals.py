@@ -92,23 +92,23 @@ def make_input(spec: InputSpec, control_values) -> InputSignal:
     return InputSignal(spec, vals)
 
 
-def sample(signal: InputSignal, t: float) -> np.ndarray:
-    """Interpolated signal value at time t in [0, duration]."""
+def sample(signal: InputSignal, t) -> np.ndarray:
+    """Interpolated signal value at time t in [0, duration], shape (dims,);
+    for an array of times, one row per time."""
     spec = signal.spec
-    if t < -_T_TOL or t > spec.duration + _T_TOL:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((times >= -_T_TOL) & (times <= spec.duration + _T_TOL)):
         raise ValueError(f"sample time {t} outside [0, {spec.duration}]")
-    t = min(max(t, 0.0), spec.duration)
+    times = np.clip(times, 0.0, spec.duration)
     n = spec.num_control_points
     vals = signal.control_values
-    if n == 1:
-        return vals[:, 0].copy()
-    if spec.interpolation == PIECEWISE_CONSTANT:
-        seg = min(int(t * n / spec.duration), n - 1)
-        return vals[:, seg].copy()
-    pos = t * (n - 1) / spec.duration
-    i = min(int(pos), n - 2)
-    frac = pos - i
-    return vals[:, i] + frac * (vals[:, i + 1] - vals[:, i])
+    if n == 1 or spec.interpolation == PIECEWISE_CONSTANT:
+        out = vals[:, np.minimum((times * n / spec.duration).astype(int), n - 1)].T
+    else:
+        pos = times * (n - 1) / spec.duration
+        i = np.minimum(pos.astype(int), n - 2)
+        out = (vals[:, i] + (pos - i) * (vals[:, i + 1] - vals[:, i])).T
+    return out if np.ndim(t) else out[0]
 
 
 def random_signal(spec: InputSpec, rng: np.random.Generator) -> InputSignal:

@@ -474,11 +474,10 @@ def _window_extreme(values: np.ndarray, j0: int, j1: int, kind: str) -> np.ndarr
     Windows that fall entirely past the end yield +inf (min) / -inf (max).
     """
     T = len(values)
-    if j1 < j0:
-        fill = np.inf if kind == "min" else -np.inf
-        return np.full(T, fill)
-    width = j1 - j0 + 1
     pad_value = np.inf if kind == "min" else -np.inf
+    if j1 < j0:
+        return np.full(T, pad_value)
+    width = j1 - j0 + 1
     ext = np.concatenate([values, np.full(j0 + width, pad_value)])
     windows = np.lib.stride_tricks.sliding_window_view(ext, width)
     agg = windows.min(axis=1) if kind == "min" else windows.max(axis=1)
@@ -510,18 +509,17 @@ def _rob_array(formula: StlFormula, trace: Trace) -> np.ndarray:
         left = _rob_array(formula.left, trace)
         right = _rob_array(formula.right, trace)
         j0, j1 = _offsets(formula.lo, formula.hi, trace.dt)
+        # One pass per witness offset j over all start indices i, keeping prefix[i] = min left[i .. i+j-1];
+        # offsets past the trace end count as right = -inf. On 0.0/-0.0 ties the argument order keeps the
+        # running value, as a scalar min/max recursion does. NaN inputs now propagate, as in G and F.
         T = len(trace)
         out = np.full(T, -np.inf)
-        for i in range(T):
-            prefix = np.inf  # min of left strictly before the witness point
-            best = -np.inf
-            top = min(j1, T - 1 - i)
-            for j in range(0, top + 1):
-                if j >= 1:
-                    prefix = min(prefix, left[i + j - 1])
-                if j >= j0:
-                    best = max(best, min(right[i + j], prefix))
-            out[i] = best
+        prefix = np.full(T, np.inf)
+        for j in range(min(j1, T - 1) + 1):
+            if j >= 1:
+                np.minimum(left[j - 1 : T - 1], prefix[: T - j], out=prefix[: T - j])
+            if j >= j0:
+                np.maximum(np.minimum(prefix[: T - j], right[j:]), out[: T - j], out=out[: T - j])
         return out
     raise TypeError(f"not an STL formula: {formula!r}")
 

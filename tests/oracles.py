@@ -2,6 +2,7 @@
 acceptance suites. Everything here is written straight from the
 definitions and stays off the production code paths."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,7 +10,9 @@ import numpy as np
 
 from cpsguard import stl
 from cpsguard.abstraction import AbstractionConfig, AbstractMdp, PcaTransform, StateInfo
-from cpsguard.signals import Trace
+from cpsguard.controllers import MlpNet, PidController, mlp_forward, pid_act
+from cpsguard.plants import SimulationBlowup
+from cpsguard.signals import PIECEWISE_CONSTANT, Trace
 
 # ---------------------------------------------------------------------------
 # STL: naive recursive robustness
@@ -112,6 +115,158 @@ def random_stl_case(rng, max_steps=40):
     trace = Trace(dt=dt, channels=channels, states=data,
                   actions=np.zeros(steps), inputs=np.zeros((steps, 1)))
     return trace, formula
+
+
+# ---------------------------------------------------------------------------
+# closed loop: the array simulator, one numpy vector per RK4 stage
+
+
+def _sample_oracle(signal, t):
+    spec = signal.spec
+    t = min(max(t, 0.0), spec.duration)
+    n = spec.num_control_points
+    vals = signal.control_values
+    if n == 1:
+        return vals[:, 0].copy()
+    if spec.interpolation == PIECEWISE_CONSTANT:
+        return vals[:, min(int(t * n / spec.duration), n - 1)].copy()
+    pos = t * (n - 1) / spec.duration
+    i = min(int(pos), n - 2)
+    frac = pos - i
+    return vals[:, i] + frac * (vals[:, i + 1] - vals[:, i])
+
+
+def _clamp(x, lo, hi):
+    return lo if x < lo else hi if x > hi else x
+
+
+def _conc_ref_oracle(p, t):
+    if t <= p["ramp_start"]:
+        return p["ref_start"]
+    if t >= p["ramp_end"]:
+        return p["ref_end"]
+    frac = (t - p["ramp_start"]) / (p["ramp_end"] - p["ramp_start"])
+    return p["ref_start"] + frac * (p["ref_end"] - p["ref_start"])
+
+
+def _derivative_oracle(plant, state, control, exo):
+    if not np.all(np.isfinite(state)):
+        raise FloatingPointError(f"{plant.name}: non-finite state {state}")
+    p = plant.params
+    if plant.name == "acc":
+        x_l, v_l, x_e, v_e = state
+        a_l = _clamp(float(exo[0]), p["lead_accel_min"], p["lead_accel_max"])
+        a_e = _clamp(float(control), p["accel_min"], p["accel_max"])
+        if v_l <= 0.0 and a_l < 0.0:
+            a_l = 0.0
+        if v_e <= 0.0 and a_e < 0.0:
+            a_e = 0.0
+        return np.array([v_l, a_l, v_e, a_e])
+    if plant.name == "cstr":
+        conc, temp = state
+        u = _clamp(float(control), p["u_min"], p["u_max"])
+        rate = p["k0"] * math.exp(-p["e_act"] / temp) * conc
+        dc = (float(exo[0]) - conc) / p["theta"] - rate
+        dT = (p["t_feed"] - temp) / p["theta"] + p["k1"] * rate + p["k2"] * (u - temp)
+        return np.array([dc, dT])
+    u = _clamp(float(control), p["inflow_min"], p["inflow_max"])
+    return np.array([(u - p["outflow_coeff"] * math.sqrt(max(state[0], 0.0))) / p["area"]])
+
+
+def _rk4_oracle(plant, state, control, exo, dt):
+    k1 = _derivative_oracle(plant, state, control, exo)
+    k2 = _derivative_oracle(plant, state + 0.5 * dt * k1, control, exo)
+    k3 = _derivative_oracle(plant, state + 0.5 * dt * k2, control, exo)
+    k4 = _derivative_oracle(plant, state + dt * k3, control, exo)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _project_oracle(plant, state):
+    out = state.copy()
+    if plant.name == "acc":
+        out[1] = max(out[1], 0.0)
+        out[3] = max(out[3], 0.0)
+    elif plant.name == "cstr":
+        out[0] = max(out[0], 0.0)
+    else:
+        out = np.maximum(state, 0.0)
+    return out
+
+
+def _row_oracle(plant, state, exo, t):
+    p = plant.params
+    if plant.name == "acc":
+        x_l, v_l, x_e, v_e = state
+        return np.array([x_l, v_l, x_e, v_e, x_l - x_e, p["d_default"] + p["t_gap"] * v_e, p["v_target"]])
+    if plant.name == "cstr":
+        ref = _conc_ref_oracle(p, t)
+        return np.array([state[0], state[1], ref, state[0] - ref])
+    return np.array([state[0], float(exo[0])])
+
+
+def _observe_oracle(plant, state, exo, t):
+    p = plant.params
+    if plant.name == "acc":
+        x_l, v_l, x_e, v_e = state
+        return np.array([x_l - x_e, v_e, v_l, p["v_target"] - v_e])
+    if plant.name == "cstr":
+        return np.array([state[0], state[1], _conc_ref_oracle(p, t)])
+    return np.array([state[0], float(exo[0])])
+
+
+def _pid_error_oracle(plant, obs):
+    p = plant.params
+    if plant.name == "acc":
+        d_rel, v_e, v_l, _dv = obs
+        d_aim = p["d_default"] + p["pid_headway_factor"] * p["t_gap"] * v_e
+        return min(p["v_target"] - v_e, (d_rel - d_aim) / p["t_gap"] + (v_l - v_e))
+    if plant.name == "cstr":
+        return float(obs[0] - obs[2])
+    return float(obs[1] - obs[0])
+
+
+def fresh_oracle(controller):
+    if isinstance(controller, PidController):
+        controller = dataclasses.replace(controller)
+        controller.reset()
+    return controller
+
+
+def simulate_oracle(plant, controller, input_signal, cfg, step_hook=None):
+    """The closed loop on numpy vectors: every RK4 stage, projection,
+    channel row and observation is an array, as the simulator was
+    written before its float kernels. Same contract as
+    `plants.simulate`, including the step hook, except that a blow-up
+    inside an RK4 stage raises the bare FloatingPointError or
+    OverflowError instead of SimulationBlowup."""
+    initial = {"acc": ("x_lead0", "v_lead0", "x_ego0", "v_ego0"), "cstr": ("conc0", "temp0"),
+               "watertank": ("level0",)}[plant.name]
+    state = np.array([plant.params[k] for k in initial])
+    controller = fresh_oracle(controller)
+    per, n_steps = cfg.steps_per_control, cfg.n_steps
+    rows, acts, exos = [], [], []
+    action = 0.0
+    for i in range(n_steps + 1):
+        t = i * cfg.dt
+        exo = _sample_oracle(input_signal, t)
+        row = _row_oracle(plant, state, exo, t)
+        if step_hook is not None:
+            controller = step_hook(i, t, row)
+        if i % per == 0 and i < n_steps:
+            obs = _observe_oracle(plant, state, exo, t)
+            if isinstance(controller, MlpNet):
+                action = mlp_forward(controller, obs)
+            else:
+                action = pid_act(controller, _pid_error_oracle(plant, obs), cfg.control_period)
+        rows.append(row)
+        acts.append(action)
+        exos.append(exo)
+        if i < n_steps:
+            state = _project_oracle(plant, _rk4_oracle(plant, state, action, exo, cfg.dt))
+            if not np.all(np.isfinite(state)):
+                partial = Trace(cfg.dt, plant.channels, np.array(rows), np.array(acts), np.array(exos))
+                raise SimulationBlowup(f"{plant.name}: state diverged at t={t + cfg.dt:.3f}", partial)
+    return Trace(cfg.dt, plant.channels, np.array(rows), np.array(acts), np.array(exos))
 
 
 # ---------------------------------------------------------------------------

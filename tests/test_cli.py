@@ -81,6 +81,24 @@ class TestCollect:
         manifest = json.loads((tmp_path / "out" / "collect_manifest.json").read_text())
         assert f"# config={manifest['config_hash']}" in text
 
+    def test_blowup_in_rk4_stage_is_contained(self, tmp_path):
+        # a 0.5 s step drives one CSTR run to an overflow inside an RK4
+        # stage; collect records it as a failure and keeps the others
+        cfg = write_config(tmp_path, seed=1, plant={"name": "cstr", "params": {}},
+                           sim={"dt": 0.5, "horizon": 30.0, "control_period": 0.5},
+                           labeling_spec="G[0,25](abs(error) <= 0.3)",
+                           collect={"num_traces": 6})
+        assert run(["--config", cfg, "collect"]) == 2
+        out = tmp_path / "out"
+        manifest = json.loads((out / "collect_manifest.json").read_text())
+        assert len(manifest["traces"]) == 5
+        assert len(manifest["failures"]) == 1
+        assert "diverged" in manifest["failures"][0]["error"]
+        for entry in manifest["traces"]:
+            assert (out / entry["file"]).exists()
+        failed = manifest["failures"][0]["index"]
+        assert not (out / "traces" / f"trace_{failed:04d}.txt").exists()
+
 
 class TestBuild:
     def test_build_single_trace(self, tmp_path):

@@ -1,10 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import fresh_oracle, simulate_oracle
 
+from cpsguard.abstraction import AbstractionConfig, build_abstraction
+from cpsguard.controllers import init_mlp, load_mlp
+from cpsguard.monitor import SAFE_TAG, MonitorConfig, run_monitored
 from cpsguard.plants import (
     SimConfig,
+    SimulationBlowup,
     default_input_spec,
     default_pid,
     default_sim_config,
@@ -14,10 +20,12 @@ from cpsguard.plants import (
     rk4_step,
     simulate,
 )
-from cpsguard.signals import make_input
+from cpsguard.pmc import parse_pctl
+from cpsguard.signals import make_input, random_signal
 from cpsguard.stl import parse_stl, satisfied
 
 ACC_SPEC = "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)"
+UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_unsafe.txt"
 
 
 def constant_input(plant, value, duration=50.0):
@@ -184,3 +192,88 @@ class TestSimulate:
             b = fine_tr.states[-1]
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1.0)
             assert np.max(rel) < 1e-4, name
+
+
+def assert_same_run(got, want):
+    for name in ("states", "actions", "inputs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+class TestSimulatorOracle:
+    """The float-kernel loop against the array loop in oracles.py: states,
+    actions and inputs equal bit for bit."""
+
+    @pytest.mark.parametrize("name,kind", [("acc", "mlp"), ("acc", "pid"), ("cstr", "pid"),
+                                           ("watertank", "pid")])
+    @pytest.mark.parametrize("interpolation", ["pconst", "plinear"])
+    def test_bit_identical(self, name, kind, interpolation):
+        plant = make_plant(name)
+        cfg = default_sim_config(plant)
+        controller = load_mlp(UNSAFE_MLP) if kind == "mlp" else default_pid(plant)
+        spec = default_input_spec(plant, num_control_points=6, duration=cfg.horizon,
+                                  interpolation=interpolation)
+        for seed in range(3):
+            sig = random_signal(spec, np.random.default_rng(seed))
+            assert_same_run(simulate(plant, controller, sig, cfg),
+                            simulate_oracle(plant, controller, sig, cfg))
+
+    def test_monitored_run_with_switching(self):
+        plant = make_plant("watertank")
+        cfg = default_sim_config(plant)
+        spec = default_input_spec(plant, num_control_points=4, duration=cfg.horizon)
+        sig = make_input(spec, [[1.0, 1.2, 0.8, 1.0]])
+        ai = init_mlp(2, (8,), plant.control_range, seed=5)
+        safe = default_pid(plant)
+        trace = simulate(plant, ai, sig, cfg)
+        robs = np.full(len(trace), 1.0)
+        robs[0] = -1.0  # the start cell is bad, so the first period runs the PID
+        model = build_abstraction([(trace, robs)], AbstractionConfig(k=2, c=3))
+        mcfg = MonitorConfig(parse_pctl('P>0.8 [ F<=10 "rob=-1" ]'), period=5.0, unknown_policy="AI")
+        mt = run_monitored(plant, ai, safe, model, mcfg, sig, cfg)
+        tags = mt.controller_tags
+        assert len(set(tags.tolist())) == 2  # it did switch, both ways
+        active, last = None, None
+
+        def replay(i, t, row):
+            nonlocal active, last
+            if tags[i] != last:
+                active = fresh_oracle(safe) if tags[i] == SAFE_TAG else ai
+                last = tags[i]
+            return active
+
+        assert_same_run(mt.trace, simulate_oracle(plant, ai, sig, cfg, replay))
+
+
+class TestBlowup:
+    @pytest.mark.parametrize("dt,seed,error", [(0.5, None, FloatingPointError), (0.75, 94, OverflowError)])
+    def test_blowup_in_rk4_stage_becomes_simulation_blowup(self, dt, seed, error):
+        # with these coarse steps the CSTR state leaves the finite range,
+        # or exp overflows, inside an RK4 stage, where the array loop
+        # stopped with a bare error
+        plant = make_plant("cstr")
+        cfg = SimConfig(dt=dt, horizon=30.0, control_period=dt)
+        if seed is None:
+            sig = make_input(default_input_spec(plant, num_control_points=1, duration=30.0), [[1.25]])
+        else:
+            spec = default_input_spec(plant, num_control_points=2, duration=30.0)
+            sig = random_signal(spec, np.random.default_rng(seed))
+        with pytest.raises(SimulationBlowup, match="diverged") as info:
+            simulate(plant, default_pid(plant), sig, cfg)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            simulate_oracle(plant, default_pid(plant), sig, cfg)
+        partial = info.value.trace
+        n = len(partial)
+        assert str(info.value).endswith(f"t={n * dt:.3f}")
+        head = simulate_oracle(plant, default_pid(plant), sig, SimConfig(dt, (n - 1) * dt, dt))
+        assert np.array_equal(partial.states, head.states)
+        assert np.array_equal(partial.inputs, head.inputs)
+        # the last row's action was computed for the step that blew up
+        assert np.array_equal(partial.actions[:-1], head.actions[:-1])
+
+    def test_array_wrappers_still_raise(self):
+        plant = make_plant("acc")
+        state = np.array([100.0, float("inf"), 40.0, 20.0])
+        with pytest.raises(FloatingPointError):
+            rk4_step(plant, state, 0.0, np.array([0.0]), 0.1)

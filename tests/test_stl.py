@@ -142,6 +142,17 @@ class TestOracleEquivalence:
             assert got == want, format_stl(formula)
             assert satisfied(trace, formula) == (want >= 0.0)
 
+    @pytest.mark.parametrize("steps", [1, 2, 7, 30])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.0), (0.0, 3.0), (2.0, 4.0), (3.0, 50.0), (5.0, 5.0)])
+    def test_until_matches_brute_force(self, steps, lo, hi):
+        # offsets from j0 > 0, windows running past the trace end, T = 1
+        rng = np.random.default_rng(steps)
+        trace = multi_trace(rng.uniform(-3, 3, size=(steps, 2)))
+        formula = Until(lo, hi, parse_stl("a + 0.5 >= 0"), parse_stl("b >= 1"))
+        got = robustness_per_step(trace, formula)
+        for i in range(steps):
+            assert got[i] == rob_oracle(formula, trace, i)
+
     def test_negation_is_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
