@@ -188,10 +188,7 @@ def _cells_batch(config: AbstractionConfig, R: np.ndarray) -> np.ndarray:
 
 def abstract_action(sigma: float) -> int:
     """Integer part of the controller output, truncated toward zero."""
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise ValueError(f"non-finite action {sigma}")
-    return int(sigma)
+    return int(_abstract_actions([sigma])[0])
 
 
 def _grid_bounds(R: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -217,56 +214,108 @@ def _route(classifiers, cell: int, reduced: np.ndarray) -> StateId:
     return (cell, side)
 
 
-def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
+def _sid(code: int) -> StateId:
+    return (code // 3 - 1, code % 3 - 1)
+
+
+def _state_codes(config, classifiers, R: np.ndarray) -> np.ndarray:
+    """The state of every row of reduced states, as one integer code
+    (cell + 1) * 3 + side + 1 per row: codes sort as the (cell, side)
+    ids, and `_sid` turns one back."""
     cells = _cells_batch(config, R)
-    out = []
-    for row, cell in zip(R, cells):
-        cell = int(cell)
-        if cell == OUT_OF_BOUNDS:
-            out.append((OUT_OF_BOUNDS, 0))
-        else:
-            out.append(_route(classifiers, cell, row))
-    return out
+    sides = np.zeros(len(cells), dtype=np.int64)
+    for cell in set(cells.tolist()).intersection(classifiers):
+        w, b = classifiers[cell]
+        rows = np.flatnonzero(cells == cell)
+        Rc = R[rows]
+        margin = Rc @ w + b
+        side = np.where(margin >= 0.0, 1, -1)
+        # The batch dot product may round differently from `_route`'s, so
+        # a row within rounding of the hyperplane takes `_route`'s side.
+        near = np.abs(margin) <= 1e-12 * (np.abs(Rc) @ np.abs(w) + abs(b))
+        for i in np.flatnonzero(near).tolist():
+            side[i] = _route(classifiers, cell, R[rows[i]])[1]
+        sides[rows] = side
+    return (cells + 1) * 3 + sides + 1
 
 
-def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) -> AbstractMdp:
-    """Map traces through the state functions and count the MDP out."""
-    min_rob: dict[StateId, float] = {}
-    support: dict[StateId, int] = {}
-    counts: dict[tuple[StateId, int], dict[StateId, int]] = {}
-    start_ids: list[StateId] = []
+def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
+    return [_sid(code) for code in _state_codes(config, classifiers, R).tolist()]
+
+
+def _new_runs(*keys) -> np.ndarray:
+    """True where a row of the sorted key columns differs from the one
+    before, and at row 0."""
+    changed = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return np.append(True, changed)[: len(keys[0])]
+
+
+def _abstract_actions(sigma) -> np.ndarray:
+    """`abstract_action` of every entry; ValueError for a non-finite
+    action or one outside int64."""
+    sigma = np.asarray(sigma, dtype=float)
+    bad = ~np.isfinite(sigma)
+    if bad.any():
+        raise ValueError(f"non-finite action {float(sigma[bad][0])}")
+    bad = (sigma < -2.0**63) | (sigma >= 2.0**63)
+    if bad.any():
+        raise ValueError(f"action {float(sigma[bad][0])} outside the int64 range")
+    return sigma.astype(np.int64)
+
+
+def _mapped(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers):
+    """Per trace: the trace, its reduced states, state codes and robustness."""
     for trace, robs in pairs:
         robs = np.asarray(robs, dtype=float)
         if len(robs) != len(trace):
             raise ValueError(f"robustness has length {len(robs)}, trace has {len(trace)}")
         R = _reduce_batch(pca, trace.states)
-        sids = _state_ids(config, classifiers, R)
-        start_ids.append(sids[0])
-        for sid, rob in zip(sids, robs):
-            support[sid] = support.get(sid, 0) + 1
-            if sid not in min_rob or rob < min_rob[sid]:
-                min_rob[sid] = float(rob)
-        for i in range(len(trace) - 1):
-            act = abstract_action(trace.actions[i])
-            dests = counts.setdefault((sids[i], act), {})
-            dests[sids[i + 1]] = dests.get(sids[i + 1], 0) + 1
+        yield trace, R, _state_codes(config, classifiers, R), robs
+
+
+def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) -> AbstractMdp:
+    """Map traces through the state functions and count the MDP out."""
+    codes, robs, src, act, dst = [], [], [], [], []
+    for trace, _, code, rob in _mapped(pairs, pca, config, classifiers):
+        act.append(_abstract_actions(trace.actions[: len(trace) - 1]))
+        codes.append(code)
+        robs.append(rob)
+        src.append(code[:-1])
+        dst.append(code[1:])
+    starts = sorted({int(code[0]) for code in codes})
+    codes, robs = np.concatenate(codes), np.concatenate(robs)
+    order = np.argsort(codes, kind="stable")
+    heads = np.flatnonzero(_new_runs(codes[order]))
+    first = order[heads]  # each state's first row
+    support = np.diff(heads, append=len(codes))
+    min_rob = np.fmin.reduceat(robs[order], heads)
+    min_rob[np.isnan(robs[first])] = np.nan  # a NaN first member keeps the minimum NaN
+    sid_of = {code: _sid(code) for code in codes[first].tolist()}
     states = {
-        sid: StateInfo(label=-1 if min_rob[sid] < config.label_threshold else +1, support=support[sid])
-        for sid in support
+        sid_of[code]: StateInfo(label=-1 if rob < config.label_threshold else +1, support=n)
+        for code, rob, n in zip(codes[first].tolist(), min_rob.tolist(), support.tolist())
     }
+    # count (src, act, dst) triples in sorted runs; probability = count / (src, act) total
+    src, act, dst = np.concatenate(src), np.concatenate(act), np.concatenate(dst)
+    order = np.lexsort((dst, act, src))
+    src, act, dst = src[order], act[order], dst[order]
+    new_key = _new_runs(src, act)
+    heads = np.flatnonzero(new_key | _new_runs(dst))
+    counts = np.diff(heads, append=len(src))
+    key_id = np.cumsum(new_key) - 1
+    totals = np.bincount(key_id)[key_id[heads]]
     transitions: dict[tuple[StateId, int], dict[StateId, float]] = {}
-    for key, dests in counts.items():
-        total = sum(dests.values())
-        transitions[key] = {dst: cnt / total for dst, cnt in dests.items()}
-    distinct_starts = sorted(set(start_ids))
-    if len(distinct_starts) == 1:
-        initial = distinct_starts[0]
+    for s, a, d, p in zip(src[heads].tolist(), act[heads].tolist(), dst[heads].tolist(),
+                          (counts / totals).tolist()):
+        transitions.setdefault((sid_of[s], a), {})[sid_of[d]] = p
+    if len(starts) == 1:
+        initial = sid_of[starts[0]]
     else:
         # Traces start in different cells: synthetic initial state with
         # uniform transitions to every observed start.
         initial = INIT_STATE
         states[INIT_STATE] = StateInfo(label=+1, support=0)
-        transitions[(INIT_STATE, 0)] = {sid: 1.0 / len(distinct_starts) for sid in distinct_starts}
+        transitions[(INIT_STATE, 0)] = {sid_of[code]: 1.0 / len(starts) for code in starts}
     if len(states) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
     return AbstractMdp(
@@ -315,18 +364,19 @@ def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, see
     b = 0.0
     t = 0
     for _ in range(epochs):
-        order = rng.permutation(X.shape[0])
-        for start in range(0, X.shape[0], batch):
-            idx = order[start : start + batch]
+        order = rng.permutation(len(X))
+        Xp, yp = X[order], y[order]
+        for start in range(0, len(X), batch):
+            Xi, yi = Xp[start : start + batch], yp[start : start + batch]
             t += 1
             eta = 1.0 / (lam * t)
-            margins = y[idx] * (X[idx] @ w + b)
-            viol = margins < 1.0
+            viol = yi * (Xi @ w + b) < 1.0
             w *= 1.0 - eta * lam
-            if np.any(viol):
-                scale = eta / len(idx)
-                w += scale * (y[idx][viol] @ X[idx][viol])
-                b += scale * float(np.sum(y[idx][viol]))
+            yv = yi[viol]
+            if yv.size:
+                scale = eta / len(yi)
+                w += scale * (yv @ Xi[viol])
+                b += scale * float(np.add.reduce(yv))
     if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
         warnings.warn("SVM training degenerated; using the class-mean hyperplane", stacklevel=2)
         mean_pos = X[y > 0].mean(axis=0)
@@ -344,28 +394,25 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     recounted under the extended state map. Call again for further
     passes (already-split cells keep their single hyperplane).
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("no traces")
     config = model.config if config is None else replace(config, bounds=model.config.bounds)
-    members_x: dict[StateId, list[np.ndarray]] = {}
-    members_r: dict[StateId, list[float]] = {}
-    for trace, robs in pairs:
-        R = _reduce_batch(model.pca, trace.states)
-        sids = _state_ids(config, model.classifiers, R)
-        for sid, row, rob in zip(sids, R, np.asarray(robs, dtype=float)):
-            members_x.setdefault(sid, []).append(row)
-            members_r.setdefault(sid, []).append(float(rob))
+    _, R, codes, robs_all = zip(*_mapped(pairs, model.pca, config, model.classifiers))
+    R, codes, robs_all = np.concatenate(R), np.concatenate(codes), np.concatenate(robs_all)
+    # members of each state in trace order: the SVM's permutation applies to it
+    order = np.argsort(codes, kind="stable")
+    heads = np.flatnonzero(_new_runs(codes[order]))
     classifiers = dict(model.classifiers)
-    for sid in sorted(members_r):
-        cell, side = sid
+    for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
+        cell, side = _sid(code)
         if side != 0 or cell == OUT_OF_BOUNDS:
             continue  # one hyperplane per cell
-        robs = np.array(members_r[sid])
+        robs = robs_all[members]
         variance = float(np.mean((robs - robs.mean()) ** 2))
-        has_pos = bool(np.any(robs >= 0.0))
-        has_neg = bool(np.any(robs < 0.0))
-        if variance > config.variance_threshold and has_pos and has_neg:
-            X = np.array(members_x[sid])
+        if variance > config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
             y = np.where(robs >= 0.0, 1.0, -1.0)
-            classifiers[cell] = _train_linear_svm(X, y, lam=0.01, epochs=200, seed=cell & 0x7FFFFFFF)
+            classifiers[cell] = _train_linear_svm(R[members], y, lam=0.01, epochs=200, seed=cell & 0x7FFFFFFF)
     return _assemble(pairs, model.pca, config, classifiers)
 
 
@@ -384,10 +431,8 @@ def preciseness(model: AbstractMdp, pairs) -> PrecisenessReport:
     excluded from the match rate and reported separately."""
     eps = model.config.label_threshold
     n_match = n_known = n_unknown = 0
-    for trace, robs in pairs:
-        R = _reduce_batch(model.pca, trace.states)
-        sids = _state_ids(model.config, model.classifiers, R)
-        for sid, rob in zip(sids, np.asarray(robs, dtype=float)):
+    for _, _, codes, robs in _mapped(pairs, model.pca, model.config, model.classifiers):
+        for sid, rob in zip(map(_sid, codes.tolist()), robs):
             if sid not in model.states:
                 n_unknown += 1
                 continue
@@ -470,6 +515,7 @@ def save_model(model: AbstractMdp, path, config_hash: str | None = None) -> None
 
 
 def load_model(path) -> AbstractMdp:
+    """Read a model file; a ValueError names the file if it is inconsistent."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != "cpsguard-mdp-v1":
@@ -480,18 +526,32 @@ def load_model(path) -> AbstractMdp:
         variance_threshold=a["variance_threshold"],
         bounds=tuple(tuple(b) for b in a["bounds"]),
     )
-    pca = PcaTransform(
-        mean=np.array(doc["pca"]["mean"]),
-        components=np.array(doc["pca"]["components"]),
-    )
-    states = {
-        parse_state_id(s["id"]): StateInfo(label=s["label"], support=s["support"])
-        for s in doc["states"]
-    }
+    if len(config.bounds) != config.k:
+        raise ValueError(f"{path}: {len(config.bounds)} grid bounds for k={config.k}")
+    mean, components = np.array(doc["pca"]["mean"]), np.array(doc["pca"]["components"])
+    if components.shape != (config.k, len(mean)):
+        raise ValueError(f"{path}: PCA components have shape {components.shape}, "
+                         f"expected {(config.k, len(mean))}")
+    pca = PcaTransform(mean=mean, components=components)
+    ids = {s["id"]: parse_state_id(s["id"]) for s in doc["states"]}  # each id parsed once
+    states = {}
+    for s in doc["states"]:
+        if s["label"] not in (-1, 1):
+            raise ValueError(f"{path}: state {s['id']} has label {s['label']!r}, expected -1 or 1")
+        states[ids[s["id"]]] = StateInfo(label=s["label"], support=s["support"])
     classifiers = {c["cell"]: (np.array(c["w"]), float(c["b"])) for c in doc["classifiers"]}
+    for cell, (w, _) in classifiers.items():
+        if w.shape != (config.k,):
+            raise ValueError(f"{path}: classifier of cell {cell} has shape {w.shape}, expected ({config.k},)")
     transitions: dict[tuple[StateId, int], dict[StateId, float]] = {}
     for src, act, dst, p in doc["transitions"]:
-        transitions.setdefault((parse_state_id(src), int(act)), {})[parse_state_id(dst)] = float(p)
+        if src not in ids or dst not in ids:
+            raise ValueError(f"{path}: transition {src} -> {dst} names a state the model does not list")
+        transitions.setdefault((ids[src], int(act)), {})[ids[dst]] = float(p)
+    for (src, act), dests in transitions.items():
+        total = sum(dests.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{path}: transitions of {state_id_str(src)} under action {act} sum to {total!r}")
     return AbstractMdp(
         pca=pca, config=config, states=states,
         initial=parse_state_id(doc["initial"]),

@@ -9,7 +9,18 @@ import math
 import numpy as np
 
 from cpsguard import stl
-from cpsguard.abstraction import AbstractionConfig, AbstractMdp, PcaTransform, StateInfo
+from cpsguard.abstraction import (
+    INIT_STATE,
+    OUT_OF_BOUNDS,
+    AbstractionConfig,
+    AbstractMdp,
+    PcaTransform,
+    StateInfo,
+    _cells_batch,
+    _grid_bounds,
+    _reduce_batch,
+    fit_pca,
+)
 from cpsguard.controllers import MlpNet, PidController, mlp_forward, pid_act
 from cpsguard.plants import SimulationBlowup
 from cpsguard.signals import PIECEWISE_CONSTANT, Trace
@@ -369,3 +380,114 @@ def separable_cell_pairs(n_cluster=100, margin=0.2, rng=None):
     trace = Trace(dt=1.0, channels=("x",), states=rows,
                   actions=np.zeros(len(rows)), inputs=np.zeros((len(rows), 1)))
     return [(trace, robs)]
+
+
+# ---------------------------------------------------------------------------
+# abstraction: per-row state mapping, dict counting and the plain Pegasos loop
+
+
+def _route_oracle(classifiers, cell, reduced):
+    clf = classifiers.get(cell)
+    if clf is None:
+        return (cell, 0)
+    w, b = clf
+    return (cell, 1 if float(w @ reduced + b) >= 0.0 else -1)
+
+
+def state_ids_oracle(config, classifiers, R):
+    """(cell, side) per row of reduced states, one row at a time."""
+    cells = _cells_batch(config, R)
+    return [(OUT_OF_BOUNDS, 0) if int(cell) == OUT_OF_BOUNDS else _route_oracle(classifiers, int(cell), row)
+            for row, cell in zip(R, cells)]
+
+
+def assemble_oracle(pairs, pca, config, classifiers):
+    """Count the MDP out of the traces row by row with dicts."""
+    min_rob, support, counts, start_ids = {}, {}, {}, []
+    for trace, robs in pairs:
+        robs = np.asarray(robs, dtype=float)
+        if len(robs) != len(trace):
+            raise ValueError(f"robustness has length {len(robs)}, trace has {len(trace)}")
+        sids = state_ids_oracle(config, classifiers, _reduce_batch(pca, trace.states))
+        start_ids.append(sids[0])
+        for sid, rob in zip(sids, robs):
+            support[sid] = support.get(sid, 0) + 1
+            if sid not in min_rob or rob < min_rob[sid]:
+                min_rob[sid] = float(rob)
+        for i in range(len(trace) - 1):
+            act = float(trace.actions[i])
+            if not math.isfinite(act):
+                raise ValueError(f"non-finite action {act}")
+            act = int(act)
+            dests = counts.setdefault((sids[i], act), {})
+            dests[sids[i + 1]] = dests.get(sids[i + 1], 0) + 1
+    states = {sid: StateInfo(label=-1 if min_rob[sid] < config.label_threshold else +1, support=support[sid])
+              for sid in support}
+    transitions = {key: {dst: cnt / sum(dests.values()) for dst, cnt in dests.items()}
+                   for key, dests in counts.items()}
+    distinct_starts = sorted(set(start_ids))
+    initial = distinct_starts[0]
+    if len(distinct_starts) > 1:
+        initial = INIT_STATE
+        states[INIT_STATE] = StateInfo(label=+1, support=0)
+        transitions[(INIT_STATE, 0)] = {sid: 1.0 / len(distinct_starts) for sid in distinct_starts}
+    return AbstractMdp(pca=pca, config=config, states=states, initial=initial,
+                       transitions=transitions, classifiers=dict(classifiers))
+
+
+def build_oracle(pairs, config):
+    pairs = list(pairs)
+    all_states = np.vstack([trace.states for trace, _ in pairs])
+    pca = fit_pca(all_states, config.k)
+    config = dataclasses.replace(config, bounds=_grid_bounds(_reduce_batch(pca, all_states)))
+    return assemble_oracle(pairs, pca, config, {})
+
+
+def train_linear_svm_oracle(X, y, lam, epochs, seed, batch=64):
+    """Mini-batch Pegasos indexing each batch out of X and y."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch):
+            idx = order[start : start + batch]
+            t += 1
+            eta = 1.0 / (lam * t)
+            margins = y[idx] * (X[idx] @ w + b)
+            viol = margins < 1.0
+            w *= 1.0 - eta * lam
+            if np.any(viol):
+                scale = eta / len(idx)
+                w += scale * (y[idx][viol] @ X[idx][viol])
+                b += scale * float(np.sum(y[idx][viol]))
+    if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
+        mean_pos = X[y > 0].mean(axis=0)
+        mean_neg = X[y < 0].mean(axis=0)
+        w = mean_pos - mean_neg
+        b = -float(w @ (mean_pos + mean_neg) / 2.0)
+    return w, float(b)
+
+
+def refine_oracle(model, pairs):
+    """One refinement pass, members gathered row by row per state."""
+    members_x, members_r = {}, {}
+    for trace, robs in pairs:
+        R = _reduce_batch(model.pca, trace.states)
+        for sid, row, rob in zip(state_ids_oracle(model.config, model.classifiers, R), R,
+                                 np.asarray(robs, dtype=float)):
+            members_x.setdefault(sid, []).append(row)
+            members_r.setdefault(sid, []).append(float(rob))
+    classifiers = dict(model.classifiers)
+    for sid in sorted(members_r):
+        cell, side = sid
+        if side != 0 or cell == OUT_OF_BOUNDS:
+            continue
+        robs = np.array(members_r[sid])
+        variance = float(np.mean((robs - robs.mean()) ** 2))
+        if variance > model.config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
+            y = np.where(robs >= 0.0, 1.0, -1.0)
+            classifiers[cell] = train_linear_svm_oracle(np.array(members_x[sid]), y, lam=0.01, epochs=200,
+                                                        seed=cell & 0x7FFFFFFF)
+    return assemble_oracle(pairs, model.pca, model.config, classifiers)

@@ -1,13 +1,24 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import separable_cell_pairs
+from oracles import (
+    build_oracle,
+    refine_oracle,
+    separable_cell_pairs,
+    state_ids_oracle,
+    train_linear_svm_oracle,
+)
 
+from cpsguard import stl
 from cpsguard.abstraction import (
     INIT_STATE,
     OUT_OF_BOUNDS,
     AbstractionConfig,
+    _reduce_batch,
+    _state_ids,
+    _train_linear_svm,
     abstract_action,
     abstract_state_of,
     build_abstraction,
@@ -23,7 +34,11 @@ from cpsguard.abstraction import (
     save_model,
     state_id_str,
 )
-from cpsguard.signals import Trace
+from cpsguard.controllers import load_mlp
+from cpsguard.plants import default_input_spec, default_pid, default_sim_config, make_plant, simulate
+from cpsguard.signals import Trace, random_signal
+
+UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_unsafe.txt"
 
 
 def trace_1d(values, actions=None, dt=1.0):
@@ -131,6 +146,11 @@ class TestAbstractAction:
         with pytest.raises(ValueError):
             abstract_action(float("inf"))
 
+    def test_rejects_outside_int64(self):
+        assert abstract_action(-2.0**63) == -2**63
+        with pytest.raises(ValueError, match="int64"):
+            abstract_action(2.0**63)
+
 
 def two_thirds_setup():
     """One trace whose transitions from the low cell split 2/3 vs 1/3."""
@@ -217,6 +237,23 @@ class TestBuild:
         with pytest.warns(UserWarning, match="single abstract state"):
             build_abstraction([(trace, np.ones(3))], AbstractionConfig(k=1, c=2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_action_rejected(self, bad):
+        trace = trace_1d([0.0, 1.0, 2.0], actions=[0.5, bad, 0.0])
+        with pytest.raises(ValueError, match="non-finite action"):
+            build_abstraction([(trace, np.ones(3))], AbstractionConfig(k=1, c=2))
+
+    @pytest.mark.parametrize("bad", [2.0**63, -2.0**64, 1e300])
+    def test_action_outside_int64_rejected(self, bad):
+        trace = trace_1d([0.0, 1.0, 2.0], actions=[bad, 0.5, 0.0])
+        with pytest.raises(ValueError, match="int64"):
+            build_abstraction([(trace, np.ones(3))], AbstractionConfig(k=1, c=2))
+
+    def test_int64_extremes_kept(self):
+        trace = trace_1d([0.0, 1.0, 2.0, 3.0], actions=[-2.0**63, 2.0**62, -2.5, 0.0])
+        model = build_abstraction([(trace, np.ones(4))], AbstractionConfig(k=1, c=2))
+        assert {act for _, act in model.transitions} == {-2**63, 2**62, -2}
+
 
 def separable_cell_pairs_2d(n_cluster=60, rng=None):
     """2-D variant: the grid cuts the y axis, so the +/- clusters (which
@@ -285,6 +322,155 @@ class TestRefine:
         assert len(refined.states) >= len(model.states)
         for dests in refined.transitions.values():
             assert abs(sum(dests.values()) - 1.0) <= 1e-9
+
+
+def closed_loop_pairs(name, kind, spec, seeds):
+    """Traces of a real closed loop with their labeling robustness."""
+    plant = make_plant(name)
+    cfg = default_sim_config(plant)
+    controller = load_mlp(UNSAFE_MLP) if kind == "mlp" else default_pid(plant)
+    inputs = default_input_spec(plant, num_control_points=6, duration=cfg.horizon)
+    phi = stl.parse_stl(spec)
+    pairs = []
+    for seed in seeds:
+        trace = simulate(plant, controller, random_signal(inputs, np.random.default_rng(seed)), cfg)
+        pairs.append((trace, stl.labeling_robustness(trace, phi)))
+    return pairs
+
+
+def suffix(pair, start):
+    trace, robs = pair
+    return (Trace(dt=trace.dt, channels=trace.channels, states=trace.states[start:],
+                  actions=trace.actions[start:], inputs=trace.inputs[start:]), robs[start:])
+
+
+def stretched(pair, mean, factor):
+    """Every third row pushed `factor` times further from the mean, which
+    takes it out of the grid built without it."""
+    trace, robs = pair
+    states = trace.states.copy()
+    states[::3] = mean + factor * (states[::3] - mean)
+    return (Trace(dt=trace.dt, channels=trace.channels, states=states,
+                  actions=trace.actions, inputs=trace.inputs), robs)
+
+
+CLOSED_LOOPS = {
+    "acc-mlp": ("acc", "mlp", "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)", AbstractionConfig(k=3, c=10)),
+    "cstr-pid": ("cstr", "pid", "G[0,25]((abs(error) <= 0.3) U[0,5] (abs(error) <= 0.15))",
+                 AbstractionConfig(k=2, c=20)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CLOSED_LOOPS))
+def closed_loop(request):
+    """Build pairs (traces cut to start at several cells) and refine pairs
+    (the same plus a trace partly outside the grid) of one closed loop."""
+    name, kind, spec, cfg = CLOSED_LOOPS[request.param]
+    pairs = closed_loop_pairs(name, kind, spec, range(8))
+    pairs = [suffix(pair, start) for pair, start in zip(pairs, [0, 0, 40, 40, 80, 120, 160, 200])]
+    model = build_abstraction(pairs, cfg)
+    more = pairs + [stretched(pairs[0], model.pca.mean, 40.0)]
+    return pairs, more, cfg
+
+
+def assert_same_model(model, expected):
+    assert model.states == expected.states
+    assert model.transitions == expected.transitions
+    assert model.initial == expected.initial
+    assert model.classifiers.keys() == expected.classifiers.keys()
+    for cell, (w, b) in model.classifiers.items():
+        assert np.array_equal(w, expected.classifiers[cell][0]) and b == expected.classifiers[cell][1]
+
+
+class TestAbstractionOracles:
+    """The array counting, routing and Pegasos loop against the per-row
+    dict counting and the indexed Pegasos loop of oracles.py."""
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 388])
+    @pytest.mark.parametrize("pos_share", [0.5, 0.1])
+    def test_svm_bit_identical(self, n, pos_share):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3)) * [3.0, 1.0, 0.2]
+        y = np.where(rng.random(n) < pos_share, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        X[y > 0, 0] += 0.5
+        for seed in (0, 17):
+            w, b = _train_linear_svm(X, y, lam=0.01, epochs=20, seed=seed)
+            w_ref, b_ref = train_linear_svm_oracle(X, y, lam=0.01, epochs=20, seed=seed)
+            assert np.array_equal(w, w_ref) and b == b_ref
+
+    def test_svm_class_mean_fallback(self):
+        X = np.zeros((70, 2))
+        y = np.where(np.arange(70) % 3 == 0, 1.0, -1.0)
+        with pytest.warns(UserWarning, match="class-mean"):
+            w, b = _train_linear_svm(X, y, lam=0.01, epochs=3, seed=1)
+        w_ref, b_ref = train_linear_svm_oracle(X, y, lam=0.01, epochs=3, seed=1)
+        assert np.array_equal(w, w_ref) and b == b_ref
+
+    def test_nan_robustness_labels_match(self):
+        # as the running minimum did: a NaN first member keeps a state's
+        # minimum NaN (label +1), a later NaN member is passed over
+        trace = trace_1d([0.1, 0.12, 5.0, 5.1, 5.05, 9.9, 9.95])
+        robs = np.array([np.nan, -1.0, 1.0, np.nan, -1.0, 1.0, 1.0])
+        model = build_abstraction([(trace, robs)], AbstractionConfig(k=1, c=3))
+        assert_same_model(model, build_oracle([(trace, robs)], AbstractionConfig(k=1, c=3)))
+        assert [model.states[abstract_state_of(model, np.array([v]))].label for v in (0.1, 5.0)] == [1, -1]
+
+    def test_single_row_traces_match(self):
+        pairs = [(trace_1d([v]), np.array([r])) for v, r in ((0.1, 1.0), (5.0, -1.0), (0.2, 0.5))]
+        model = build_abstraction(pairs, AbstractionConfig(k=1, c=2))
+        assert_same_model(model, build_oracle(pairs, AbstractionConfig(k=1, c=2)))
+        assert list(model.transitions) == [(INIT_STATE, 0)]
+
+    def test_build_and_refine_match(self, closed_loop):
+        pairs, more, cfg = closed_loop
+        model = build_abstraction(pairs, cfg)
+        expected = build_oracle(pairs, cfg)
+        assert_same_model(model, expected)
+        assert model.initial == INIT_STATE
+        once = refine(model, pairs)
+        expected = refine_oracle(expected, pairs)
+        assert_same_model(once, expected)
+        assert once.classifiers
+        # a second pass routes through the first pass's hyperplanes, and a
+        # trace partly outside the grid adds out-of-bounds rows
+        twice = refine(once, more)
+        assert_same_model(twice, refine_oracle(expected, more))
+        assert (OUT_OF_BOUNDS, 0) in twice.states
+
+    def test_state_ids_match_per_row_mapping(self, closed_loop):
+        pairs, more, _ = closed_loop
+        model = refine(build_abstraction(pairs, AbstractionConfig(k=2, c=6)), pairs)
+        assert model.classifiers
+        for trace, _ in more:
+            R = _reduce_batch(model.pca, trace.states)
+            assert _state_ids(model.config, model.classifiers, R) == state_ids_oracle(model.config, model.classifiers, R)
+
+    def test_state_ids_on_the_hyperplane(self):
+        """Rows whose margin is zero as `_route` computes it: the batch dot
+        product rounds differently for some of them."""
+        rng = np.random.default_rng(3)
+        config = AbstractionConfig(k=3, c=2, bounds=((0.0, 1.0),) * 3)
+        for _ in range(50):
+            R = rng.uniform(0.0, 0.5, size=(40, 3))
+            w = rng.normal(size=3)
+            classifiers = {0: (w, -float(w @ R[int(rng.integers(40))]))}
+            assert _state_ids(config, classifiers, R) == state_ids_oracle(config, classifiers, R)
+
+    def test_state_ids_agree_with_abstract_state_of(self, closed_loop):
+        pairs, more, cfg = closed_loop
+        model = refine(build_abstraction(pairs, cfg), pairs)
+        unknown = 0
+        for trace, _ in more:
+            sids = _state_ids(model.config, model.classifiers, _reduce_batch(model.pca, trace.states))
+            for row, sid in zip(trace.states, sids):
+                scalar = abstract_state_of(model, row)
+                if scalar is None:
+                    unknown += 1
+                    assert sid not in model.states
+                else:
+                    assert scalar == sid
+        assert unknown  # the stretched trace leaves the grid
 
 
 class TestPreciseness:

@@ -43,6 +43,8 @@ from cpsguard.plants import (
 )
 from cpsguard.signals import Trace, make_input, random_signal
 
+pytestmark = pytest.mark.acceptance
+
 PHI1_TEXT = "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)"
 SAFETY_TEXT = "G[0,50](d_rel - d_safe >= 0)"
 PERF_TEXT = "G[0,50](abs(v_ego - v_target) <= 0.2)"

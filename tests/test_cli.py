@@ -203,6 +203,31 @@ class TestCheck:
         assert "holds=" in capsys.readouterr().out
 
 
+MODEL_DEFECTS = {
+    "row_sum": lambda doc: doc["transitions"][0].__setitem__(3, doc["transitions"][0][3] + 0.25),
+    "unknown_src": lambda doc: doc["transitions"][0].__setitem__(0, "c999999"),
+    "unknown_dst": lambda doc: doc["transitions"][0].__setitem__(2, "c999999"),
+    "label": lambda doc: doc["states"][0].__setitem__("label", 0),
+    "bounds": lambda doc: doc["abstraction"]["bounds"].pop(),
+    "pca_shape": lambda doc: doc["pca"]["components"].pop(),
+    "classifier_width": lambda doc: doc.__setitem__("classifiers", [{"cell": 0, "w": [1.0], "b": 0.0}]),
+}
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+    def test_broken_model_exits_2(self, tmp_path, capsys, defect):
+        cfg, _ = TestCheck().build_model(tmp_path)
+        path = tmp_path / "out" / "model.json"
+        assert run(["--config", cfg, "check"]) == 0
+        doc = json.loads(path.read_text())
+        MODEL_DEFECTS[defect](doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["--config", cfg, "check"]) == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+
+
 class TestMonitorCmd:
     def test_all_safe_model_matches_ai_only_metrics(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, labeling_spec="G[0,5](level >= -100)")
