@@ -20,14 +20,13 @@ from .abstraction import (
     load_model,
     preciseness,
     refine,
-    save_model,
 )
 from .controllers import MlpNet, PidController, mlp_forward, pid_act, train_bc
-from .falsify import FalsificationOutcome, FalsifyConfig, hill_climb, model_guided_falsify, run_baseline, trial_stats
+from .falsify import FalsificationOutcome, FalsifyConfig, hill_climb, run_baseline, trial_stats
 from .monitor import MonitorConfig, MonitoredTrace, eval_metrics, monitor_step, run_monitored
-from .plants import ClosedLoopSystem, PlantModel, SimConfig, make_plant, rk4_step, simulate
+from .plants import ClosedLoopSystem, PlantModel, SimConfig, make_plant, simulate
 from .pmc import PctlFormula, Verdict, check, parse_pctl, reach_prob
-from .signals import InputSignal, InputSpec, Trace, make_input, sample, trace_value
+from .signals import InputSignal, InputSpec, Trace, make_input, sample
 from .stl import StlFormula, parse_stl, robustness, satisfied
 
 __version__ = "0.1.0"

@@ -264,11 +264,15 @@ def _abstract_actions(sigma) -> np.ndarray:
 
 
 def _mapped(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers):
-    """Per trace: the trace, its reduced states, state codes and robustness."""
-    for trace, robs in pairs:
+    """Per trace: the trace, its reduced states, state codes and robustness.
+    A ValueError names the trace and row of a non-finite state."""
+    for n, (trace, robs) in enumerate(pairs):
         robs = np.asarray(robs, dtype=float)
         if len(robs) != len(trace):
             raise ValueError(f"robustness has length {len(robs)}, trace has {len(trace)}")
+        bad = np.flatnonzero(~np.isfinite(trace.states).all(axis=1))
+        if bad.size:
+            raise ValueError(f"trace {n}: non-finite state in row {bad[0]}: {trace.states[bad[0]].tolist()}")
         R = _reduce_batch(pca, trace.states)
         yield trace, R, _state_codes(config, classifiers, R), robs
 
@@ -509,11 +513,6 @@ def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def save_model(model: AbstractMdp, path, config_hash: str | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(model_to_json(model, config_hash))
-
-
 def load_model(path) -> AbstractMdp:
     """Read a model file; a ValueError names the file if it is inconsistent."""
     with open(path) as fh:
@@ -590,11 +589,3 @@ def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:
         lab.append(f"{index[sid]}: {' '.join(str(i) for i in ids)}\n")
     return tra, "".join(lab)
 
-
-def export_tra_lab(model: AbstractMdp, tra_path, lab_path) -> None:
-    """Write `tra_lab_text` to the two paths."""
-    tra, lab = tra_lab_text(model)
-    with open(tra_path, "w") as fh:
-        fh.write(tra)
-    with open(lab_path, "w") as fh:
-        fh.write(lab)

@@ -348,7 +348,11 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         signal = signals.random_signal(spec, rng)
-        mt = monitor.run_monitored(plant, ai, safe, model, mcfg, signal, simcfg)
+        try:
+            mt = monitor.run_monitored(plant, ai, safe, model, mcfg, signal, simcfg)
+        except plants.SimulationBlowup as exc:
+            rows.append({"seed": seed, "error": str(exc)})
+            continue
         safety_frac, perf_frac = monitor.eval_metrics(mt.trace, safety_metric, perf_metric)
         total_query += mt.query_time
         total_wall += mt.wall_time
@@ -364,15 +368,16 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
         })
         _atomic_write(out / f"monitored_{i:04d}.txt",
                       signals.trace_text(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
-    mean_safety = statistics.fmean(r["safety_frac"] for r in rows)
-    mean_perf = statistics.fmean(r["perf_frac"] for r in rows)
+    done = [r for r in rows if "error" not in r]
+    mean_safety = statistics.fmean(r["safety_frac"] for r in done) if done else None
+    mean_perf = statistics.fmean(r["perf_frac"] for r in done) if done else None
     overhead = total_query / total_wall if total_wall > 0 else 0.0
     metrics = {"config_hash": cfg.config_hash, "runs": rows,
                "mean_safety_frac": mean_safety, "mean_perf_frac": mean_perf}
     _atomic_write(cfg.output_dir / "monitor_metrics.json", json.dumps(metrics, sort_keys=True, indent=1) + "\n")
-    print(f"monitored {n} runs: safety_frac={mean_safety:.4f} perf_frac={mean_perf:.4f} "
-          f"overhead_ratio={overhead:.4%}")
-    return 0
+    print(f"monitored {n} runs ({n - len(done)} failed): safety_frac={_fmt_opt(mean_safety, 4, 'n/a')} "
+          f"perf_frac={_fmt_opt(mean_perf, 4, 'n/a')} overhead_ratio={overhead:.4%}")
+    return 0 if len(done) == n else 2
 
 
 def cmd_falsify(cfg: RunConfig, algo: str, trials: int | None,
@@ -389,13 +394,21 @@ def cmd_falsify(cfg: RunConfig, algo: str, trials: int | None,
         model = abstraction.load_model(model_path if model_path else cfg.output_dir / "model.json")
     n = trials if trials is not None else cfg.raw["falsify"]["trials"]
     seeds = _spawn_seeds(cfg.seed, f"falsify-{algo}", n)
-    outcomes = []
+    outcomes, per_trial = [], []
     print(f"{'trial':>5} {'success':>8} {'time[s]':>8} {'#sim':>5} {'best rob':>10}")
     for i, trial_seed in enumerate(seeds):
         fcfg = cfg.falsify_config(trial_seed)
-        outcome = falsify.run_baseline(kind, system, model, fcfg)
+        try:
+            outcome = falsify.run_baseline(kind, system, model, fcfg)
+        except plants.SimulationBlowup as exc:
+            outcomes.append(None)
+            per_trial.append({"seed": trial_seed, "error": str(exc)})
+            print(f"{i:>5} error: {exc}")
+            continue
         outcomes.append(outcome)
-        best = min(outcome.robustness_history) if outcome.robustness_history else float("nan")
+        best = min(outcome.robustness_history)  # every trial simulates at least once
+        per_trial.append({"seed": trial_seed, "success": outcome.success, "simulations": outcome.simulations,
+                          "best_robustness": best})
         print(f"{i:>5} {str(outcome.success):>8} {outcome.wall_time:>8.2f} {outcome.simulations:>5} {best:>10.4f}")
     stats = falsify.trial_stats(outcomes)
     print(f"algo={algo} FSR={stats['fsr']}/{stats['trials']} "
@@ -406,19 +419,15 @@ def cmd_falsify(cfg: RunConfig, algo: str, trials: int | None,
         "fsr": stats["fsr"],
         "trials": stats["trials"],
         "mean_sims_success": stats["mean_sims_success"],
-        "per_trial": [
-            {"seed": s, "success": o.success, "simulations": o.simulations,
-             "best_robustness": min(o.robustness_history) if o.robustness_history else None}
-            for s, o in zip(seeds, outcomes)
-        ],
+        "per_trial": per_trial,
     }
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.output_dir / f"falsify_{algo}.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    return 0
+    return 0 if None not in outcomes else 2
 
 
-def _fmt_opt(value) -> str:
-    return "-" if value is None else f"{value:.1f}"
+def _fmt_opt(value, digits: int = 1, missing: str = "-") -> str:
+    return missing if value is None else f"{value:.{digits}f}"
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -444,18 +453,14 @@ def cmd_report(cfg: RunConfig) -> int:
             doc = json.load(fh)
         sections.append(
             "## Monitoring\n\n"
-            f"mean safety fraction {doc['mean_safety_frac']:.4f}, "
-            f"mean performance fraction {doc['mean_perf_frac']:.4f} over {len(doc['runs'])} runs."
+            f"mean safety fraction {_fmt_opt(doc['mean_safety_frac'], 4, 'n/a')}, "
+            f"mean performance fraction {_fmt_opt(doc['mean_perf_frac'], 4, 'n/a')} over {len(doc['runs'])} runs."
         )
     fals_lines = []
     for path in sorted(out.glob("falsify_*.json")):
         with open(path) as fh:
             doc = json.load(fh)
-        sims = doc["mean_sims_success"]
-        fals_lines.append(
-            f"| {doc['algo']} | {doc['fsr']}/{doc['trials']} | "
-            f"{'-' if sims is None else f'{sims:.1f}'} |"
-        )
+        fals_lines.append(f"| {doc['algo']} | {doc['fsr']}/{doc['trials']} | {_fmt_opt(doc['mean_sims_success'])} |")
     if fals_lines:
         sections.append("## Falsification\n\n| algorithm | FSR | #sim |\n|---|---|---|\n" + "\n".join(fals_lines))
     if not sections:

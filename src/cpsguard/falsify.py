@@ -1,31 +1,34 @@
 """Offline falsification: model-guided search plus three baselines.
 
-The guided algorithm keeps a FIFO queue of promising input signals.
-Each outer iteration runs an inner loop of local_budget candidates: the
-first comes from the queue (or a fresh random sample when the queue is
-empty), later ones are adaptive hill-climbing perturbations of the
-inner loop's best (input, robustness) so far. Every candidate is
-simulated; a negative robustness returns immediately as a falsifying
-input. Otherwise the concrete state at checkpoint_time is abstracted
-and the safety query checked on the model: a holding query (the
-candidate steers toward the unsafe region) enqueues it for later
-exploitation. Queue seeds are generated eagerly but only cost a
-simulation when actually run, so a trial runs at most
-global_budget*local_budget simulations.
+All four algorithms are one loop (`run_baseline`): restarts of (1+1)
+hill climbing (`hill_climb`) on the STL robustness of the simulated
+candidate, stopping at the first negative robustness, which returns that
+candidate as a falsifying input. They differ only in where each restart
+starts and in what a candidate enqueues:
 
-Baselines: RANDOM draws independent samples; OPT_ONLY restarts plain
-hill climbing on the robustness objective; GUIDED_RAND is the guided
-algorithm with the model check replaced by enqueueing a fresh random
-sample (same budget accounting, no model needed).
+* GUIDED keeps a FIFO queue of promising input signals, seeded with
+  queue_seed_count random samples. Each of its global_budget restarts
+  starts from the queue, or from a fresh random sample when the queue
+  is empty, and runs local_budget candidates. A candidate that does not
+  falsify is abstracted at checkpoint_time and the safety query checked
+  on the model: a holding query (the candidate steers toward the unsafe
+  region) enqueues it for a later restart.
+* GUIDED_RAND is GUIDED with the model check replaced by enqueueing a
+  fresh random sample (same budget accounting, no model needed).
+* OPT_ONLY runs global_budget restarts of local_budget candidates, each
+  from a fresh random sample.
+* RANDOM runs global_budget*local_budget restarts of one candidate, that
+  is independent random samples.
 
-All randomness flows from the config seed through one Generator, so
-outcomes are reproducible; re-simulating a returned falsifying input
-reproduces its violating trace bit-identically.
+Queue seeds cost a simulation only when run, so a trial runs at most
+global_budget*local_budget simulations. All randomness flows from the
+config seed through one Generator, so outcomes are reproducible;
+re-simulating a returned falsifying input reproduces its violating
+trace bit-identically.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -134,18 +137,19 @@ def _unsafe_flag(model: AbstractMdp, cfg: FalsifyConfig, trace) -> bool:
     return pmc.check_all(model, cfg.safety_query)[sid].holds
 
 
-def model_guided_falsify(system: ClosedLoopSystem, model: AbstractMdp, cfg: FalsifyConfig,
-                         event_log: list | None = None) -> FalsificationOutcome:
-    """Model-guided falsification (see the module docs for the loop)."""
-    return _guided(system, model, cfg, use_model=True, event_log=event_log)
-
-
-def _guided(system: ClosedLoopSystem, model: AbstractMdp | None, cfg: FalsifyConfig,
-            use_model: bool, event_log: list | None) -> FalsificationOutcome:
+def run_baseline(kind: str, system: ClosedLoopSystem, model: AbstractMdp | None,
+                 cfg: FalsifyConfig, event_log: list | None = None) -> FalsificationOutcome:
+    """RANDOM, OPT_ONLY, GUIDED_RAND, or GUIDED by name (see the module
+    docs). event_log, when given, receives the ("enqueue", id) and
+    ("dequeue", id) events of the guided kinds' queue in order."""
+    if kind not in (RANDOM, OPT_ONLY, GUIDED, GUIDED_RAND):
+        raise ValueError(f"unknown falsification algorithm {kind!r}")
     rng = np.random.default_rng(cfg.seed)
     start = time.perf_counter()
+    spec = system.input_spec
     queue: list[tuple[int, InputSignal]] = []
     next_id = 0
+    history: list[float] = []
 
     def enqueue(signal: InputSignal) -> None:
         nonlocal next_id
@@ -154,106 +158,43 @@ def _guided(system: ClosedLoopSystem, model: AbstractMdp | None, cfg: FalsifyCon
             event_log.append(("enqueue", next_id))
         next_id += 1
 
-    for _ in range(cfg.queue_seed_count):
-        enqueue(random_signal(system.input_spec, rng))
-    history: list[float] = []
-    sims = 0
-    for _ in range(cfg.global_budget):
-        step = _AdaptiveStep(system.input_spec, cfg.step_init, cfg.step_decay, cfg.step_growth)
-        incumbent: InputSignal | None = None
-        incumbent_rob = math.inf
-        for i in range(cfg.local_budget):
-            if i == 0:
-                if queue:
-                    cand_id, candidate = queue.pop(0)
-                    if event_log is not None:
-                        event_log.append(("dequeue", cand_id))
-                else:
-                    candidate = random_signal(system.input_spec, rng)
-            else:
-                candidate = step.propose(incumbent, rng)
-            trace = system.run(candidate)
-            sims += 1
-            rob = stl.robustness(trace, cfg.stl_spec, 0.0)
-            history.append(rob)
-            if rob < incumbent_rob:
-                incumbent, incumbent_rob = candidate, rob
-                if i > 0:
-                    step.accepted()
-            elif i > 0:
-                step.rejected()
-            if rob < 0.0:
-                return FalsificationOutcome(True, candidate, history, sims, time.perf_counter() - start)
-            if use_model:
-                if _unsafe_flag(model, cfg, trace):
-                    enqueue(candidate)
-            else:
-                # GUIDED_RAND: the model check is replaced by pushing a
-                # fresh random sample.
-                enqueue(random_signal(system.input_spec, rng))
-    assert sims <= cfg.global_budget * cfg.local_budget
-    return FalsificationOutcome(False, None, history, sims, time.perf_counter() - start)
-
-
-def run_baseline(kind: str, system: ClosedLoopSystem, model: AbstractMdp | None,
-                 cfg: FalsifyConfig) -> FalsificationOutcome:
-    """RANDOM, OPT_ONLY, GUIDED_RAND, or GUIDED by name."""
-    if kind == GUIDED:
-        return model_guided_falsify(system, model, cfg)
-    if kind == GUIDED_RAND:
-        return _guided(system, None, cfg, use_model=False, event_log=None)
-    if kind == RANDOM:
-        return _random_search(system, cfg)
-    if kind == OPT_ONLY:
-        return _opt_only(system, cfg)
-    raise ValueError(f"unknown falsification algorithm {kind!r}")
-
-
-def _random_search(system: ClosedLoopSystem, cfg: FalsifyConfig) -> FalsificationOutcome:
-    rng = np.random.default_rng(cfg.seed)
-    start = time.perf_counter()
-    history: list[float] = []
-    sims = 0
-    for _ in range(cfg.global_budget * cfg.local_budget):
-        candidate = random_signal(system.input_spec, rng)
-        rob = stl.robustness(system.run(candidate), cfg.stl_spec, 0.0)
-        sims += 1
-        history.append(rob)
-        if rob < 0.0:
-            return FalsificationOutcome(True, candidate, history, sims, time.perf_counter() - start)
-    return FalsificationOutcome(False, None, history, sims, time.perf_counter() - start)
-
-
-def _opt_only(system: ClosedLoopSystem, cfg: FalsifyConfig) -> FalsificationOutcome:
-    rng = np.random.default_rng(cfg.seed)
-    start = time.perf_counter()
-    history: list[float] = []
-    sims = 0
-
     def objective(signal: InputSignal) -> float:
-        nonlocal sims
-        rob = stl.robustness(system.run(signal), cfg.stl_spec, 0.0)
-        sims += 1
+        trace = system.run(signal)
+        rob = stl.robustness(trace, cfg.stl_spec, 0.0)
         history.append(rob)
+        if not rob < 0.0:  # a NaN robustness does not falsify, so it may enqueue
+            if kind == GUIDED and _unsafe_flag(model, cfg, trace):
+                enqueue(signal)
+            elif kind == GUIDED_RAND:
+                enqueue(random_signal(spec, rng))
         return rob
 
-    for _ in range(cfg.global_budget):
-        start_signal = random_signal(system.input_spec, rng)
-        best, best_val, _ = hill_climb(
-            objective, start_signal, cfg.local_budget, rng,
-            step_init=cfg.step_init, step_decay=cfg.step_decay, step_growth=cfg.step_growth,
-            stop_below=0.0,
-        )
+    if kind in (GUIDED, GUIDED_RAND):
+        for _ in range(cfg.queue_seed_count):
+            enqueue(random_signal(spec, rng))
+    restarts, budget = cfg.global_budget, cfg.local_budget
+    if kind == RANDOM:
+        restarts, budget = restarts * budget, 1
+    for _ in range(restarts):
+        if queue:
+            signal_id, signal = queue.pop(0)
+            if event_log is not None:
+                event_log.append(("dequeue", signal_id))
+        else:
+            signal = random_signal(spec, rng)
+        best, best_val, _ = hill_climb(objective, signal, budget, rng, step_init=cfg.step_init,
+                                       step_decay=cfg.step_decay, step_growth=cfg.step_growth, stop_below=0.0)
         if best_val < 0.0:
-            return FalsificationOutcome(True, best, history, sims, time.perf_counter() - start)
-    return FalsificationOutcome(False, None, history, sims, time.perf_counter() - start)
+            return FalsificationOutcome(True, best, history, len(history), time.perf_counter() - start)
+    return FalsificationOutcome(False, None, history, len(history), time.perf_counter() - start)
 
 
-def trial_stats(outcomes: list[FalsificationOutcome]) -> dict:
-    """FSR (success count) and means over the successful trials only."""
+def trial_stats(outcomes: list[FalsificationOutcome | None]) -> dict:
+    """FSR (success count) and means over the successful trials only; a
+    None outcome marks a trial that failed to run and counts as attempted."""
     if not outcomes:
         raise ValueError("no outcomes")
-    wins = [o for o in outcomes if o.success]
+    wins = [o for o in outcomes if o is not None and o.success]
     return {
         "trials": len(outcomes),
         "fsr": len(wins),

@@ -41,10 +41,10 @@ watertank: dh/dt = (u - outflow_coeff*sqrt(max(h, 0)))/area, u the
 Each plant is one entry of the `_PLANTS` table: names, defaults
 (overridable via `make_plant(name, params)`) and float kernels that
 step a tuple of Python floats with the same float operations, in the
-same order, as numpy on arrays. The array functions (`derivative`,
-`rk4_step`, ...) wrap the same kernels. Simulations are pure functions
-of (plant, controller parameters, input, cfg), so identical inputs give
-bit-identical traces.
+same order, as numpy on arrays; `simulate` steps through them, and
+`observe` gives a controller's observation as an array. Simulations are
+pure functions of (plant, controller parameters, input, cfg), so
+identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -295,35 +295,9 @@ def initial_state(plant: PlantModel) -> np.ndarray:
     return np.array([plant.params[name + "0"] for name in plant.state_names])
 
 
-def derivative(plant: PlantModel, state: np.ndarray, control: float, exo: np.ndarray) -> np.ndarray:
-    """Right-hand side of the plant ODE; raises on non-finite state."""
-    return np.array(_PLANTS[plant.name].derivative(plant.params, tuple(state), float(control), exo))
-
-
-def rk4_step(plant: PlantModel, state: np.ndarray, control: float, exo: np.ndarray, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta update."""
-    kind = _PLANTS[plant.name]
-    return np.array(kind.rk4(kind.derivative, plant.params, tuple(state), float(control), exo, dt))
-
-
-def project_state(plant: PlantModel, state: np.ndarray) -> np.ndarray:
-    """Clip integrator output back to the physical domain."""
-    return np.array(_PLANTS[plant.name].project(tuple(state)))
-
-
-def channel_row(plant: PlantModel, state: np.ndarray, exo: np.ndarray, t: float) -> np.ndarray:
-    """Recorded channel vector (the concrete state seen by the abstraction)."""
-    return np.array(_PLANTS[plant.name].row(plant.params, tuple(state), exo, t))
-
-
 def observe(plant: PlantModel, state: np.ndarray, exo: np.ndarray, t: float) -> np.ndarray:
     """Observation vector fed to controllers."""
     return np.array(_PLANTS[plant.name].observe(plant.params, tuple(state), exo, t))
-
-
-def pid_error(plant: PlantModel, obs) -> float:
-    """Scalar error the fallback PID regulates, per plant docs above."""
-    return float(_PLANTS[plant.name].error(plant.params, obs))
 
 
 class SimulationBlowup(RuntimeError):

@@ -20,14 +20,14 @@ Trace files are plain text: ``#`` comment lines carrying dt and an
 optional config hash, a header row of column names, then one line per
 step. `trace_text` is the one writer of that format; callers add named
 extra columns (collected traces their ``rob`` labeling robustness,
-monitored runs their ``controller`` tags). Input signals round-trip through a JSON document carrying the
-spec and the control values together. All values are immutable after
-construction and safe to share across concurrent runs.
+monitored runs their ``controller`` tags), and `load_trace` reads it
+back. Input signals are not persisted: a run is reproduced from its
+seed. All values are immutable after construction and safe to share
+across concurrent runs.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -119,36 +119,6 @@ def random_signal(spec: InputSpec, rng: np.random.Generator) -> InputSignal:
     return InputSignal(spec, vals)
 
 
-def save_signal(signal: InputSignal, path) -> None:
-    doc = {
-        "spec": {
-            "dims": signal.spec.dims,
-            "ranges": [list(r) for r in signal.spec.ranges],
-            "num_control_points": signal.spec.num_control_points,
-            "duration": signal.spec.duration,
-            "interpolation": signal.spec.interpolation,
-        },
-        "control_values": [[float(v) for v in row] for row in signal.control_values],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_signal(path) -> InputSignal:
-    with open(path) as fh:
-        doc = json.load(fh)
-    s = doc["spec"]
-    spec = InputSpec(
-        dims=s["dims"],
-        ranges=tuple(tuple(r) for r in s["ranges"]),
-        num_control_points=s["num_control_points"],
-        duration=s["duration"],
-        interpolation=s["interpolation"],
-    )
-    return make_input(spec, np.array(doc["control_values"], dtype=float))
-
-
 @dataclass(frozen=True)
 class Trace:
     """Time-indexed record of one closed-loop run; times are i*dt."""
@@ -204,12 +174,6 @@ def time_index(trace: Trace, t: float) -> int:
     return min(int(math.floor(t / trace.dt + 0.5)), len(trace) - 1)
 
 
-def trace_value(trace: Trace, channel: str, t: float) -> float:
-    """Sampled value of a named channel at the grid point nearest t."""
-    col = trace.channel_index(channel)
-    return float(trace.states[time_index(trace, t), col])
-
-
 def trace_text(trace: Trace, config_hash: str | None = None,
                extra_columns: dict[str, np.ndarray] | None = None) -> str:
     """The columnar text format; extra_columns append named data of trace
@@ -232,34 +196,37 @@ def trace_text(trace: Trace, config_hash: str | None = None,
     return "\n".join(lines) + "\n"
 
 
-def save_trace(trace: Trace, path, config_hash: str | None = None, extra_columns: dict[str, np.ndarray] | None = None) -> None:
-    """Write `trace_text` to path."""
-    with open(path, "w") as fh:
-        fh.write(trace_text(trace, config_hash, extra_columns))
-
-
 def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
-    """Read the columnar format back; returns (trace, extra columns)."""
+    """Read the columnar format back; returns (trace, extra columns). A
+    ValueError names the file (and the line) for a header without a
+    leading time column or without an action column, a row whose width
+    differs from the header's, or a value that is not a number."""
     dt = None
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
+            if fields[0].startswith("#"):
+                body = line.strip()[1:].strip()
                 if body.startswith("dt="):
                     dt = float(body[3:])
-                continue
-            if header is None:
-                header = line.split()
-                continue
-            rows.append([float(x) for x in line.split()])
+            elif header is None:
+                header = fields
+                if header[0] != "time" or "action" not in header:
+                    raise ValueError(f"{path}:{lineno}: the column row needs 'time' first and an 'action' column")
+            elif len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(fields)} values for {len(header)} columns")
+            else:
+                rows.append(fields)
     if dt is None or header is None or not rows:
         raise ValueError(f"{path}: not a trace file (missing dt header, column row, or data)")
-    data = np.array(rows, dtype=float)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     names = header
     act_col = names.index("action")
     channels = tuple(names[1:act_col])
@@ -272,6 +239,6 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
         states=data[:, 1:act_col],
         actions=data[:, act_col],
         inputs=data[:, exo_cols] if exo_cols else np.zeros((data.shape[0], 0)),
-        )
+    )
     extras = {names[j]: data[:, j] for j in extra_cols}
     return trace, extras

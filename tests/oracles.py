@@ -22,8 +22,18 @@ from cpsguard.abstraction import (
     fit_pca,
 )
 from cpsguard.controllers import MlpNet, PidController, mlp_forward, pid_act
+from cpsguard.falsify import (
+    GUIDED,
+    GUIDED_RAND,
+    OPT_ONLY,
+    RANDOM,
+    FalsificationOutcome,
+    _AdaptiveStep,
+    _unsafe_flag,
+    hill_climb,
+)
 from cpsguard.plants import SimulationBlowup
-from cpsguard.signals import PIECEWISE_CONSTANT, Trace
+from cpsguard.signals import PIECEWISE_CONSTANT, Trace, random_signal
 
 # ---------------------------------------------------------------------------
 # STL: naive recursive robustness
@@ -491,3 +501,86 @@ def refine_oracle(model, pairs):
             classifiers[cell] = train_linear_svm_oracle(np.array(members_x[sid]), y, lam=0.01, epochs=200,
                                                         seed=cell & 0x7FFFFFFF)
     return assemble_oracle(pairs, model.pca, model.config, classifiers)
+
+
+# ---------------------------------------------------------------------------
+# falsification: one loop per algorithm, as before they shared `run_baseline`'s
+
+
+def falsify_oracle(kind, system, model, cfg, event_log=None):
+    """The four algorithms written out separately: the guided kinds with
+    their own inner loop, RANDOM as independent samples, OPT_ONLY as
+    hill-climbing restarts. Wall times are not comparable."""
+    if kind in (GUIDED, GUIDED_RAND):
+        return _guided_oracle(system, model, cfg, kind == GUIDED, event_log)
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    if kind == RANDOM:
+        for _ in range(cfg.global_budget * cfg.local_budget):
+            candidate = random_signal(system.input_spec, rng)
+            rob = stl.robustness(system.run(candidate), cfg.stl_spec, 0.0)
+            history.append(rob)
+            if rob < 0.0:
+                return FalsificationOutcome(True, candidate, history, len(history), 0.0)
+        return FalsificationOutcome(False, None, history, len(history), 0.0)
+    assert kind == OPT_ONLY, kind
+
+    def objective(signal):
+        rob = stl.robustness(system.run(signal), cfg.stl_spec, 0.0)
+        history.append(rob)
+        return rob
+
+    for _ in range(cfg.global_budget):
+        best, best_val, _ = hill_climb(objective, random_signal(system.input_spec, rng), cfg.local_budget, rng,
+                                       step_init=cfg.step_init, step_decay=cfg.step_decay,
+                                       step_growth=cfg.step_growth, stop_below=0.0)
+        if best_val < 0.0:
+            return FalsificationOutcome(True, best, history, len(history), 0.0)
+    return FalsificationOutcome(False, None, history, len(history), 0.0)
+
+
+def _guided_oracle(system, model, cfg, use_model, event_log):
+    rng = np.random.default_rng(cfg.seed)
+    queue = []
+    next_id = 0
+
+    def enqueue(signal):
+        nonlocal next_id
+        queue.append((next_id, signal))
+        if event_log is not None:
+            event_log.append(("enqueue", next_id))
+        next_id += 1
+
+    for _ in range(cfg.queue_seed_count):
+        enqueue(random_signal(system.input_spec, rng))
+    history = []
+    for _ in range(cfg.global_budget):
+        step = _AdaptiveStep(system.input_spec, cfg.step_init, cfg.step_decay, cfg.step_growth)
+        incumbent, incumbent_rob = None, math.inf
+        for i in range(cfg.local_budget):
+            if i == 0:
+                if queue:
+                    cand_id, candidate = queue.pop(0)
+                    if event_log is not None:
+                        event_log.append(("dequeue", cand_id))
+                else:
+                    candidate = random_signal(system.input_spec, rng)
+            else:
+                candidate = step.propose(incumbent, rng)
+            trace = system.run(candidate)
+            rob = stl.robustness(trace, cfg.stl_spec, 0.0)
+            history.append(rob)
+            if rob < incumbent_rob:
+                incumbent, incumbent_rob = candidate, rob
+                if i > 0:
+                    step.accepted()
+            elif i > 0:
+                step.rejected()
+            if rob < 0.0:
+                return FalsificationOutcome(True, candidate, history, len(history), 0.0)
+            if use_model:
+                if _unsafe_flag(model, cfg, trace):
+                    enqueue(candidate)
+            else:
+                enqueue(random_signal(system.input_spec, rng))
+    return FalsificationOutcome(False, None, history, len(history), 0.0)

@@ -23,7 +23,6 @@ from cpsguard.abstraction import (
     abstract_state_of,
     build_abstraction,
     cell_of,
-    export_tra_lab,
     fit_pca,
     load_model,
     model_to_json,
@@ -31,8 +30,8 @@ from cpsguard.abstraction import (
     preciseness,
     reduce,
     refine,
-    save_model,
     state_id_str,
+    tra_lab_text,
 )
 from cpsguard.controllers import load_mlp
 from cpsguard.plants import default_input_spec, default_pid, default_sim_config, make_plant, simulate
@@ -323,6 +322,19 @@ class TestRefine:
         for dests in refined.transitions.values():
             assert abs(sum(dests.values()) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan, np.nan], [0.5, np.nan, 0.5], [0.5, 0.5, np.inf]])
+    def test_non_finite_row_rejected(self, row):
+        rng = np.random.default_rng(8)
+        pairs = [(trace_nd(rng.normal(size=(40, 3))), rng.normal(size=40))]
+        model = build_abstraction(pairs, AbstractionConfig(k=2, c=3))
+        states = rng.normal(size=(5, 3))
+        states[3] = row
+        bad = pairs + [(trace_nd(states), rng.normal(size=5))]
+        with pytest.raises(ValueError, match=r"trace 1: non-finite state in row 3"):
+            refine(model, bad)
+        with pytest.raises(ValueError, match=r"trace 1: non-finite state in row 3"):
+            preciseness(model, bad)
+
 
 def closed_loop_pairs(name, kind, spec, seeds):
     """Traces of a real closed loop with their labeling robustness."""
@@ -510,7 +522,7 @@ class TestSerialization:
     def test_model_roundtrip_bit_identical(self, tmp_path):
         pairs = separable_cell_pairs()
         model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
-        save_model(model, tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(model_to_json(model))
         back = load_model(tmp_path / "m.json")
         assert model_to_json(back) == model_to_json(model)
 
@@ -527,14 +539,16 @@ class TestSerialization:
         tr = trace_nd(rng.normal(size=(50, 4)))
         pairs = [(tr, rng.normal(size=50))]
         model = build_abstraction(pairs, AbstractionConfig(k=3, c=3))
-        save_model(model, tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(model_to_json(model))
         back = load_model(tmp_path / "m.json")
         gram = back.pca.components @ back.pca.components.T
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-8)
 
     def test_tra_lab_export(self, tmp_path):
         model, a, b, c = two_thirds_setup()
-        export_tra_lab(model, tmp_path / "m.tra", tmp_path / "m.lab")
+        tra, lab = tra_lab_text(model)
+        (tmp_path / "m.tra").write_text(tra)
+        (tmp_path / "m.lab").write_text(lab)
         tra_lines = (tmp_path / "m.tra").read_text().splitlines()
         n_states, n_choices, n_trans = (int(x) for x in tra_lines[0].split())
         assert n_states == len(model.states)

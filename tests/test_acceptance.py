@@ -26,7 +26,6 @@ from cpsguard.abstraction import (
     model_to_json,
     preciseness,
     refine,
-    save_model,
 )
 from cpsguard.controllers import bc_loss_and_grads, init_mlp, perturb_weights, save_mlp, train_bc
 from cpsguard.falsify import GUIDED, OPT_ONLY, RANDOM, FalsifyConfig, run_baseline, trial_stats
@@ -340,7 +339,7 @@ class TestCriterion8:
         # overhead ratio as reported by the monitor command
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        save_model(unsafe_model, out_dir / "model.json")
+        (out_dir / "model.json").write_text(model_to_json(unsafe_model))
         save_mlp(unsafe_controller, tmp_path / "controller.txt")
         config = {
             "seed": 31,

@@ -100,6 +100,58 @@ class TestCollect:
         assert not (out / "traces" / f"trace_{failed:04d}.txt").exists()
 
 
+class TestBlowupContained:
+    """The CSTR set-up of `test_blowup_in_rk4_stage_is_contained`: some
+    monitored runs and falsification trials diverge too."""
+
+    def collect_and_build(self, tmp_path):
+        cfg = write_config(tmp_path, seed=1, plant={"name": "cstr", "params": {}},
+                           sim={"dt": 0.5, "horizon": 30.0, "control_period": 0.5},
+                           labeling_spec="G[0,25](abs(error) <= 0.3)", collect={"num_traces": 6},
+                           input={"num_control_points": 6}, abstraction={"k": 3, "c": 10},
+                           monitor={"period": 5.0, "unknown_policy": "SAFE", "safety_metric": "G[0,25](conc >= 0)",
+                                    "performance_metric": "G[0,25](abs(error) <= 0.3)"},
+                           falsify={"queue_seed_count": 4, "global_budget": 5, "local_budget": 10,
+                                    "checkpoint_time": 5.0})
+        assert run(["--config", cfg, "collect"]) == 2
+        assert run(["--config", cfg, "build"]) == 0
+        return cfg, tmp_path / "out"
+
+    def test_monitor_records_failed_runs_and_goes_on(self, tmp_path, capsys):
+        cfg, out = self.collect_and_build(tmp_path)
+        assert run(["--config", cfg, "monitor", "--runs", "8"]) == 2
+        doc = json.loads((out / "monitor_metrics.json").read_text())
+        assert len(doc["runs"]) == 8
+        failed = [i for i, r in enumerate(doc["runs"]) if "error" in r]
+        assert failed == [2, 3]
+        assert doc["runs"][3] == {"seed": doc["runs"][3]["seed"], "error": "cstr: state diverged at t=23.000"}
+        done = [r for r in doc["runs"] if "error" not in r]
+        assert doc["mean_safety_frac"] == pytest.approx(np.mean([r["safety_frac"] for r in done]))
+        assert doc["mean_perf_frac"] == pytest.approx(np.mean([r["perf_frac"] for r in done]))
+        assert sorted(p.name for p in (out / "monitored").iterdir()) == \
+            [f"monitored_{i:04d}.txt" for i in range(8) if i not in failed]
+        assert "(2 failed)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo", ["random", "guided"])
+    def test_falsify_records_failed_trials_and_goes_on(self, tmp_path, algo):
+        cfg, out = self.collect_and_build(tmp_path)
+        assert run(["--config", cfg, "falsify", "--algo", algo, "--trials", "3"]) == 2
+        doc = json.loads((out / f"falsify_{algo}.json").read_text())
+        assert doc["trials"] == 3 and len(doc["per_trial"]) == 3
+        errors = [t for t in doc["per_trial"] if "error" in t]
+        assert len(errors) == 1 and set(errors[0]) == {"seed", "error"}
+        assert "diverged" in errors[0]["error"]
+        assert doc["fsr"] == sum(1 for t in doc["per_trial"] if t.get("success"))
+
+    def test_report_prints_missing_means_as_na(self, tmp_path, capsys):
+        cfg, out = self.collect_and_build(tmp_path)
+        doc = {"config_hash": "x", "runs": [{"seed": 1, "error": "diverged"}],
+               "mean_safety_frac": None, "mean_perf_frac": None}
+        (out / "monitor_metrics.json").write_text(json.dumps(doc))
+        assert run(["--config", cfg, "report"]) == 0
+        assert "mean safety fraction n/a, mean performance fraction n/a over 1 runs" in capsys.readouterr().out
+
+
 class TestBuild:
     def test_build_single_trace(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -155,6 +207,28 @@ class TestBuild:
         path = tmp_path / "out" / "model.json"
         model = abstraction.load_model(path)
         assert abstraction.model_to_json(model, json.loads(path.read_text())["config_hash"]) == path.read_text()
+
+    @pytest.mark.parametrize("defect, where", [
+        ("header wider than rows", ":5: 6 values for 7 columns"),
+        ("ragged row", ":10: 5 values for 6 columns"),
+        ("no action column", ":4: the column row needs 'time' first and an 'action' column"),
+    ])
+    def test_malformed_trace_names_the_file(self, tmp_path, capsys, defect, where):
+        cfg = write_config(tmp_path)
+        run(["--config", cfg, "collect", "--num", "2"])
+        path = tmp_path / "out" / "traces" / "trace_0001.txt"
+        lines = path.read_text().splitlines()
+        assert lines[3].startswith("time ")  # the column row follows three comment lines
+        if defect == "header wider than rows":
+            lines[3] += " extra"
+        elif defect == "ragged row":
+            lines[9] = lines[9].rsplit(" ", 1)[0]
+        else:
+            lines[3] = lines[3].replace("action", "act")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--config", cfg, "build"]) == 2
+        assert f"error: {path}{where}" in capsys.readouterr().err
 
     def test_missing_traces_is_runtime_failure(self, tmp_path):
         cfg = write_config(tmp_path)

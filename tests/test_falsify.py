@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import falsify_oracle
 
-from cpsguard import pmc, stl
+from cpsguard import plants, pmc, stl
 from cpsguard.abstraction import AbstractionConfig, build_abstraction
 from cpsguard.falsify import (
     GUIDED,
@@ -10,11 +11,10 @@ from cpsguard.falsify import (
     RANDOM,
     FalsifyConfig,
     hill_climb,
-    model_guided_falsify,
     run_baseline,
     trial_stats,
 )
-from cpsguard.signals import InputSpec, Trace, make_input
+from cpsguard.signals import InputSpec, Trace, make_input, random_signal
 
 QUERY = pmc.parse_pctl('P>0.8 [ F<=10 "rob=-1" ]')
 SPEC = stl.parse_stl("x >= 0")
@@ -114,7 +114,7 @@ class TestHillClimb:
 class TestModelGuided:
     def test_always_violating_returns_first_simulation(self):
         system = StubSystem(lambda v: -1.0)
-        outcome = model_guided_falsify(system, stub_model(1.0), base_cfg())
+        outcome = run_baseline(GUIDED, system, stub_model(1.0), base_cfg())
         assert outcome.success
         assert outcome.simulations == 1
         assert outcome.robustness_history == [-1.0]
@@ -122,7 +122,7 @@ class TestModelGuided:
     def test_unfalsifiable_exhausts_exact_budget(self):
         system = StubSystem(lambda v: 1.0)
         cfg = base_cfg(global_budget=3, local_budget=4)
-        outcome = model_guided_falsify(system, stub_model(1.0), cfg)
+        outcome = run_baseline(GUIDED, system, stub_model(1.0), cfg)
         assert not outcome.success
         assert outcome.simulations == 12
         assert outcome.falsifying_input is None
@@ -132,7 +132,7 @@ class TestModelGuided:
         model = stub_model(-1.0)  # query holds everywhere
         log: list = []
         cfg = base_cfg(queue_seed_count=2, global_budget=3, local_budget=2)
-        model_guided_falsify(system, model, cfg, event_log=log)
+        run_baseline(GUIDED, system, model, cfg, event_log=log)
         enqueued = [i for kind, i in log if kind == "enqueue"]
         dequeued = [i for kind, i in log if kind == "dequeue"]
         assert dequeued == sorted(dequeued)
@@ -143,7 +143,7 @@ class TestModelGuided:
         model = stub_model(-1.0)
         log: list = []
         cfg = base_cfg(queue_seed_count=1, global_budget=2, local_budget=2)
-        outcome = model_guided_falsify(system, model, cfg, event_log=log)
+        outcome = run_baseline(GUIDED, system, model, cfg, event_log=log)
         assert not outcome.success
         enqueues_after_init = [e for e in log if e[0] == "enqueue"][cfg.queue_seed_count:]
         assert enqueues_after_init == []
@@ -151,7 +151,7 @@ class TestModelGuided:
     def test_early_exit_reproduces_violation(self):
         system = StubSystem(lambda v: v - 0.3)  # falsified when v < 0.3
         cfg = base_cfg(global_budget=5, local_budget=6, seed=11)
-        outcome = model_guided_falsify(system, stub_model(1.0), cfg)
+        outcome = run_baseline(GUIDED, system, stub_model(1.0), cfg)
         assert outcome.success
         trace = system.run(outcome.falsifying_input)
         assert stl.robustness(trace, cfg.stl_spec, 0.0) < 0.0
@@ -171,7 +171,7 @@ class TestBaselines:
 
     def test_guided_rand_budget_matches_guided_on_unfalsifiable(self):
         cfg = base_cfg(global_budget=2, local_budget=5)
-        guided = model_guided_falsify(StubSystem(lambda v: 1.0), stub_model(1.0), cfg)
+        guided = run_baseline(GUIDED, StubSystem(lambda v: 1.0), stub_model(1.0), cfg)
         rand = run_baseline(GUIDED_RAND, StubSystem(lambda v: 1.0), None, cfg)
         assert guided.simulations == rand.simulations == 10
 
@@ -187,6 +187,50 @@ class TestBaselines:
             assert a.success == b.success, kind
             assert a.simulations == b.simulations, kind
             assert a.robustness_history == b.robustness_history, kind
+
+
+@pytest.fixture(scope="module")
+def watertank_world():
+    """A watertank under its PID and a model built from 12 of its traces."""
+    plant = plants.make_plant("watertank")
+    simcfg = plants.SimConfig(dt=0.05, horizon=5.0, control_period=0.05)
+    spec = plants.default_input_spec(plant, num_control_points=4, duration=5.0)
+    system = plants.ClosedLoopSystem(plant, plants.default_pid(plant), simcfg, spec)
+    label = stl.parse_stl("G[0,5](1.2 - level >= 0)")
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(12):
+        trace = system.run(random_signal(spec, rng))
+        pairs.append((trace, stl.labeling_robustness(trace, label)))
+    return system, build_abstraction(pairs, AbstractionConfig(k=2, c=4))
+
+
+class TestOracle:
+    """`run_baseline` against the separate loops of `oracles.falsify_oracle`."""
+
+    @pytest.mark.parametrize("kind", [GUIDED, GUIDED_RAND, RANDOM, OPT_ONLY])
+    @pytest.mark.parametrize("spec, shape", [
+        ("G[0,5](1.25 - level >= 0)", dict(queue_seed_count=2, global_budget=3, local_budget=4)),
+        ("G[0,5](1.25 - level >= 0)", dict(queue_seed_count=2, global_budget=6, local_budget=1)),
+        ("G[0,5](1.25 - level >= 0)", dict(queue_seed_count=4, global_budget=2, local_budget=3)),
+        ("G[0,1](level >= 100)", dict(queue_seed_count=2, global_budget=3, local_budget=4)),  # first candidate
+    ])
+    def test_matches_separate_loops(self, watertank_world, kind, spec, shape):
+        system, model = watertank_world
+        for seed in range(5):
+            cfg = FalsifyConfig(stl_spec=stl.parse_stl(spec), safety_query=QUERY, checkpoint_time=2.0,
+                                seed=seed, **shape)
+            log, oracle_log = [], []
+            got = run_baseline(kind, system, model, cfg, event_log=log)
+            want = falsify_oracle(kind, system, model, cfg, event_log=oracle_log)
+            assert (got.success, got.simulations, got.robustness_history) == \
+                (want.success, want.simulations, want.robustness_history), (kind, seed)
+            assert log == oracle_log, (kind, seed)
+            if want.success:
+                np.testing.assert_array_equal(got.falsifying_input.control_values,
+                                              want.falsifying_input.control_values)
+            else:
+                assert got.falsifying_input is None
 
 
 class TestTrialStats:

@@ -9,15 +9,14 @@ from cpsguard.abstraction import AbstractionConfig, build_abstraction
 from cpsguard.controllers import init_mlp, load_mlp
 from cpsguard.monitor import SAFE_TAG, MonitorConfig, run_monitored
 from cpsguard.plants import (
+    _PLANTS,
     SimConfig,
     SimulationBlowup,
     default_input_spec,
     default_pid,
     default_sim_config,
-    derivative,
     initial_state,
     make_plant,
-    rk4_step,
     simulate,
 )
 from cpsguard.pmc import parse_pctl
@@ -26,6 +25,17 @@ from cpsguard.stl import parse_stl, satisfied
 
 ACC_SPEC = "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)"
 UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_unsafe.txt"
+
+
+def derivative(plant, state, control, exo):
+    """The plant's derivative kernel on an array state."""
+    return np.array(_PLANTS[plant.name].derivative(plant.params, tuple(state), control, exo))
+
+
+def rk4_step(plant, state, control, exo, dt):
+    """One step of the plant's RK4 kernel on an array state."""
+    kind = _PLANTS[plant.name]
+    return np.array(kind.rk4(kind.derivative, plant.params, tuple(state), control, exo, dt))
 
 
 def constant_input(plant, value, duration=50.0):
@@ -272,7 +282,7 @@ class TestBlowup:
         # the last row's action was computed for the step that blew up
         assert np.array_equal(partial.actions[:-1], head.actions[:-1])
 
-    def test_array_wrappers_still_raise(self):
+    def test_rk4_kernel_raises_on_non_finite_state(self):
         plant = make_plant("acc")
         state = np.array([100.0, float("inf"), 40.0, 20.0])
         with pytest.raises(FloatingPointError):
