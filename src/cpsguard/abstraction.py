@@ -11,9 +11,11 @@ Actions are the integer part (truncation toward zero) of the recorded
 controller output.
 
 Reduced values outside the grid bounds map to the distinguished
-OUT_OF_BOUNDS cell (id -1). Construction data never lands there, so at
-runtime it behaves like any never-observed cell: `abstract_state_of`
-returns None (UNKNOWN).
+OUT_OF_BOUNDS cell (id -1). Construction data never lands there: the
+grid of `build` covers its traces, and `refine` rejects a trace row
+outside the grid of the model it refines. At runtime the cell behaves
+like any never-observed cell: `abstract_state_of` returns None
+(UNKNOWN), and `preciseness` counts such rows as UNKNOWN.
 
 Refinement re-examines each state: members are split by robustness sign
 and, when the population variance of member robustness exceeds the
@@ -396,13 +398,19 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     States whose member robustness variance exceeds the threshold and
     that contain both signs get a linear separator; everything is then
     recounted under the extended state map. Call again for further
-    passes (already-split cells keep their single hyperplane).
+    passes (already-split cells keep their single hyperplane). A
+    ValueError names the trace and row of a state outside the model's
+    grid, which no state of the model could hold.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no traces")
     config = model.config if config is None else replace(config, bounds=model.config.bounds)
     _, R, codes, robs_all = zip(*_mapped(pairs, model.pca, config, model.classifiers))
+    for n, code in enumerate(codes):
+        outside = np.flatnonzero(code // 3 - 1 == OUT_OF_BOUNDS)
+        if outside.size:
+            raise ValueError(f"trace {n}: row {outside[0]} lies outside the grid of the model it refines")
     R, codes, robs_all = np.concatenate(R), np.concatenate(codes), np.concatenate(robs_all)
     # members of each state in trace order: the SVM's permutation applies to it
     order = np.argsort(codes, kind="stable")
@@ -410,7 +418,7 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     classifiers = dict(model.classifiers)
     for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
         cell, side = _sid(code)
-        if side != 0 or cell == OUT_OF_BOUNDS:
+        if side != 0:
             continue  # one hyperplane per cell
         robs = robs_all[members]
         variance = float(np.mean((robs - robs.mean()) ** 2))

@@ -323,7 +323,8 @@ def cmd_check(cfg: RunConfig, query: str | None, state: str | None, state_file: 
         sid = model.initial
     verdict = pmc.check(model, sid, formula, semantics)
     prob = f"{verdict.probability:.6f}" if verdict.probability is not None else "n/a"
-    print(f"state {abstraction.state_id_str(sid)}: holds={verdict.holds} probability={prob} ({verdict.semantics})")
+    bound = f" error<={verdict.error_bound:.1e}" if verdict.error_bound is not None else ""
+    print(f"state {abstraction.state_id_str(sid)}: holds={verdict.holds} probability={prob} ({verdict.semantics}){bound}")
     if assert_holds and not verdict.holds:
         return 3
     return 0

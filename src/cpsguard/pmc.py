@@ -24,11 +24,16 @@ Canonical safety queries::
 The probability operator computes the extremal path probability over
 schedulers; the default is MAX (worst case for unsafe-reachability
 queries), with MIN available via the ``semantics`` argument. Bounded
-operators run k sweeps of value iteration; unbounded ones iterate to a
-sup-norm below 1e-9 with a 1e5 iteration cap. States with no outgoing
-choice are treated as absorbing: they contribute probability 0 unless
-they already satisfy the target. Unbounded always goes through the
-dual: Pmax[G phi] = 1 - Pmin[F !phi] (and with MAX/MIN swapped).
+operators run k sweeps of value iteration. Unbounded ones are solved
+exactly: Prob0/Prob1 graph precomputation (Baier & Katoen, *Principles
+of Model Checking*, 10.6), then policy iteration with one dense linear
+solve per policy, from a proper policy that end components cannot trap
+(Haddad & Monmege, TCS 2018). Every answer carries an error bound: the
+sup-norm Bellman residual for unbounded operators, 0 for bounded ones
+and next. States with no outgoing choice are treated as absorbing:
+they contribute probability 0 unless they already satisfy the target.
+Unbounded always goes through the dual: Pmax[G phi] = 1 - Pmin[F !phi]
+(and with MAX/MIN swapped).
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractMdp, StateId
+from .abstraction import AbstractMdp, StateId, _new_runs
 
-MAX_ITERATIONS = 100_000
-CONVERGENCE_TOL = 1e-9
+IMPROVE_TOL = 1e-12  # policy iteration switches an action only for a larger gain
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +269,17 @@ class Verdict:
     holds: bool
     probability: float | None  # set when the formula is a top-level P operator
     semantics: str  # "MAX" or "MIN"
+    error_bound: float | None  # sup-norm Bellman residual of the probabilities
 
 
 @dataclass(frozen=True)
 class ReachResult:
     probs: dict[StateId, float]
-    converged: bool
+    error_bound: float
 
 
 class _Indexed:
-    """Flat transition arrays for vectorized value-iteration sweeps."""
+    """Flat transition arrays for the sweeps, the graph step and policy iteration."""
 
     def __init__(self, model: AbstractMdp):
         self.order: list[StateId] = sorted(model.states)
@@ -320,8 +325,10 @@ def _sweep(ix: _Indexed, x: np.ndarray, semantics: str) -> np.ndarray:
 
 
 def _until_probs(model: AbstractMdp, hold: np.ndarray, target: np.ndarray,
-                 k: int | None, semantics: str) -> tuple[np.ndarray, bool]:
-    """Extremal probability of (hold U target), optionally step-bounded."""
+                 k: int | None, semantics: str) -> tuple[np.ndarray, float]:
+    """Extremal probability of (hold U target), optionally step-bounded,
+    and its error bound: 0 when bounded, else the sup-norm Bellman
+    residual of the returned vector."""
     ix = _indexed(model)
     x = np.where(target, 1.0, 0.0)
     frozen = target | ~hold  # value fixed: 1 in target, 0 where hold fails
@@ -330,14 +337,109 @@ def _until_probs(model: AbstractMdp, hold: np.ndarray, target: np.ndarray,
             x_new = _sweep(ix, x, semantics)
             x_new[frozen] = np.where(target[frozen], 1.0, 0.0)
             x = x_new
-        return x, True
-    for _ in range(MAX_ITERATIONS):
-        x_new = _sweep(ix, x, semantics)
-        x_new[frozen] = np.where(target[frozen], 1.0, 0.0)
-        if np.max(np.abs(x_new - x)) < CONVERGENCE_TOL:
-            return x_new, True
-        x = x_new
-    return x, False
+        return x, 0.0
+    x = _exact_until(ix, ~frozen & ix.has_choice, target, semantics)
+    image = _sweep(ix, x, semantics)  # one Bellman step from the answer
+    image[frozen] = x[frozen]
+    return x, float(np.max(np.abs(image - x), initial=0.0))
+
+
+def _exact_until(ix: _Indexed, free: np.ndarray, target: np.ndarray, semantics: str) -> np.ndarray:
+    """Unbounded (hold U target) by Prob0/Prob1 on the graph, then policy
+    iteration on the states left undecided. `free` marks the states whose
+    value the schedulers decide: hold, not target, with a choice."""
+    live = ix.tr_prob > 0.0
+    free_group = free[ix.group_src]
+
+    def hits(mask):  # per group: some successor lies in mask
+        return np.bincount(ix.tr_group, weights=mask[ix.tr_dst] & live, minlength=ix.n_groups) > 0
+
+    def some_group(group_mask):  # per state: some group of it is marked
+        return np.bincount(ix.group_src, weights=group_mask, minlength=ix.n) > 0
+
+    policy = np.zeros(ix.n, dtype=int)  # the chosen group of each undecided state
+    if semantics == "MAX":
+        # Prob0E, layer by layer: a newly reached state takes its first group
+        # with a successor in the previous layer. This attractor policy is
+        # proper, and strict improvement keeps it so.
+        def attract(reach):
+            out = np.zeros(ix.n, dtype=bool)
+            out[_take_first(ix, policy, hits(reach) & free_group & ~reach[ix.group_src])] = True
+            return out
+
+        zero = ~_grow(target, attract)
+        # Prob1E: the greatest set from which some scheduler stays inside
+        # and reaches the target
+        one = ~zero
+        while True:
+            stay = free_group & ~hits(~one)
+            inner = _grow(target, lambda r: some_group(stay & hits(r)))
+            if not (one & ~inner).any():
+                break
+            one = inner
+    else:
+        # Prob0A: Pmin > 0 where every group has a successor that does.
+        # Every policy is then proper: a cycle avoiding the target would
+        # have made Pmin 0.
+        zero = ~_grow(target, lambda r: free & ~some_group(~hits(r)))
+        # Prob1A: Pmin = 1 where no scheduler can reach a state of Pmin 0
+        one = ~_grow(zero, lambda e: free & some_group(hits(e)))
+        _take_first(ix, policy, np.ones(ix.n_groups, dtype=bool))
+    x = np.where(one, 1.0, 0.0)
+    undecided = np.flatnonzero(~zero & ~one)
+    if undecided.size:
+        _policy_iteration(ix, x, undecided, policy, 1.0 if semantics == "MAX" else -1.0)
+    return x
+
+
+def _grow(mask: np.ndarray, step) -> np.ndarray:
+    """Least fixpoint above `mask` of adding `step(mask)`."""
+    mask = mask.copy()
+    while True:
+        new = step(mask) & ~mask
+        if not new.any():
+            return mask
+        mask |= new
+
+
+def _take_first(ix: _Indexed, policy: np.ndarray, group_mask: np.ndarray) -> np.ndarray:
+    """Point each state that has a marked group at its first one, and
+    return those states (groups are sorted by state)."""
+    g = np.flatnonzero(group_mask)
+    src = ix.group_src[g]
+    first = _new_runs(src)
+    policy[src[first]] = g[first]
+    return src
+
+
+def _policy_iteration(ix: _Indexed, x: np.ndarray, u: np.ndarray, policy: np.ndarray,
+                      sign: float) -> None:
+    """Solve the undecided states `u` in place in `x`, starting from a
+    proper `policy`; sign +1 maximizes, -1 minimizes. A state switches
+    only to a group better than its current one by more than IMPROVE_TOL,
+    and to the first best one."""
+    row_of = np.full(ix.n, -1)
+    row_of[u] = np.arange(len(u))
+    own = row_of[ix.group_src] >= 0
+    while True:
+        chosen = np.zeros(ix.n_groups, dtype=bool)
+        chosen[policy[u]] = True
+        t = chosen[ix.tr_group]
+        rows, dst, p = row_of[ix.group_src[ix.tr_group[t]]], ix.tr_dst[t], ix.tr_prob[t]
+        cols = row_of[dst]
+        inside = cols >= 0
+        a = np.eye(len(u))
+        a[rows[inside], cols[inside]] -= p[inside]  # one group per row: no repeated entries
+        b = np.bincount(rows[~inside], weights=p[~inside] * x[dst[~inside]], minlength=len(u))
+        x[u] = np.linalg.solve(a, b)
+        q = np.bincount(ix.tr_group, weights=ix.tr_prob * x[ix.tr_dst], minlength=ix.n_groups)
+        gain = sign * (q - q[policy[ix.group_src]])
+        better = own & (gain > IMPROVE_TOL)
+        if not better.any():
+            return
+        best = np.zeros(ix.n)
+        np.maximum.at(best, ix.group_src[better], gain[better])
+        _take_first(ix, policy, better & (gain == best[ix.group_src]))
 
 
 def _sat_mask(model: AbstractMdp, formula: PctlFormula, semantics: str) -> np.ndarray:
@@ -362,37 +464,31 @@ def _sat_mask(model: AbstractMdp, formula: PctlFormula, semantics: str) -> np.nd
 _COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _prob_sat(model: AbstractMdp, formula: ProbF, semantics: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state path probabilities of a probability operator and where
-    they meet its bound."""
-    probs = _path_probs(model, formula.path, semantics)
-    return probs, _COMPARE[formula.op](probs, formula.bound)
+def _prob_sat(model: AbstractMdp, formula: ProbF,
+              semantics: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-state path probabilities of a probability operator, where
+    they meet its bound, and their error bound."""
+    probs, error_bound = _path_probs(model, formula.path, semantics)
+    return probs, _COMPARE[formula.op](probs, formula.bound), error_bound
 
 
-def _path_probs(model: AbstractMdp, path: PathFormula, semantics: str) -> np.ndarray:
+def _path_probs(model: AbstractMdp, path: PathFormula, semantics: str) -> tuple[np.ndarray, float]:
     ix = _indexed(model)
     if isinstance(path, Next):
         sat = _sat_mask(model, path.operand, semantics)
-        return _sweep(ix, np.where(sat, 1.0, 0.0), semantics)
+        return _sweep(ix, np.where(sat, 1.0, 0.0), semantics), 0.0
     if isinstance(path, Finally):
         target = _sat_mask(model, path.operand, semantics)
-        hold = np.ones(ix.n, dtype=bool)
-        probs, converged = _until_probs(model, hold, target, path.k, semantics)
-        if not converged:
-            raise RuntimeError("value iteration hit the iteration cap")
-        return probs
+        return _until_probs(model, np.ones(ix.n, dtype=bool), target, path.k, semantics)
     if isinstance(path, UntilF):
         hold = _sat_mask(model, path.left, semantics)
         target = _sat_mask(model, path.right, semantics)
-        probs, converged = _until_probs(model, hold, target, path.k, semantics)
-        if not converged:
-            raise RuntimeError("value iteration hit the iteration cap")
-        return probs
+        return _until_probs(model, hold, target, path.k, semantics)
     if isinstance(path, Globally):
         # Pmax[G phi] = 1 - Pmin[F !phi] and dually for MIN.
         dual = "MIN" if semantics == "MAX" else "MAX"
-        inner = _path_probs(model, Finally(NotF(path.operand)), dual)
-        return 1.0 - inner
+        inner, error_bound = _path_probs(model, Finally(NotF(path.operand)), dual)
+        return 1.0 - inner, error_bound
     raise TypeError(f"not a PCTL path formula: {path!r}")
 
 
@@ -405,10 +501,10 @@ def reach_prob(model: AbstractMdp, target: set[StateId], k: int | None = None,
     if unknown:
         raise ValueError(f"target states not in the model: {sorted(unknown)}")
     mask = np.array([sid in target for sid in ix.order], dtype=bool)
-    probs, converged = _until_probs(model, np.ones(ix.n, dtype=bool), mask, k, semantics)
+    probs, error_bound = _until_probs(model, np.ones(ix.n, dtype=bool), mask, k, semantics)
     return ReachResult(
         probs={sid: float(p) for sid, p in zip(ix.order, probs)},
-        converged=converged,
+        error_bound=error_bound,
     )
 
 
@@ -430,12 +526,12 @@ def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") 
         return cached
     ix = _indexed(model)
     if isinstance(formula, ProbF):
-        probs, sat = _prob_sat(model, formula, semantics)
+        probs, sat, error_bound = _prob_sat(model, formula, semantics)
+        probs = probs.tolist()
     else:
-        probs = None
         sat = _sat_mask(model, formula, semantics)
-    probs = probs.tolist() if probs is not None else [None] * ix.n
-    verdicts = {sid: Verdict(holds=holds, probability=p, semantics=semantics)
+        probs, error_bound = [None] * ix.n, None
+    verdicts = {sid: Verdict(holds=holds, probability=p, semantics=semantics, error_bound=error_bound)
                 for sid, holds, p in zip(ix.order, sat.tolist(), probs)}
     model.caches[key] = verdicts
     return verdicts

@@ -199,8 +199,9 @@ def trace_text(trace: Trace, config_hash: str | None = None,
 def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
     """Read the columnar format back; returns (trace, extra columns). A
     ValueError names the file (and the line) for a header without a
-    leading time column or without an action column, a row whose width
-    differs from the header's, or a value that is not a number."""
+    leading time column or without an action column, a `# dt=` that is
+    not a finite positive number, a row whose width differs from the
+    header's, or a value that is not a number."""
     dt = None
     header = None
     rows = []
@@ -212,7 +213,12 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
             if fields[0].startswith("#"):
                 body = line.strip()[1:].strip()
                 if body.startswith("dt="):
-                    dt = float(body[3:])
+                    try:
+                        dt = float(body[3:])
+                    except ValueError:
+                        dt = math.nan
+                    if not 0.0 < dt < math.inf:
+                        raise ValueError(f"{path}:{lineno}: dt must be a finite positive number, got {body[3:]!r}")
             elif header is None:
                 header = fields
                 if header[0] != "time" or "action" not in header:

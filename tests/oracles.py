@@ -309,13 +309,18 @@ def make_mdp(n_states, transitions, labels=None, initial=0):
     )
 
 
-def random_mdp(rng, max_states=6, max_actions=3):
+def random_mdp(rng, max_states=6, max_actions=3, self_loop=0.0):
+    """A random MDP; with `self_loop` > 0, that share of the choices are
+    pure self-loops, which make end components."""
     n = int(rng.integers(2, max_states + 1))
     n_act = int(rng.integers(1, max_actions + 1))
     transitions = {}
     for i in range(n):
         for a in range(n_act):
             if rng.random() < 0.2 and i > 0:
+                continue
+            if self_loop and rng.random() < self_loop:
+                transitions[(i, a)] = {i: 1.0}
                 continue
             dests = rng.choice(n, size=min(int(rng.integers(1, 4)), n), replace=False)
             raw = rng.integers(1, 5, size=len(dests)).astype(float)
@@ -372,6 +377,74 @@ def oracle_scheduler_enumeration(model, target, k, semantics, start):
         if best is None or (value > best if semantics == "MAX" else value < best):
             best = value
     return best
+
+
+def oracle_unbounded_until(model, hold, target, semantics):
+    """Extremal probability of (hold U target) per state, over every
+    memoryless deterministic scheduler: each induced chain is solved as a
+    linear system after zeroing the states that cannot reach the target
+    through hold states. Target states count 1; states outside hold or
+    without a choice count 0 otherwise."""
+    states = sorted(model.states)
+    actions = {}
+    for (s, a) in model.transitions:
+        actions.setdefault(s, []).append(a)
+    choosers = [s for s in states if s in actions and s in hold and s not in target]
+    pick = max if semantics == "MAX" else min
+    best = None
+    for choice in itertools.product(*(sorted(actions[s]) for s in choosers)):
+        succ = {s: model.transitions[(s, a)] for s, a in zip(choosers, choice)}
+        good = set(target)
+        grown = True
+        while grown:
+            grown = False
+            for s, dests in succ.items():
+                if s not in good and any(p > 0.0 and d in good for d, p in dests.items()):
+                    good.add(s)
+                    grown = True
+        solve = [s for s in choosers if s in good]
+        row = {s: i for i, s in enumerate(solve)}
+        A = np.eye(len(solve))
+        b = np.zeros(len(solve))
+        for s in solve:
+            for d, p in succ[s].items():
+                if d in row:
+                    A[row[s], row[d]] -= p
+                elif d in target:
+                    b[row[s]] += p
+        values = {s: 1.0 if s in target else 0.0 for s in states}
+        if solve:
+            values.update(zip(solve, np.linalg.solve(A, b).tolist()))
+        best = values if best is None else {s: pick(best[s], values[s]) for s in states}
+    return best
+
+
+def slow_chain(n, self_loops=False):
+    """A slow chain of the kind Haddad & Monmege (TCS 2018) use to show
+    value iteration's stop rule stopping far from the fixpoint: the
+    symmetric random walk on 0..n. State n is the target, 0 has no
+    choice, and from 0 < i < n the walk moves one step either way with
+    probability 1/2, so Pmax = i/n. With `self_loops` every inner state
+    also has a choice that stays put (an end component), so Pmin = 0."""
+    transitions = {(i, 0): {i - 1: 0.5, i + 1: 0.5} for i in range(1, n)}
+    if self_loops:
+        transitions.update({(i, 1): {i: 1.0} for i in range(1, n)})
+    transitions[(n, 0)] = {n: 1.0}
+    return make_mdp(n + 1, transitions, labels={n: -1}, initial=n // 2)
+
+
+def slow_chain_sup_norm_stop(n, tol=1e-9):
+    """Value iteration on `slow_chain(n)` from 0, stopped when a sweep
+    moves no state by `tol` or more: the stop rule the exact engine
+    replaced, kept to show how far short of i/n it stops."""
+    x = np.zeros(n + 1)
+    x[n] = 1.0
+    while True:
+        new = x.copy()
+        new[1:n] = 0.5 * (x[:-2] + x[2:])
+        if np.max(np.abs(new - x)) < tol:
+            return new
+        x = new
 
 
 # ---------------------------------------------------------------------------

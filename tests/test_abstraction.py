@@ -444,11 +444,12 @@ class TestAbstractionOracles:
         expected = refine_oracle(expected, pairs)
         assert_same_model(once, expected)
         assert once.classifiers
-        # a second pass routes through the first pass's hyperplanes, and a
-        # trace partly outside the grid adds out-of-bounds rows
-        twice = refine(once, more)
-        assert_same_model(twice, refine_oracle(expected, more))
-        assert (OUT_OF_BOUNDS, 0) in twice.states
+        # a second pass routes through the first pass's hyperplanes
+        twice = refine(once, pairs)
+        assert_same_model(twice, refine_oracle(expected, pairs))
+        # a trace partly outside the grid is refused, naming its first such row
+        with pytest.raises(ValueError, match=f"trace {len(pairs)}: row 0 lies outside the grid"):
+            refine(once, more)
 
     def test_state_ids_match_per_row_mapping(self, closed_loop):
         pairs, more, _ = closed_loop

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestBuild:
         after = (tmp_path / "out" / "model.json").read_bytes()
         assert before == after
 
+    def test_refine_refuses_rows_outside_the_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        run(["--config", cfg, "collect", "--num", "2"])
+        assert run(["--config", cfg, "build"]) == 0
+        path = tmp_path / "out" / "traces" / "trace_0001.txt"
+        lines = path.read_text().splitlines()
+        row = lines[6].split()  # row 2: the column row follows three comment lines
+        row[1] = "1000.0"
+        lines[6] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--config", cfg, "refine"]) == 2
+        assert "error: trace 1: row 2 lies outside the grid of the model it refines" in capsys.readouterr().err
+
     def test_model_json_roundtrips(self, tmp_path):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect"])
@@ -230,6 +245,20 @@ class TestBuild:
         assert run(["--config", cfg, "build"]) == 2
         assert f"error: {path}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["abc", "-0.5", "0", "nan", "inf"])
+    def test_bad_dt_names_the_file(self, tmp_path, capsys, dt):
+        cfg = write_config(tmp_path)
+        run(["--config", cfg, "collect", "--num", "2"])
+        path = tmp_path / "out" / "traces" / "trace_0001.txt"
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("# dt="))
+        lines[lineno - 1] = f"# dt={dt}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--config", cfg, "build"]) == 2
+        assert (f"error: {path}:{lineno}: dt must be a finite positive number, got {dt!r}"
+                in capsys.readouterr().err)
+
     def test_missing_traces_is_runtime_failure(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run(["--config", cfg, "build"]) == 2
@@ -250,6 +279,21 @@ class TestCheck:
         assert run(["--config", cfg, "check", "--state", sid]) == 0
         out = capsys.readouterr().out
         assert "holds=True" in out and "probability=1.000000" in out
+
+    def test_check_prints_the_error_bound(self, tmp_path, capsys):
+        cfg, _ = self.build_model(tmp_path)
+        line = re.compile(r"state \S+: holds=(True|False) probability=\S+ \((MAX|MIN)\)( error<=(\S+))?\n")
+        for query, bounded in (('P>0.5 [ F "rob=-1" ]', False), ('P>0.5 [ G "rob=+1" ]', False),
+                               ('P>0.5 [ "rob=+1" U "rob=-1" ]', False), ('P>0.8 [ F<=10 "rob=-1" ]', True),
+                               ('P>0.5 [ X "rob=-1" ]', True)):
+            for sem in ("MAX", "MIN"):
+                capsys.readouterr()
+                assert run(["--config", cfg, "check", "--query", query, "--semantics", sem]) == 0
+                match = line.fullmatch(capsys.readouterr().out)
+                assert match and match.group(2) == sem
+                assert (match.group(4) == "0.0e+00") if bounded else (float(match.group(4)) <= 1e-12)
+        assert run(["--config", cfg, "check", "--query", '"rob=+1"']) == 0
+        assert line.fullmatch(capsys.readouterr().out).group(3) is None
 
     def test_assert_mode_exit_code(self, tmp_path):
         from cpsguard import pmc

@@ -1,15 +1,27 @@
 """PCTL checker tests.
 
-Two oracles (in oracles.py) guard the value-iteration engine: a
-top-down memoized recursion over (state, steps-left) that enumerates
-the action choices at every depth, and, on small instances, a full
-enumeration of every time-dependent memoryless scheduler whose induced
-chain is evaluated by plain path expansion.
+Oracles in oracles.py guard the engine. Step-bounded answers (value
+iteration) meet a top-down memoized recursion over (state, steps-left)
+that enumerates the action choices at every depth and, on small
+instances, a full enumeration of every time-dependent memoryless
+scheduler whose induced chain is evaluated by plain path expansion.
+Unbounded answers (Prob0/Prob1 and policy iteration) meet an
+enumeration of every memoryless deterministic scheduler whose induced
+chain is solved as a linear system, and the closed form of a slow
+random walk.
 """
 
 import numpy as np
 import pytest
-from oracles import make_mdp, oracle_bounded_reach, oracle_scheduler_enumeration, random_mdp
+from oracles import (
+    make_mdp,
+    oracle_bounded_reach,
+    oracle_scheduler_enumeration,
+    oracle_unbounded_until,
+    random_mdp,
+    slow_chain,
+    slow_chain_sup_norm_stop,
+)
 
 from cpsguard.pmc import (
     Ap,
@@ -18,6 +30,7 @@ from cpsguard.pmc import (
     PctlSyntaxError,
     ProbF,
     TrueF,
+    _until_probs,
     check,
     check_all,
     format_pctl,
@@ -82,7 +95,7 @@ class TestReach:
         model = make_mdp(3, {(0, 0): {0: 1.0}, (2, 0): {1: 1.0}})
         res = reach_prob(model, {(1, 0)}, k=None)
         assert res.probs[(0, 0)] == 0.0
-        assert res.converged
+        assert res.error_bound == 0.0
 
     def test_dead_end_contributes_zero(self):
         model = make_mdp(2, {(0, 0): {1: 1.0}})
@@ -140,6 +153,80 @@ class TestOracleEquivalence:
             for sid in model.states:
                 assert pmax[sid] >= pmin[sid] - 1e-12
                 assert -1e-12 <= pmax[sid] <= 1.0 + 1e-12
+
+
+class TestUnboundedOracle:
+    """Unbounded F, G and U against every memoryless deterministic
+    scheduler, within 1e-12, and the slow chain where the old 1e-9
+    sup-norm stop falls short."""
+
+    TOL = 1e-12
+
+    def models(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            # pure self-loop choices make end components; random_mdp also
+            # leaves some states without any choice
+            yield rng, random_mdp(rng, max_states=6, max_actions=3, self_loop=float(rng.choice([0.0, 0.3])))
+
+    def test_until_with_hold_masks(self):
+        for rng, model in self.models(90, 800):
+            order = sorted(model.states)
+            hold = rng.random(len(order)) < 0.8
+            target = rng.random(len(order)) < 0.3
+            for semantics in ("MAX", "MIN"):
+                got, error_bound = _until_probs(model, hold, target, None, semantics)
+                want = oracle_unbounded_until(model, {s for s, h in zip(order, hold) if h},
+                                              {s for s, t in zip(order, target) if t}, semantics)
+                assert np.abs(got - [want[s] for s in order]).max() <= self.TOL
+                assert error_bound <= self.TOL
+
+    def test_f_g_u_queries(self):
+        queries = {
+            'P>0.5 [ F "rob=-1" ]': lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.states), unsafe, sem),
+            'P>0.5 [ "rob=+1" U "rob=-1" ]':
+                lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.states) - unsafe, unsafe, sem),
+            # per scheduler P(G safe) = 1 - P(F unsafe), so the extremes swap
+            'P>0.5 [ G "rob=+1" ]': lambda m, unsafe, sem: {
+                s: 1.0 - p for s, p in oracle_unbounded_until(
+                    m, set(m.states), unsafe, "MIN" if sem == "MAX" else "MAX").items()},
+        }
+        for _, model in self.models(91, 200):
+            unsafe = {sid for sid, info in model.states.items() if info.label == -1}
+            for text, oracle in queries.items():
+                for semantics in ("MAX", "MIN"):
+                    verdicts = check_all(model, parse_pctl(text), semantics)
+                    want = oracle(model, unsafe, semantics)
+                    for sid, v in verdicts.items():
+                        assert v.probability == pytest.approx(want[sid], abs=self.TOL)
+                        assert v.error_bound <= self.TOL
+
+    def test_zero_probability_entry_is_no_edge(self):
+        # a model file may list an entry of probability 0; taken as an edge
+        # it would make the self-loop the first policy, which never leaves
+        model = make_mdp(3, {(0, 0): {0: 1.0, 1: 0.0}, (0, 1): {1: 0.5, 2: 0.5}}, labels={1: -1})
+        for semantics, want in (("MAX", 0.5), ("MIN", 0.0)):
+            assert reach_prob(model, {(1, 0)}, semantics=semantics).probs[(0, 0)] == want
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_slow_chain(self, self_loops):
+        n = 100
+        model = slow_chain(n, self_loops)
+        exact = np.arange(n + 1) / n
+        stopped = slow_chain_sup_norm_stop(n)
+        assert np.abs(stopped - exact).max() > 1e-7  # the 1e-9 stop falls short
+        for semantics in ("MAX", "MIN"):
+            res = reach_prob(model, {(n, 0)}, semantics=semantics)
+            want = np.where(np.arange(n + 1) == n, 1.0, 0.0) if semantics == "MIN" and self_loops else exact
+            got = np.array([res.probs[(i, 0)] for i in range(n + 1)])
+            assert np.abs(got - want).max() <= self.TOL
+            assert res.error_bound <= self.TOL
+
+    def test_error_bound_is_zero_when_bounded(self):
+        model = make_mdp(2, {(0, 0): {1: 0.5, 0: 0.5}}, labels={1: -1})
+        for text in ('P>0.5 [ F<=3 "rob=-1" ]', 'P>0.5 [ X "rob=-1" ]', 'P>0.5 [ "rob=+1" U<=2 "rob=-1" ]'):
+            assert check(model, (0, 0), parse_pctl(text)).error_bound == 0.0
+        assert check(model, (0, 0), parse_pctl('"rob=-1"')).error_bound is None
 
 
 # ---------------------------------------------------------------------------
