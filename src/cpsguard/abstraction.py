@@ -104,10 +104,6 @@ class AbstractMdp:
     def label_name(self, sid: StateId) -> str:
         return "rob=-1" if self.states[sid].label == -1 else "rob=+1"
 
-    @property
-    def actions(self) -> tuple[int, ...]:
-        return tuple(sorted({act for (_, act) in self.transitions}))
-
     def num_transitions(self) -> int:
         return sum(len(d) for d in self.transitions.values())
 

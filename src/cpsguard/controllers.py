@@ -180,13 +180,18 @@ def save_mlp(net: MlpNet, path) -> None:
 def load_mlp(path) -> MlpNet:
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not rows or not rows[0].startswith("dims "):
+    if not rows or not rows[0].startswith("dims ") or len(rows[0].split()) < 3:
         raise ValueError(f"{path}: not a weights file")
     dims = [int(x) for x in rows[0].split()[1:]]
+    if len(rows) < 2 or not rows[1].startswith("range ") or len(rows[1].split()) != 3:
+        raise ValueError(f"{path}: missing the 'range <lo> <hi>' line after dims")
     lo, hi = (float(x) for x in rows[1].split()[1:])
     weights, biases = [], []
     at = 2
-    for a, b in zip(dims[:-1], dims[1:]):
+    for layer, (a, b) in enumerate(zip(dims[:-1], dims[1:]), 1):
+        if len(rows) < at + b + 1:
+            raise ValueError(f"{path}: layer {layer} of dims {dims} needs {b + 1} rows (weights, then bias), "
+                             f"found {len(rows) - at}")
         mat = np.array([[float(x) for x in rows[at + r].split()] for r in range(b)])
         if mat.shape != (b, a):
             raise ValueError(f"{path}: layer shape {mat.shape} does not match dims {dims}")

@@ -16,6 +16,10 @@ Concrete grammar::
            | 'F' ('<=' int)? state
            | state 'U' ('<=' int)? state
 
+The parser is built on STL's front end (`stl._Cursor`): a syntax error
+gives the character position of the fault. `format_pctl` prints bounds
+exactly, so parse_pctl(format_pctl(f)) == f.
+
 Canonical safety queries::
 
     P>0.8 [ F<=10 "rob=-1" ]
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import AbstractMdp, StateId, _new_runs
+from .stl import _NUM_OR_NAME, SpecSyntaxError, _Cursor, _fmt_num
 
 IMPROVE_TOL = 1e-12  # policy iteration switches an action only for a larger gain
 
@@ -107,54 +112,13 @@ PctlFormula = TrueF | Ap | NotF | AndF | ProbF
 PathFormula = Next | Globally | Finally | UntilF
 
 
-class PctlSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class PctlSyntaxError(SpecSyntaxError):
+    """A PCTL formula that does not parse."""
 
 
-_TOKEN = re.compile(
-    r"(?P<str>\"[^\"]*\")"
-    r"|(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><=|>=|[!&<>()\[\]])"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise PctlSyntaxError(f"unexpected character {text[i]!r}", i)
-        tokens.append((m.lastgroup, m.group(), i))
-        i = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, at = self.peek()
-        if val != value:
-            raise PctlSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", at)
-        return self.next()
+class _Parser(_Cursor):
+    _TOKEN = re.compile(r'(?P<str>"[^"]*")|' + _NUM_OR_NAME + r"|(?P<op><=|>=|[!&<>()\[\]])")
+    _ERROR = PctlSyntaxError
 
     def parse_state(self) -> PctlFormula:
         node = self.parse_atom()
@@ -196,7 +160,7 @@ class _Parser:
             path = self.parse_path()
             self.expect("]")
             return ProbF(op, bound, path)
-        raise PctlSyntaxError(f"expected a state formula, found {val or 'end of input'!r}", at)
+        self.expected("a state formula")
 
     def parse_bound(self) -> int | None:
         if self.peek()[1] == "<=":
@@ -229,11 +193,7 @@ class _Parser:
 
 def parse_pctl(text: str) -> PctlFormula:
     parser = _Parser(text)
-    node = parser.parse_state()
-    kind, val, at = parser.peek()
-    if kind != "end":
-        raise PctlSyntaxError(f"trailing input {val!r}", at)
-    return node
+    return parser.finish(parser.parse_state())
 
 
 def format_pctl(formula) -> str:
@@ -246,7 +206,7 @@ def format_pctl(formula) -> str:
     if isinstance(formula, AndF):
         return f"({format_pctl(formula.left)}) & ({format_pctl(formula.right)})"
     if isinstance(formula, ProbF):
-        return f"P{formula.op}{formula.bound:g} [ {format_pctl(formula.path)} ]"
+        return f"P{formula.op}{_fmt_num(formula.bound)} [ {format_pctl(formula.path)} ]"
     if isinstance(formula, Next):
         return f"X ({format_pctl(formula.operand)})"
     if isinstance(formula, Globally):
@@ -297,6 +257,12 @@ class _Indexed:
         self.n_groups = len(groups)
         self.has_choice = np.zeros(self.n, dtype=bool)
         self.has_choice[self.group_src] = True
+        self.run_start = np.flatnonzero(_new_runs(self.group_src))  # each state's first group
+
+    def group_values(self, x: np.ndarray) -> np.ndarray:
+        """One-step expectation of x under each group, summed in the
+        order of the transition arrays."""
+        return np.bincount(self.tr_group, weights=self.tr_prob * x[self.tr_dst], minlength=self.n_groups)
 
 
 def _indexed(model: AbstractMdp) -> _Indexed:
@@ -309,18 +275,10 @@ def _indexed(model: AbstractMdp) -> _Indexed:
 def _sweep(ix: _Indexed, x: np.ndarray, semantics: str) -> np.ndarray:
     """One Bellman sweep: optimal one-step expectation per state; states
     with no choice keep probability 0 (absorbing convention)."""
-    if ix.n_groups == 0:
-        return np.zeros(ix.n)
-    group_vals = np.zeros(ix.n_groups)
-    np.add.at(group_vals, ix.tr_group, ix.tr_prob * x[ix.tr_dst])
     out = np.zeros(ix.n)
-    if semantics == "MAX":
-        per_state = np.full(ix.n, -np.inf)
-        np.maximum.at(per_state, ix.group_src, group_vals)
-    else:
-        per_state = np.full(ix.n, np.inf)
-        np.minimum.at(per_state, ix.group_src, group_vals)
-    out[ix.has_choice] = per_state[ix.has_choice]
+    if ix.n_groups:
+        extreme = np.maximum if semantics == "MAX" else np.minimum
+        out[ix.has_choice] = extreme.reduceat(ix.group_values(x), ix.run_start)
     return out
 
 
@@ -432,7 +390,7 @@ def _policy_iteration(ix: _Indexed, x: np.ndarray, u: np.ndarray, policy: np.nda
         a[rows[inside], cols[inside]] -= p[inside]  # one group per row: no repeated entries
         b = np.bincount(rows[~inside], weights=p[~inside] * x[dst[~inside]], minlength=len(u))
         x[u] = np.linalg.solve(a, b)
-        q = np.bincount(ix.tr_group, weights=ix.tr_prob * x[ix.tr_dst], minlength=ix.n_groups)
+        q = ix.group_values(x)
         gain = sign * (q - q[policy[ix.group_src]])
         better = own & (gain > IMPROVE_TOL)
         if not better.any():

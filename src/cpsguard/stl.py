@@ -36,6 +36,9 @@ Concrete grammar (infix, keywords are case-sensitive)::
               | '(' expr ')'
 
 Channel names must resolve against the trace they are evaluated on.
+Numbers must be finite. This tokenizer and cursor are also the front
+end of `pmc`'s PCTL parser; a syntax error gives the position of the
+fault. `format_stl` prints numbers exactly: parse_stl(format_stl(f)) == f.
 Reference specification strings for the bundled plants:
 
     acc safety      G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)
@@ -204,42 +207,36 @@ def horizon(formula: StlFormula) -> float:
 # parser
 
 
-class StlSyntaxError(ValueError):
+class SpecSyntaxError(ValueError):
+    """A specification text that does not parse, with the position of the fault."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op><=|>=|->|[-+*<>()\[\],])"
-)
-
-_KEYWORDS = {"not", "and", "or", "abs"}
+class StlSyntaxError(SpecSyntaxError):
+    """An STL formula that does not parse."""
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise StlSyntaxError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), i))
-        i = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Cursor:
+    """The front end of the STL and PCTL parsers: a text's (kind, value,
+    position) tokens, ending in ("end", "", len(text)), and a read position.
+    A subclass sets `_TOKEN`, one named group per kind, and `_ERROR`."""
 
-
-class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = []
+        i = 0
+        while i < len(text):
+            if text[i].isspace():
+                i += 1
+                continue
+            m = self._TOKEN.match(text, i)
+            if m is None:
+                raise self._ERROR(f"unexpected character {text[i]!r}", i)
+            self.tokens.append((m.lastgroup, m.group(), i))
+            i = m.end()
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
     def peek(self):
@@ -250,15 +247,30 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def expected(self, what: str):
+        _, val, at = self.peek()
+        raise self._ERROR(f"expected {what}, found {val or 'end of input'!r}", at)
+
     def expect(self, value: str):
-        kind, val, at = self.peek()
-        if val != value:
-            raise StlSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", at)
+        if self.peek()[1] != value:
+            self.expected(repr(value))
         return self.next()
 
-    def error(self, message: str):
-        _, val, at = self.peek()
-        raise StlSyntaxError(f"{message} (found {val or 'end of input'!r})", at)
+    def finish(self, node):
+        """`node`, once the parse that returned it has read the whole text."""
+        kind, val, at = self.peek()
+        if kind != "end":
+            raise self._ERROR(f"trailing input {val!r}", at)
+        return node
+
+
+_NUM_OR_NAME = r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+_KEYWORDS = {"not", "and", "or", "abs"}
+
+
+class _Parser(_Cursor):
+    _TOKEN = re.compile(_NUM_OR_NAME + r"|(?P<op><=|>=|->|[-+*<>()\[\],])")
+    _ERROR = StlSyntaxError
 
     # formula levels ---------------------------------------------------
 
@@ -311,7 +323,10 @@ class _Parser:
         if kind != "num":
             raise StlSyntaxError(f"expected a number, found {val!r}", at)
         self.next()
-        return sign * float(val)
+        value = float(val)
+        if math.isinf(value):
+            raise StlSyntaxError(f"number {val} is not finite", at)
+        return sign * value
 
     def parse_unary(self) -> StlFormula:
         kind, val, at = self.peek()
@@ -348,9 +363,9 @@ class _Parser:
 
     def parse_predicate(self) -> Pred:
         left = self.parse_expr()
-        kind, val, at = self.peek()
+        val = self.peek()[1]
         if val not in ("<=", "<", ">=", ">"):
-            raise StlSyntaxError(f"expected a comparison operator, found {val or 'end of input'!r}", at)
+            self.expected("a comparison operator")
         self.next()
         right = self.parse_expr()
         return Pred(left, val, right)
@@ -370,13 +385,12 @@ class _Parser:
         return node
 
     def parse_factor(self) -> Expr:
-        kind, val, at = self.peek()
+        kind, val, _ = self.peek()
         if val == "-":
             self.next()
             return NegExpr(self.parse_factor())
         if kind == "num":
-            self.next()
-            return Const(float(val))
+            return Const(self.parse_number())
         if val == "abs":
             self.next()
             self.expect("(")
@@ -391,17 +405,13 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise StlSyntaxError(f"expected a value, found {val or 'end of input'!r}", at)
+        self.expected("a value")
 
 
 def parse_stl(text: str) -> StlFormula:
     """Parse the documented grammar; raises StlSyntaxError with a position."""
     parser = _Parser(text)
-    node = parser.parse_formula()
-    kind, val, at = parser.peek()
-    if kind != "end":
-        raise StlSyntaxError(f"trailing input {val!r}", at)
-    return node
+    return parser.finish(parser.parse_formula())
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,18 @@ class TestCollect:
         failed = manifest["failures"][0]["index"]
         assert not (out / "traces" / f"trace_{failed:04d}.txt").exists()
 
+    def test_non_finite_number_in_spec_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, labeling_spec="G[0,5](F[0,1e999](level >= 0))")
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 2
+        assert "number 1e999 is not finite (at position 11)" in capsys.readouterr().err
+
+    def test_truncated_weights_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "net.txt").write_text("dims 4 2 1\n")
+        cfg = write_config(tmp_path, controller={"kind": "mlp", "path": "net.txt"})
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "net.txt") in err and "range" in err
+
 
 class TestBlowupContained:
     """The CSTR set-up of `test_blowup_in_rk4_stage_is_contained`: some

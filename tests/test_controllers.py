@@ -216,6 +216,21 @@ class TestPersistence:
         obs = np.array([0.3, -1.2, 0.7, 2.0])
         assert mlp_forward(back, obs) == mlp_forward(net, obs)
 
+    @pytest.mark.parametrize("keep,missing", [
+        (1, "range"), (2, r"layer 1 .* needs 7 rows .*, found 0"), (5, r"layer 1 .*, found 3"),
+        (9, r"layer 2 .* needs 6 rows .*, found 0"), (14, r"layer 2 .*, found 5"),
+        (16, r"layer 3 .* needs 2 rows .*, found 1"),
+    ])
+    def test_truncated_file_names_what_is_missing(self, tmp_path, keep, missing):
+        # the file holds '# cpsguard-mlp v1', dims, range, then 7 + 6 + 2 rows for dims 4 6 5 1
+        save_mlp(init_mlp(4, (6, 5), (-3.0, 2.0), seed=11), tmp_path / "net.txt")
+        lines = (tmp_path / "net.txt").read_text().splitlines()
+        assert len(lines) == 18
+        (tmp_path / "cut.txt").write_text("\n".join(lines[: keep + 1]) + "\n")
+        with pytest.raises(ValueError, match=missing) as err:
+            load_mlp(tmp_path / "cut.txt")
+        assert str(tmp_path / "cut.txt") in str(err.value)
+
     def test_perturb_changes_weights_deterministically(self):
         net = init_mlp(3, (5,), (-1.0, 1.0), seed=0)
         a = perturb_weights(net, 0.5, seed=1)

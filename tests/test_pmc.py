@@ -24,12 +24,16 @@ from oracles import (
 )
 
 from cpsguard.pmc import (
+    AndF,
     Ap,
     Finally,
+    Globally,
     Next,
+    NotF,
     PctlSyntaxError,
     ProbF,
     TrueF,
+    UntilF,
     _until_probs,
     check,
     check_all,
@@ -37,6 +41,7 @@ from cpsguard.pmc import (
     parse_pctl,
     reach_prob,
 )
+from cpsguard.stl import SpecSyntaxError, StlSyntaxError, parse_stl
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,65 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(PctlSyntaxError, match="trailing"):
             parse_pctl("true true")
+
+
+# bounds that `%g` would round; integers print without a decimal point
+ROUNDTRIP_BOUNDS = (0.0, 1.0, 0.5, 0.99999999, 0.1234567, 1e-9, 0.1 + 0.2, 1 / 3)
+
+
+def random_parsed_state(rng, depth):
+    """A random state formula of the kind parse_pctl returns."""
+    kind = rng.choice(["true", "ap", "not", "and", "P"] if depth > 0 else ["true", "ap"])
+    if kind == "true":
+        return TrueF()
+    if kind == "ap":
+        return Ap(str(rng.choice(["rob=-1", "rob=+1", "X", "a [b] & c", ""])))
+    if kind == "not":
+        return NotF(random_parsed_state(rng, depth - 1))
+    if kind == "and":
+        return AndF(random_parsed_state(rng, depth - 1), random_parsed_state(rng, depth - 1))
+    bound = float(rng.choice(ROUNDTRIP_BOUNDS)) if rng.random() < 0.7 else float(rng.random())
+    k = None if rng.random() < 0.5 else int(rng.integers(0, 10**6))
+    path = rng.choice(["X", "G", "F", "U"])
+    if path == "X":
+        path = Next(random_parsed_state(rng, depth - 1))
+    elif path == "G":
+        path = Globally(random_parsed_state(rng, depth - 1))
+    elif path == "F":
+        path = Finally(random_parsed_state(rng, depth - 1), k)
+    else:
+        path = UntilF(random_parsed_state(rng, depth - 1), random_parsed_state(rng, depth - 1), k)
+    return ProbF(str(rng.choice(["<", "<=", ">", ">="])), bound, path)
+
+
+class TestFrontEnd:
+    def test_roundtrip_on_random_formulas(self):
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            f = random_parsed_state(rng, int(rng.integers(0, 4)))
+            assert parse_pctl(format_pctl(f)) == f, format_pctl(f)
+
+    @pytest.mark.parametrize("bound,text", [(0.99999999, "P>0.99999999"), (0.1234567, "P>0.1234567"),
+                                            (1.0, "P>1"), (0.0, "P>0")])
+    def test_bounds_print_exactly(self, bound, text):
+        assert format_pctl(ProbF(">", bound, Next(TrueF()))) == text + " [ X (true) ]"
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("P>0.5 [ F", "expected a state formula, found 'end of input'", 9),
+        ('P>0.5 [ F "a" ', "expected ']', found 'end of input'", 14),
+        ("true @", "unexpected character '@'", 5),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(PctlSyntaxError) as err:
+            parse_pctl(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_errors_name_their_language(self):
+        pctl_err = pytest.raises(PctlSyntaxError, parse_pctl, "true @").value
+        stl_err = pytest.raises(StlSyntaxError, parse_stl, "x >= @").value
+        assert isinstance(pctl_err, SpecSyntaxError) and not isinstance(pctl_err, StlSyntaxError)
+        assert isinstance(stl_err, SpecSyntaxError) and not isinstance(stl_err, PctlSyntaxError)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,62 @@ class TestParse:
             assert parse_stl(format_stl(f)) == f, text
 
 
+# numbers that `%g` would round, and numbers on both sides of the
+# printer's switch from integer to exponent form at 1e15
+ROUNDTRIP_NUMBERS = (0.0, 1.0, 0.5, 0.99999999, 0.1234567, 3e20, 1e15, 1e-7, 2.5e-300, 0.1 + 0.2, 123456789.0)
+
+
+def random_parsed_expr(rng, depth):
+    kind = rng.choice(["var", "const", "neg", "abs", "+", "-", "*"] if depth > 0 else ["var", "const"])
+    if kind == "var":
+        return stl.Var(str(rng.choice(["a", "b", "v_ego", "G", "U"])))
+    if kind == "const":  # non-negative: a leading minus parses as negation
+        return stl.Const(float(rng.choice(ROUNDTRIP_NUMBERS)) if rng.random() < 0.7 else float(rng.exponential(10.0)))
+    if kind == "neg":
+        return stl.NegExpr(random_parsed_expr(rng, depth - 1))
+    if kind == "abs":
+        return stl.AbsExpr(random_parsed_expr(rng, depth - 1))
+    return stl.BinExpr(str(kind), random_parsed_expr(rng, depth - 1), random_parsed_expr(rng, depth - 1))
+
+
+def random_parsed_stl(rng, depth):
+    """A random formula of the kind parse_stl returns."""
+    kind = rng.choice(["pred", "not", "and", "or", "->", "G", "F", "U"] if depth > 0 else ["pred"])
+    if kind == "pred":
+        op = str(rng.choice(["<=", "<", ">=", ">"]))
+        return Pred(random_parsed_expr(rng, 2), op, random_parsed_expr(rng, 2))
+    if kind == "not":
+        return Not(random_parsed_stl(rng, depth - 1))
+    if kind in ("and", "or", "->"):
+        node = {"and": And, "or": Or, "->": stl.Implies}[kind]
+        return node(random_parsed_stl(rng, depth - 1), random_parsed_stl(rng, depth - 1))
+    lo, hi = sorted(float(v) for v in rng.choice(ROUNDTRIP_NUMBERS, size=2))
+    if kind == "U":
+        return Until(lo, hi, random_parsed_stl(rng, depth - 1), random_parsed_stl(rng, depth - 1))
+    return (Always if kind == "G" else Eventually)(lo, hi, random_parsed_stl(rng, depth - 1))
+
+
+class TestFrontEnd:
+    def test_roundtrip_on_random_formulas(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            f = random_parsed_stl(rng, int(rng.integers(0, 4)))
+            assert parse_stl(format_stl(f)) == f, format_stl(f)
+
+    @pytest.mark.parametrize("text,position", [
+        ("x <= 1e999", 5),
+        ("x*2E+400 > 0", 2),
+        ("-1e999 < x", 1),
+        ("G[0,5](F[0,1e999](level >= 0))", 11),
+        ("G[1e309,1e310](x >= 0)", 2),
+        ("(x <= 1e999)", 6),
+    ])
+    def test_non_finite_number_is_a_syntax_error(self, text, position):
+        with pytest.raises(StlSyntaxError, match="is not finite") as err:
+            parse_stl(text)
+        assert err.value.position == position
+
+
 # ---------------------------------------------------------------------------
 # robustness on the worked examples
 
