@@ -31,6 +31,11 @@ State ids are (cell, side) pairs, serialized as ``c<cell>``,
 state used when traces start in different cells. Models persist to
 JSON, and export to explicit-state ``.tra``/``.lab`` files for
 cross-checks with external probabilistic model checkers.
+
+A model's transitions are one `TransitionTable`, built where the model
+is made. A model file lists them as ``[src, act, dst, p]`` rows sorted by
+(src, act, dst), each p in [0, 1], each (src, act) row summing to 1
+within 1e-9 and no row repeated; `load_model` takes the rows in any order.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,15 +94,48 @@ class StateInfo:
     support: int  # member count in the construction data
 
 
-@dataclass
+@dataclass(frozen=True)
+class TransitionTable:
+    """Every transition of a model as read-only columns, one row per transition: `src`
+    and `dst` are ranks into `order` (the sorted state ids); rows are sorted by (src, act, dst)."""
+
+    order: list[StateId]
+    src: np.ndarray
+    act: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.src, self.act, self.dst, self.prob):
+            column.flags.writeable = False
+
+
 class AbstractMdp:
-    pca: PcaTransform
-    config: AbstractionConfig
-    states: dict[StateId, StateInfo]
-    initial: StateId
-    transitions: dict[tuple[StateId, int], dict[StateId, float]]
-    classifiers: dict[int, tuple[np.ndarray, float]]  # cell -> (w, b)
-    caches: dict = field(default_factory=dict, repr=False, compare=False)
+    """A labeled MDP. Built by hand, it takes a `transitions` dict, checked
+    as a model file's rows are; the library's builders pass a `table`."""
+
+    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo],
+                 initial: StateId, transitions=None, classifiers=None, *, table: TransitionTable | None = None):
+        self.pca, self.config, self.states, self.initial = pca, config, states, initial
+        self.classifiers: dict[int, tuple[np.ndarray, float]] = {} if classifiers is None else classifiers
+        if table is None:
+            order = sorted(states)
+            rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
+            table = _table(order, {sid: r for r, sid in enumerate(order)}, list(zip(*rows)))
+        self.table = table
+        self.caches: dict = {}
+        self._transitions = None
+
+    @property
+    def transitions(self) -> MappingProxyType:
+        """(state, action) -> {successor: probability}: a read-only view of
+        the table, derived on first access."""
+        if self._transitions is None:
+            t, view = self.table, {}
+            for s, a, d, p in _rows(t):
+                view.setdefault((t.order[s], a), {})[t.order[d]] = p
+            self._transitions = MappingProxyType({key: MappingProxyType(d) for key, d in view.items()})
+        return self._transitions
 
     @property
     def atomic_propositions(self) -> tuple[str, str]:
@@ -105,7 +145,40 @@ class AbstractMdp:
         return "rob=-1" if self.states[sid].label == -1 else "rob=+1"
 
     def num_transitions(self) -> int:
-        return sum(len(d) for d in self.transitions.values())
+        return len(self.table.prob)
+
+
+def _table(order: list[StateId], rank: dict, cols) -> TransitionTable:
+    """The table of the rows given as id columns (src, act, dst, p) in any
+    order, `rank` mapping an id to its rank in `order`. A ValueError names
+    the first row that breaks the contract in the module docstring."""
+    src_ids, act_ids, dst_ids, prob = cols or ((),) * 4
+
+    def refuse(bad, why):
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"transition {src_ids[i]} -{act_ids[i]}-> {dst_ids[i]} with probability {prob[i]!r} {why}")
+
+    src, dst = (np.fromiter(map(rank.get, ids, repeat(-1)), np.int64, len(ids)) for ids in (src_ids, dst_ids))
+    refuse(np.flatnonzero((src < 0) | (dst < 0)), "names a state the model does not list")
+    act, p = np.array(act_ids, dtype=np.int64), np.array(prob, dtype=float)
+    refuse(np.flatnonzero(~((p >= 0.0) & (p <= 1.0))), "lies outside [0, 1]")
+    s0, s1, a0, a1 = src[:-1], src[1:], act[:-1], act[1:]
+    perm = np.arange(len(src))
+    if not np.all((s0 < s1) | (s0 == s1) & ((a0 < a1) | (a0 == a1) & (dst[:-1] <= dst[1:]))):
+        perm = np.lexsort((dst, act, src))  # a hand-edited file, or a dict
+    src, act, dst = src[perm], act[perm], dst[perm]
+    new_group = _new_runs(src, act)
+    refuse(perm[~(new_group | _new_runs(dst))], "is listed twice")
+    given = np.empty_like(perm)  # each given row's place in the sorted order
+    given[perm] = np.arange(len(perm))
+    totals = np.bincount(np.cumsum(new_group)[given] - 1, weights=p)  # adds in the given row order
+    bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+    if bad.size:
+        g = np.flatnonzero(new_group)[bad[0]]
+        raise ValueError(f"transitions of {state_id_str(order[src[g]])} under action {act[g]} "
+                         f"sum to {float(totals[bad[0]])!r}")
+    return TransitionTable(order, src, act, dst, p[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +365,10 @@ def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) 
     support = np.diff(heads, append=len(codes))
     min_rob = np.fmin.reduceat(robs[order], heads)
     min_rob[np.isnan(robs[first])] = np.nan  # a NaN first member keeps the minimum NaN
-    sid_of = {code: _sid(code) for code in codes[first].tolist()}
+    state_codes = codes[first].tolist()
     states = {
-        sid_of[code]: StateInfo(label=-1 if rob < config.label_threshold else +1, support=n)
-        for code, rob, n in zip(codes[first].tolist(), min_rob.tolist(), support.tolist())
+        _sid(code): StateInfo(label=-1 if rob < config.label_threshold else +1, support=n)
+        for code, rob, n in zip(state_codes, min_rob.tolist(), support.tolist())
     }
     # count (src, act, dst) triples in sorted runs; probability = count / (src, act) total
     src, act, dst = np.concatenate(src), np.concatenate(act), np.concatenate(dst)
@@ -305,29 +378,22 @@ def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) 
     heads = np.flatnonzero(new_key | _new_runs(dst))
     counts = np.diff(heads, append=len(src))
     key_id = np.cumsum(new_key) - 1
-    totals = np.bincount(key_id)[key_id[heads]]
-    transitions: dict[tuple[StateId, int], dict[StateId, float]] = {}
-    for s, a, d, p in zip(src[heads].tolist(), act[heads].tolist(), dst[heads].tolist(),
-                          (counts / totals).tolist()):
-        transitions.setdefault((sid_of[s], a), {})[sid_of[d]] = p
+    cols = [col.tolist() for col in (src[heads], act[heads], dst[heads], counts / np.bincount(key_id)[key_id[heads]])]
     if len(starts) == 1:
-        initial = sid_of[starts[0]]
+        initial = _sid(starts[0])
     else:
         # Traces start in different cells: synthetic initial state with
         # uniform transitions to every observed start.
         initial = INIT_STATE
         states[INIT_STATE] = StateInfo(label=+1, support=0)
-        transitions[(INIT_STATE, 0)] = {sid_of[code]: 1.0 / len(starts) for code in starts}
+        n, init = len(starts), -2  # the code of INIT_STATE, which sorts first
+        state_codes = [init] + state_codes
+        cols = [head + col for head, col in zip(([init] * n, [0] * n, starts, [1.0 / n] * n), cols)]
     if len(states) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
-    return AbstractMdp(
-        pca=pca,
-        config=config,
-        states=states,
-        initial=initial,
-        transitions=transitions,
-        classifiers=dict(classifiers),
-    )
+    table = _table([_sid(code) for code in state_codes], {code: r for r, code in enumerate(state_codes)}, cols)
+    return AbstractMdp(pca=pca, config=config, states=states, initial=initial,
+                       classifiers=dict(classifiers), table=table)
 
 
 def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
@@ -483,7 +549,13 @@ def parse_state_id(text: str) -> StateId:
     return (int(body), side)
 
 
+def _rows(table: TransitionTable):
+    """The table's rows as (src, act, dst, p) tuples of Python numbers."""
+    return zip(table.src.tolist(), table.act.tolist(), table.dst.tolist(), table.prob.tolist())
+
+
 def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
+    names = [state_id_str(sid) for sid in model.table.order]
     doc = {
         "format": "cpsguard-mdp-v1",
         "abstraction": {
@@ -506,11 +578,7 @@ def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
             {"cell": cell, "w": [float(v) for v in w], "b": float(b)}
             for cell, (w, b) in sorted(model.classifiers.items())
         ],
-        "transitions": [
-            [state_id_str(src), act, state_id_str(dst), float(p)]
-            for (src, act) in sorted(model.transitions)
-            for dst, p in sorted(model.transitions[(src, act)].items())
-        ],
+        "transitions": [[names[s], a, names[d], p] for s, a, d, p in _rows(model.table)],
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
@@ -546,20 +614,14 @@ def load_model(path) -> AbstractMdp:
     for cell, (w, _) in classifiers.items():
         if w.shape != (config.k,):
             raise ValueError(f"{path}: classifier of cell {cell} has shape {w.shape}, expected ({config.k},)")
-    transitions: dict[tuple[StateId, int], dict[StateId, float]] = {}
-    for src, act, dst, p in doc["transitions"]:
-        if src not in ids or dst not in ids:
-            raise ValueError(f"{path}: transition {src} -> {dst} names a state the model does not list")
-        transitions.setdefault((ids[src], int(act)), {})[ids[dst]] = float(p)
-    for (src, act), dests in transitions.items():
-        total = sum(dests.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"{path}: transitions of {state_id_str(src)} under action {act} sum to {total!r}")
-    return AbstractMdp(
-        pca=pca, config=config, states=states,
-        initial=parse_state_id(doc["initial"]),
-        transitions=transitions, classifiers=classifiers,
-    )
+    order = sorted(states)
+    rank = {sid: r for r, sid in enumerate(order)}
+    try:
+        table = _table(order, {text: rank[sid] for text, sid in ids.items()}, list(zip(*doc["transitions"])))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return AbstractMdp(pca=pca, config=config, states=states, initial=parse_state_id(doc["initial"]),
+                       classifiers=classifiers, table=table)
 
 
 def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:
@@ -570,26 +632,18 @@ def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:
     action is kept as the trailing label) so the file is digestible by
     explicit-state model checkers. ``.lab``: the usual id=name header
     then ``state: ids`` lines."""
-    order = sorted(model.states)
-    index = {sid: i for i, sid in enumerate(order)}
-    acts_of: dict[StateId, list[int]] = {}
-    for sid, act in model.transitions:
-        acts_of.setdefault(sid, []).append(act)
-    rows = []
-    n_choices = 0
-    for sid in order:
-        acts = sorted(acts_of.get(sid, ()))
-        n_choices += len(acts)
-        for choice, act in enumerate(acts):
-            for dst, p in sorted(model.transitions[(sid, act)].items()):
-                rows.append(f"{index[sid]} {choice} {index[dst]} {p:.12g} a{act}")
-    tra = f"{len(order)} {n_choices} {len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
+    t = model.table
+    new_choice = _new_runs(t.src, t.act)
+    choice = np.cumsum(new_choice) - 1  # the row's group, then numbered within its state
+    choice -= np.maximum.accumulate(np.where(_new_runs(t.src), choice, 0))
+    rows = [f"{s} {c} {d} {p:.12g} a{a}" for (s, a, d, p), c in zip(_rows(t), choice.tolist())]
+    tra = f"{len(t.order)} {int(new_choice.sum())} {len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
     lab = ['0="init" 1="rob=-1" 2="rob=+1"\n']
-    for sid in order:
+    for index, sid in enumerate(t.order):
         ids = []
         if sid == model.initial:
             ids.append(0)
         ids.append(1 if model.states[sid].label == -1 else 2)
-        lab.append(f"{index[sid]}: {' '.join(str(i) for i in ids)}\n")
+        lab.append(f"{index}: {' '.join(str(i) for i in ids)}\n")
     return tra, "".join(lab)
 

@@ -182,7 +182,10 @@ def load_mlp(path) -> MlpNet:
         rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     if not rows or not rows[0].startswith("dims ") or len(rows[0].split()) < 3:
         raise ValueError(f"{path}: not a weights file")
-    dims = [int(x) for x in rows[0].split()[1:]]
+    dims = rows[0].split()[1:]
+    if not all(x.isdecimal() for x in dims):
+        raise ValueError(f"{path}: dims {' '.join(dims)} are not all nonnegative integers")
+    dims = [int(x) for x in dims]
     if len(rows) < 2 or not rows[1].startswith("range ") or len(rows[1].split()) != 3:
         raise ValueError(f"{path}: missing the 'range <lo> <hi>' line after dims")
     lo, hi = (float(x) for x in rows[1].split()[1:])
@@ -197,6 +200,8 @@ def load_mlp(path) -> MlpNet:
             raise ValueError(f"{path}: layer shape {mat.shape} does not match dims {dims}")
         at += b
         bias = np.array([float(x) for x in rows[at].split()])
+        if bias.shape != (b,):
+            raise ValueError(f"{path}: bias of layer {layer} has {len(bias)} entries, dims {dims} need {b}")
         at += 1
         weights.append(mat)
         biases.append(bias)

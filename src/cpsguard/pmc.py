@@ -28,7 +28,8 @@ Canonical safety queries::
 The probability operator computes the extremal path probability over
 schedulers; the default is MAX (worst case for unsafe-reachability
 queries), with MIN available via the ``semantics`` argument. Bounded
-operators run k sweeps of value iteration. Unbounded ones are solved
+operators run up to k sweeps of value iteration, stopping early once a
+sweep returns its input bit for bit. Unbounded ones are solved
 exactly: Prob0/Prob1 graph precomputation (Baier & Katoen, *Principles
 of Model Checking*, 10.6), then policy iteration with one dense linear
 solve per policy, from a proper policy that end components cannot trap
@@ -242,19 +243,17 @@ class _Indexed:
     """Flat transition arrays for the sweeps, the graph step and policy iteration."""
 
     def __init__(self, model: AbstractMdp):
-        self.order: list[StateId] = sorted(model.states)
-        self.index = {sid: i for i, sid in enumerate(self.order)}
+        t = model.table
+        self.order: list[StateId] = t.order
         self.n = len(self.order)
-        # one group per (state, action) of a known state, both sorted, and
-        # destinations sorted within a group: this fixes a sweep's summation order
-        groups = sorted(key for key in model.transitions if key[0] in self.index)
-        rows = [(g, self.index[d], p) for g, key in enumerate(groups)
-                for d, p in sorted(model.transitions[key].items())]
-        self.tr_group = np.array([r[0] for r in rows], dtype=int)
-        self.tr_dst = np.array([r[1] for r in rows], dtype=int)
-        self.tr_prob = np.array([r[2] for r in rows], dtype=float)
-        self.group_src = np.array([self.index[s] for s, _ in groups], dtype=int)
-        self.n_groups = len(groups)
+        self.label = np.array([model.label_name(sid) for sid in self.order], dtype=str)
+        # one group per (state, action), both sorted, and destinations sorted
+        # within a group: this fixes a sweep's summation order
+        new_group = _new_runs(t.src, t.act)
+        self.tr_group = np.cumsum(new_group) - 1
+        self.tr_dst, self.tr_prob = t.dst, t.prob
+        self.group_src = t.src[new_group]
+        self.n_groups = len(self.group_src)
         self.has_choice = np.zeros(self.n, dtype=bool)
         self.has_choice[self.group_src] = True
         self.run_start = np.flatnonzero(_new_runs(self.group_src))  # each state's first group
@@ -293,7 +292,9 @@ def _until_probs(model: AbstractMdp, hold: np.ndarray, target: np.ndarray,
     if k is not None:
         for _ in range(k):
             x_new = _sweep(ix, x, semantics)
-            x_new[frozen] = np.where(target[frozen], 1.0, 0.0)
+            x_new[frozen] = x[frozen]
+            if np.array_equal(x_new, x):
+                break  # an exact fixpoint: every later sweep returns it again
             x = x_new
         return x, 0.0
     x = _exact_until(ix, ~frozen & ix.has_choice, target, semantics)
@@ -409,7 +410,7 @@ def _sat_mask(model: AbstractMdp, formula: PctlFormula, semantics: str) -> np.nd
             raise ValueError(
                 f"unknown atomic proposition {formula.name!r}; model has {model.atomic_propositions}"
             )
-        return np.array([model.label_name(sid) == formula.name for sid in ix.order], dtype=bool)
+        return ix.label == formula.name
     if isinstance(formula, NotF):
         return ~_sat_mask(model, formula.operand, semantics)
     if isinstance(formula, AndF):

@@ -20,6 +20,7 @@ from cpsguard.abstraction import (
     _grid_bounds,
     _reduce_batch,
     fit_pca,
+    state_id_str,
 )
 from cpsguard.controllers import MlpNet, PidController, mlp_forward, pid_act
 from cpsguard.falsify import (
@@ -328,6 +329,48 @@ def random_mdp(rng, max_states=6, max_actions=3, self_loop=0.0):
             transitions[(i, a)] = {int(j): float(p) for j, p in zip(dests, probs)}
     labels = {i: (-1 if rng.random() < 0.3 else 1) for i in range(n)}
     return make_mdp(n, transitions, labels)
+
+
+def indexed_oracle(model):
+    """The checker's flat arrays built from the dict view, as the checker
+    built them before models carried a transition table: groups sorted by
+    (state, action), destinations sorted within a group."""
+    index = {sid: i for i, sid in enumerate(sorted(model.states))}
+    groups = sorted(model.transitions)
+    rows = [(g, index[d], p) for g, key in enumerate(groups) for d, p in sorted(model.transitions[key].items())]
+    group_src = np.array([index[s] for s, _ in groups], dtype=int)
+    has_choice = np.zeros(len(index), dtype=bool)
+    has_choice[group_src] = True
+    starts = [g for g in range(len(groups)) if g == 0 or group_src[g] != group_src[g - 1]]
+    return {
+        "tr_group": np.array([r[0] for r in rows], dtype=int),
+        "tr_dst": np.array([r[1] for r in rows], dtype=int),
+        "tr_prob": np.array([r[2] for r in rows], dtype=float),
+        "group_src": group_src,
+        "has_choice": has_choice,
+        "run_start": np.array(starts, dtype=int),
+    }
+
+
+def writer_oracle(model):
+    """The model file's transition rows and the `.tra` text, written from
+    the dict view as the writers did before models carried a table."""
+    rows = [[state_id_str(src), act, state_id_str(dst), float(p)]
+            for (src, act) in sorted(model.transitions)
+            for dst, p in sorted(model.transitions[(src, act)].items())]
+    order = sorted(model.states)
+    index = {sid: i for i, sid in enumerate(order)}
+    acts_of = {}
+    for sid, act in model.transitions:
+        acts_of.setdefault(sid, []).append(act)
+    tra, n_choices = [], 0
+    for sid in order:
+        acts = sorted(acts_of.get(sid, ()))
+        n_choices += len(acts)
+        for choice, act in enumerate(acts):
+            for dst, p in sorted(model.transitions[(sid, act)].items()):
+                tra.append(f"{index[sid]} {choice} {index[dst]} {p:.12g} a{act}")
+    return rows, f"{len(order)} {n_choices} {len(tra)}\n" + "\n".join(tra) + ("\n" if tra else "")
 
 
 def oracle_bounded_reach(model, target, k, semantics):

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -5,10 +6,15 @@ import numpy as np
 import pytest
 from oracles import (
     build_oracle,
+    indexed_oracle,
+    make_mdp,
+    random_mdp,
     refine_oracle,
     separable_cell_pairs,
+    slow_chain,
     state_ids_oracle,
     train_linear_svm_oracle,
+    writer_oracle,
 )
 
 from cpsguard import stl
@@ -34,6 +40,7 @@ from cpsguard.abstraction import (
     tra_lab_text,
 )
 from cpsguard.controllers import load_mlp
+from cpsguard.pmc import _Indexed, check_all, parse_pctl, reach_prob
 from cpsguard.plants import default_input_spec, default_pid, default_sim_config, make_plant, simulate
 from cpsguard.signals import Trace, random_signal
 
@@ -562,3 +569,131 @@ class TestSerialization:
         lab_lines = (tmp_path / "m.lab").read_text().splitlines()
         assert lab_lines[0] == '0="init" 1="rob=-1" 2="rob=+1"'
         assert len(lab_lines) == 1 + len(model.states)
+
+
+# ---------------------------------------------------------------------------
+# the transition table: one per model, read by the checker and the writers
+
+QUERIES = [
+    'P>0.8 [ F<=10 "rob=-1" ]',
+    'P>0.5 [ X "rob=-1" ]',
+    'P<0.1 [ G "rob=+1" ]',
+    'P<=0.9 [ ("rob=+1") U<=3 ("rob=-1") ]',
+    'true & !("rob=-1")',
+    'P>=0 [ ("rob=+1") U ("rob=-1") ]',
+    'P>0.5 [ F "rob=-1" ]',
+    'P>0.5 [ "rob=+1" U "rob=-1" ]',
+]
+
+
+def table_models():
+    """300 random MDPs, half with self-loop end components, and slow chains."""
+    rng = np.random.default_rng(2024)
+    for i in range(300):
+        yield random_mdp(rng, self_loop=0.3 if i % 2 else 0.0)
+    yield slow_chain(30)
+    yield slow_chain(30, self_loops=True)
+
+
+def indexed_arrays(model):
+    ix = _Indexed(model)
+    return {name: getattr(ix, name) for name in ("tr_group", "tr_dst", "tr_prob", "group_src", "has_choice", "run_start")}
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestTransitionTable:
+    def test_roundtrip_keeps_every_checker_array(self, tmp_path):
+        path = tmp_path / "m.json"
+        for model in table_models():
+            path.write_text(model_to_json(model))
+            loaded = load_model(path)
+            assert_same_arrays(indexed_arrays(loaded), indexed_arrays(model))
+            assert_same_arrays(indexed_arrays(model), indexed_oracle(model))
+            assert loaded.transitions == model.transitions
+            assert loaded.num_transitions() == sum(len(d) for d in model.transitions.values())
+
+    def test_roundtrip_gives_bit_identical_verdicts(self, tmp_path):
+        path = tmp_path / "m.json"
+        formulas = [parse_pctl(text) for text in QUERIES]
+        for n, model in enumerate(table_models()):
+            if n % 5:
+                continue  # every fifth random model, and both chains
+            path.write_text(model_to_json(model))
+            loaded = load_model(path)
+            for formula in formulas:
+                for semantics in ("MAX", "MIN"):
+                    assert check_all(loaded, formula, semantics) == check_all(model, formula, semantics)
+
+    def test_writers_match_the_dict_writers(self):
+        for model in table_models():
+            rows, tra = writer_oracle(model)
+            assert json.loads(model_to_json(model))["transitions"] == rows
+            assert tra_lab_text(model)[0] == tra
+
+    def test_any_row_order_loads_the_same_model(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for n, model in enumerate(table_models()):
+            if n % 10:
+                continue
+            doc = json.loads(model_to_json(model))
+            rng.shuffle(doc["transitions"])
+            (tmp_path / "shuffled.json").write_text(json.dumps(doc))
+            loaded = load_model(tmp_path / "shuffled.json")
+            for column in ("src", "act", "dst", "prob"):
+                got, want = getattr(loaded.table, column), getattr(model.table, column)
+                assert got.dtype == want.dtype and np.array_equal(got, want), column
+            assert loaded.table.order == model.table.order
+            assert model_to_json(loaded) == model_to_json(model)
+
+    def test_checking_leaves_the_dict_view_unbuilt(self, tmp_path):
+        (tmp_path / "m.json").write_text(model_to_json(slow_chain(30, self_loops=True)))
+        model = load_model(tmp_path / "m.json")
+        for text in QUERIES:
+            for semantics in ("MAX", "MIN"):
+                check_all(model, parse_pctl(text), semantics)
+        reach_prob(model, {(30, 0)}, k=5)
+        model_to_json(model)
+        tra_lab_text(model)
+        assert model._transitions is None
+        view = model.transitions
+        assert view[((1, 0), 0)] == {(0, 0): 0.5, (2, 0): 0.5}
+        with pytest.raises(TypeError):
+            view[((1, 0), 0)][(0, 0)] = 1.0
+        with pytest.raises(TypeError):
+            view[((0, 0), 0)] = {}
+        with pytest.raises(AttributeError):
+            model.transitions = {}
+        with pytest.raises(ValueError, match="read-only"):
+            model.table.prob[0] = 0.25
+
+    @pytest.mark.parametrize("defect,message", [
+        (lambda rows: rows[0].__setitem__(3, float("nan")), r"c1 -0-> c0 with probability nan lies outside \[0, 1\]"),
+        (lambda rows: rows[0].__setitem__(3, -0.5), "lies outside"),
+        (lambda rows: rows[1].__setitem__(3, 1.5), "lies outside"),
+        (lambda rows: rows.append(list(rows[0])), "c1 -0-> c0 with probability 0.5 is listed twice"),
+        (lambda rows: rows.insert(0, list(rows[2])), "is listed twice"),
+        (lambda rows: rows[0].__setitem__(3, 0.75), "transitions of c1 under action 0 sum to 1.25"),
+        (lambda rows: rows[0].__setitem__(2, "c99"), "c1 -0-> c99 .* names a state the model does not list"),
+    ])
+    def test_bad_rows_are_refused_naming_the_file(self, tmp_path, defect, message):
+        doc = json.loads(model_to_json(slow_chain(3)))
+        defect(doc["transitions"])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_hand_built_rows_are_checked_too(self):
+        with pytest.raises(ValueError, match="sum to 0.5"):
+            make_mdp(2, {(0, 0): {1: 0.5}})
+        with pytest.raises(ValueError, match="names a state"):
+            make_mdp(2, {(0, 0): {5: 1.0}})
+        with pytest.raises(ValueError, match="lies outside"):
+            make_mdp(2, {(0, 0): {0: 1.5, 1: -0.5}})

@@ -341,6 +341,8 @@ MODEL_DEFECTS = {
     "bounds": lambda doc: doc["abstraction"]["bounds"].pop(),
     "pca_shape": lambda doc: doc["pca"]["components"].pop(),
     "classifier_width": lambda doc: doc.__setitem__("classifiers", [{"cell": 0, "w": [1.0], "b": 0.0}]),
+    "nan_prob": lambda doc: doc["transitions"][0].__setitem__(3, float("nan")),
+    "duplicate_row": lambda doc: doc["transitions"].insert(1, list(doc["transitions"][0])),
 }
 
 
@@ -356,6 +358,41 @@ class TestModelValidation:
         capsys.readouterr()
         assert run(["--config", cfg, "check"]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
+
+
+class TestTransitionView:
+    def test_check_monitor_and_guided_falsify_never_build_the_dict_view(self, tmp_path, monkeypatch):
+        cfg, _ = TestCheck().build_model(tmp_path)
+        path = tmp_path / "out" / "model.json"
+        doc = json.loads(path.read_text())
+        doc["transitions"].reverse()  # a hand-edited row order takes the sorting path too
+        (tmp_path / "rev").mkdir()
+        (tmp_path / "rev" / "model.json").write_text(json.dumps(doc))
+
+        def refuse(model):
+            raise AssertionError("the dict view of the transitions was built")
+
+        monkeypatch.setattr(abstraction.AbstractMdp, "transitions", property(refuse))
+        for out in ("out", "rev"):
+            for query in ('P>0.8 [ F<=10 "rob=-1" ]', 'P>0.5 [ "rob=+1" U "rob=-1" ]', 'P>0.5 [ G "rob=+1" ]'):
+                for sem in ("MAX", "MIN"):
+                    assert run(["--config", cfg, "--out-dir", out, "check", "--query", query, "--semantics", sem]) == 0
+            assert run(["--config", cfg, "--out-dir", out, "monitor", "--runs", "2"]) == 0
+            assert run(["--config", cfg, "--out-dir", out, "falsify", "--algo", "guided", "--trials", "2"]) == 0
+            assert run(["--config", cfg, "--out-dir", out, "report"]) == 0
+
+    def test_reversed_rows_check_the_same(self, tmp_path, capsys):
+        cfg, _ = TestCheck().build_model(tmp_path)
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        doc["transitions"].reverse()
+        (tmp_path / "rev").mkdir()
+        (tmp_path / "rev" / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        lines = []
+        for out in ("out", "rev"):
+            assert run(["--config", cfg, "--out-dir", out, "check", "--query", 'P>0.5 [ F "rob=-1" ]']) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and lines[0].startswith("state ")
 
 
 class TestMonitorCmd:

@@ -231,6 +231,20 @@ class TestPersistence:
             load_mlp(tmp_path / "cut.txt")
         assert str(tmp_path / "cut.txt") in str(err.value)
 
+    @pytest.mark.parametrize("line,fix,message", [
+        (1, "dims 4 a 1", r"dims 4 a 1 are not all nonnegative integers"),
+        (9, "0.5 0.25", r"bias of layer 1 has 2 entries, dims \[4, 6, 5, 1\] need 6"),
+        (17, "0.5 0.25", r"bias of layer 3 has 2 entries, dims \[4, 6, 5, 1\] need 1"),
+    ])
+    def test_bad_dims_or_bias_names_the_file(self, tmp_path, line, fix, message):
+        save_mlp(init_mlp(4, (6, 5), (-3.0, 2.0), seed=11), tmp_path / "net.txt")
+        lines = (tmp_path / "net.txt").read_text().splitlines()
+        lines[line] = fix
+        (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_mlp(tmp_path / "bad.txt")
+        assert str(err.value).startswith(f"{tmp_path / 'bad.txt'}: ")
+
     def test_perturb_changes_weights_deterministically(self):
         net = init_mlp(3, (5,), (-1.0, 1.0), seed=0)
         a = perturb_weights(net, 0.5, seed=1)

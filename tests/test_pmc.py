@@ -23,6 +23,7 @@ from oracles import (
     slow_chain_sup_norm_stop,
 )
 
+from cpsguard import pmc
 from cpsguard.pmc import (
     AndF,
     Ap,
@@ -217,6 +218,52 @@ class TestOracleEquivalence:
             for sid in model.states:
                 assert pmax[sid] >= pmin[sid] - 1e-12
                 assert -1e-12 <= pmax[sid] <= 1.0 + 1e-12
+
+
+class TestBoundedFixpoint:
+    """A step-bounded query stops once a sweep returns its input bit for
+    bit: every later sweep would return it again."""
+
+    def test_stops_at_an_exact_fixpoint(self, monkeypatch):
+        calls = []
+        sweep = pmc._sweep
+        monkeypatch.setattr(pmc, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        rng = np.random.default_rng(81)
+        for _ in range(40):
+            model = random_mdp(rng)
+            target = {sid for sid in model.states if model.states[sid].label == -1}
+            for semantics in ("MAX", "MIN"):
+                calls.clear()
+                far = reach_prob(model, target, k=100000, semantics=semantics).probs
+                far_sweeps = len(calls)
+                calls.clear()
+                near = reach_prob(model, target, k=1000, semantics=semantics).probs
+                assert far == near
+                assert far_sweeps == len(calls) < 1000
+                want = oracle_unbounded_until(model, set(model.states), target, semantics)
+                for sid in model.states:
+                    assert far[sid] == pytest.approx(want[sid], abs=1e-12)
+
+    def test_early_stop_keeps_short_horizons_exact(self):
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            model = random_mdp(rng)
+            target = {sid for sid in model.states if model.states[sid].label == -1}
+            for k in range(8):
+                for semantics in ("MAX", "MIN"):
+                    got = reach_prob(model, target, k=k, semantics=semantics).probs
+                    want = oracle_bounded_reach(model, target, k, semantics)
+                    for sid in model.states:
+                        assert got[sid] == pytest.approx(want[sid], abs=1e-12)
+
+    def test_a_chain_runs_every_sweep_until_it_settles(self, monkeypatch):
+        calls = []
+        sweep = pmc._sweep
+        monkeypatch.setattr(pmc, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        model = make_mdp(6, {(i, 0): {i + 1: 1.0} for i in range(5)}, labels={5: -1})
+        probs = reach_prob(model, {(5, 0)}, k=100000).probs
+        assert probs == {(i, 0): 1.0 for i in range(6)}
+        assert len(calls) == 6  # five sweeps move the front, the sixth changes nothing
 
 
 class TestUnboundedOracle:
