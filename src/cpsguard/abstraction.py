@@ -33,9 +33,11 @@ JSON, and export to explicit-state ``.tra``/``.lab`` files for
 cross-checks with external probabilistic model checkers.
 
 A model's transitions are one `TransitionTable`, built where the model
-is made. A model file lists them as ``[src, act, dst, p]`` rows sorted by
-(src, act, dst), each p in [0, 1], each (src, act) row summing to 1
-within 1e-9 and no row repeated; `load_model` takes the rows in any order.
+is made; it alone knows how rows group into choices. A model's
+mappings and arrays are read-only once built. A model file lists
+them as ``[src, act, dst, p]`` rows sorted by (src, act, dst), each p
+in [0, 1], each (src, act) row summing to 1 within 1e-9 and no row
+repeated; `load_model` takes the rows in any order.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from types import MappingProxyType
 
@@ -65,6 +67,7 @@ class PcaTransform:
         gram = self.components @ self.components.T
         if not np.allclose(gram, np.eye(self.components.shape[0]), atol=1e-8):
             raise ValueError("PCA components are not orthonormal")
+        self.mean.flags.writeable = self.components.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -97,32 +100,46 @@ class StateInfo:
 @dataclass(frozen=True)
 class TransitionTable:
     """Every transition of a model as read-only columns, one row per transition: `src`
-    and `dst` are ranks into `order` (the sorted state ids); rows are sorted by (src, act, dst)."""
+    and `dst` are ranks into `order` (the sorted state ids); rows are sorted by (src, act, dst).
+    The choice columns are derived once; a choice is a run of rows with one (src, act)."""
 
     order: list[StateId]
     src: np.ndarray
     act: np.ndarray
     dst: np.ndarray
     prob: np.ndarray
+    choice: np.ndarray = field(init=False, repr=False)  # per row: its choice
+    choice_src: np.ndarray = field(init=False, repr=False)  # per choice: its state
+    first_choice: np.ndarray = field(init=False, repr=False)  # per state with a choice: its first one
 
     def __post_init__(self):
-        for column in (self.src, self.act, self.dst, self.prob):
+        new_choice = _new_runs(self.src, self.act)
+        object.__setattr__(self, "choice", np.cumsum(new_choice) - 1)
+        object.__setattr__(self, "choice_src", self.src[new_choice])
+        object.__setattr__(self, "first_choice", np.flatnonzero(_new_runs(self.choice_src)))
+        for column in (self.src, self.act, self.dst, self.prob, self.choice, self.choice_src, self.first_choice):
             column.flags.writeable = False
 
 
 class AbstractMdp:
-    """A labeled MDP. Built by hand, it takes a `transitions` dict, checked
-    as a model file's rows are; the library's builders pass a `table`."""
+    """A labeled MDP whose mappings and arrays are read-only; `label` holds each state's label
+    in `table.order`. Built by hand, it takes a `transitions` dict, checked as a model
+    file's rows are; the library's builders pass a `table`."""
 
     def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo],
                  initial: StateId, transitions=None, classifiers=None, *, table: TransitionTable | None = None):
-        self.pca, self.config, self.states, self.initial = pca, config, states, initial
-        self.classifiers: dict[int, tuple[np.ndarray, float]] = {} if classifiers is None else classifiers
+        self.pca, self.config, self.initial = pca, config, initial
+        self.states: MappingProxyType[StateId, StateInfo] = MappingProxyType(dict(states))
+        self.classifiers: MappingProxyType[int, tuple[np.ndarray, float]] = MappingProxyType(dict(classifiers or {}))
+        for w, _ in self.classifiers.values():
+            w.flags.writeable = False
         if table is None:
             order = sorted(states)
             rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
             table = _table(order, {sid: r for r, sid in enumerate(order)}, list(zip(*rows)))
         self.table = table
+        self.label = np.array([states[sid].label for sid in table.order], dtype=np.int64)
+        self.label.flags.writeable = False
         self.caches: dict = {}
         self._transitions = None
 
@@ -136,13 +153,6 @@ class AbstractMdp:
                 view.setdefault((t.order[s], a), {})[t.order[d]] = p
             self._transitions = MappingProxyType({key: MappingProxyType(d) for key, d in view.items()})
         return self._transitions
-
-    @property
-    def atomic_propositions(self) -> tuple[str, str]:
-        return ("rob=-1", "rob=+1")
-
-    def label_name(self, sid: StateId) -> str:
-        return "rob=-1" if self.states[sid].label == -1 else "rob=+1"
 
     def num_transitions(self) -> int:
         return len(self.table.prob)
@@ -168,17 +178,16 @@ def _table(order: list[StateId], rank: dict, cols) -> TransitionTable:
     if not np.all((s0 < s1) | (s0 == s1) & ((a0 < a1) | (a0 == a1) & (dst[:-1] <= dst[1:]))):
         perm = np.lexsort((dst, act, src))  # a hand-edited file, or a dict
     src, act, dst = src[perm], act[perm], dst[perm]
-    new_group = _new_runs(src, act)
-    refuse(perm[~(new_group | _new_runs(dst))], "is listed twice")
-    given = np.empty_like(perm)  # each given row's place in the sorted order
-    given[perm] = np.arange(len(perm))
-    totals = np.bincount(np.cumsum(new_group)[given] - 1, weights=p)  # adds in the given row order
+    refuse(perm[~_new_runs(src, act, dst)], "is listed twice")
+    table = TransitionTable(order, src, act, dst, p[perm])
+    given = np.argsort(perm, kind="stable")  # each given row's place in the sorted order
+    totals = np.bincount(table.choice[given], weights=p)  # adds in the given row order
     bad = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
     if bad.size:
-        g = np.flatnonzero(new_group)[bad[0]]
-        raise ValueError(f"transitions of {state_id_str(order[src[g]])} under action {act[g]} "
+        row = np.searchsorted(table.choice, bad[0])  # the choice's first row
+        raise ValueError(f"transitions of {state_id_str(order[src[row]])} under action {act[row]} "
                          f"sum to {float(totals[bad[0]])!r}")
-    return TransitionTable(order, src, act, dst, p[perm])
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -633,17 +642,12 @@ def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:
     explicit-state model checkers. ``.lab``: the usual id=name header
     then ``state: ids`` lines."""
     t = model.table
-    new_choice = _new_runs(t.src, t.act)
-    choice = np.cumsum(new_choice) - 1  # the row's group, then numbered within its state
-    choice -= np.maximum.accumulate(np.where(_new_runs(t.src), choice, 0))
-    rows = [f"{s} {c} {d} {p:.12g} a{a}" for (s, a, d, p), c in zip(_rows(t), choice.tolist())]
-    tra = f"{len(t.order)} {int(new_choice.sum())} {len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
+    state_first = np.repeat(t.first_choice, np.diff(t.first_choice, append=len(t.choice_src)))  # per choice
+    local = (t.choice - state_first[t.choice]).tolist()  # each row's choice, numbered within its state
+    rows = [f"{s} {c} {d} {p:.12g} a{a}" for (s, a, d, p), c in zip(_rows(t), local)]
+    tra = f"{len(t.order)} {len(t.choice_src)} {len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
     lab = ['0="init" 1="rob=-1" 2="rob=+1"\n']
-    for index, sid in enumerate(t.order):
-        ids = []
-        if sid == model.initial:
-            ids.append(0)
-        ids.append(1 if model.states[sid].label == -1 else 2)
-        lab.append(f"{index}: {' '.join(str(i) for i in ids)}\n")
+    for index, (sid, label) in enumerate(zip(t.order, model.label.tolist())):
+        lab.append(f"{index}: {'0 ' if sid == model.initial else ''}{1 if label == -1 else 2}\n")
     return tra, "".join(lab)
 

@@ -71,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _check_keys(given: dict, known: dict, prefix: str = "") -> None:
+    """UsageError naming the dotted path of a key `known` lacks; `make_plant` checks plant.params."""
+    for key, value in given.items():
+        if key not in known:
+            raise UsageError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict) and prefix + key != "plant.params":
+            _check_keys(value, known[key], f"{prefix}{key}.")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -188,9 +197,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             raise UsageError(f"config file {path} does not exist")
         with open(file) as fh:
             try:
-                raw = _merge(raw, json.load(fh))
+                doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config file {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError(f"config file {path}: expected a JSON object")
+        _check_keys(doc, DEFAULT_CONFIG)
+        raw = _merge(raw, doc)
         base_dir = file.parent
     if overrides:
         raw = _merge(raw, overrides)
@@ -310,7 +323,15 @@ def cmd_check(cfg: RunConfig, query: str | None, state: str | None, state_file: 
     text = query if query else cfg.raw["monitor"]["query"]
     formula = pmc.parse_pctl(text)
     if state_file:
-        vec = np.array(json.loads(Path(state_file).read_text()), dtype=float)
+        width, vec = len(model.pca.mean), None
+        try:
+            doc = json.loads(Path(state_file).read_text())
+            if isinstance(doc, list) and all(type(v) in (int, float) for v in doc):
+                vec = np.array(doc, dtype=float)
+        except (json.JSONDecodeError, OverflowError):
+            pass
+        if vec is None or vec.shape != (width,) or not np.isfinite(vec).all():
+            raise ValueError(f"{state_file}: expected a JSON list of {width} finite numbers")
         sid = abstraction.abstract_state_of(model, vec)
         if sid is None:
             print("state: UNKNOWN (outside every observed cell)")

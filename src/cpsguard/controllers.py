@@ -188,23 +188,28 @@ def load_mlp(path) -> MlpNet:
     dims = [int(x) for x in dims]
     if len(rows) < 2 or not rows[1].startswith("range ") or len(rows[1].split()) != 3:
         raise ValueError(f"{path}: missing the 'range <lo> <hi>' line after dims")
-    lo, hi = (float(x) for x in rows[1].split()[1:])
+
+    def numbers(fields: list[str], what: str, n: int) -> list[float]:
+        """`fields` as n numbers; a ValueError names the file and `what`."""
+        try:
+            values = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {what}: {exc}") from None
+        if len(values) != n:
+            raise ValueError(f"{path}: {what} has {len(values)} entries, dims {dims} need {n}")
+        return values
+
+    lo, hi = numbers(rows[1].split()[1:], "range", 2)
     weights, biases = [], []
     at = 2
     for layer, (a, b) in enumerate(zip(dims[:-1], dims[1:]), 1):
         if len(rows) < at + b + 1:
             raise ValueError(f"{path}: layer {layer} of dims {dims} needs {b + 1} rows (weights, then bias), "
                              f"found {len(rows) - at}")
-        mat = np.array([[float(x) for x in rows[at + r].split()] for r in range(b)])
-        if mat.shape != (b, a):
-            raise ValueError(f"{path}: layer shape {mat.shape} does not match dims {dims}")
-        at += b
-        bias = np.array([float(x) for x in rows[at].split()])
-        if bias.shape != (b,):
-            raise ValueError(f"{path}: bias of layer {layer} has {len(bias)} entries, dims {dims} need {b}")
-        at += 1
-        weights.append(mat)
-        biases.append(bias)
+        weights.append(np.array([numbers(rows[at + r].split(), f"weight row {r + 1} of layer {layer}", a)
+                                 for r in range(b)]))
+        biases.append(np.array(numbers(rows[at + b].split(), f"bias of layer {layer}", b)))
+        at += b + 1
     return MlpNet(tuple(weights), tuple(biases), lo, hi)
 
 

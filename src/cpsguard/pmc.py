@@ -48,10 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import AbstractMdp, StateId, _new_runs
+from .abstraction import AbstractMdp, StateId, TransitionTable, _new_runs
 from .stl import _NUM_OR_NAME, SpecSyntaxError, _Cursor, _fmt_num
 
 IMPROVE_TOL = 1e-12  # policy iteration switches an action only for a larger gain
+_LABELS = {"rob=-1": -1, "rob=+1": 1}  # atomic proposition -> the state label it holds at
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +240,18 @@ class ReachResult:
     error_bound: float
 
 
-class _Indexed:
-    """Flat transition arrays for the sweeps, the graph step and policy iteration."""
-
-    def __init__(self, model: AbstractMdp):
-        t = model.table
-        self.order: list[StateId] = t.order
-        self.n = len(self.order)
-        self.label = np.array([model.label_name(sid) for sid in self.order], dtype=str)
-        # one group per (state, action), both sorted, and destinations sorted
-        # within a group: this fixes a sweep's summation order
-        new_group = _new_runs(t.src, t.act)
-        self.tr_group = np.cumsum(new_group) - 1
-        self.tr_dst, self.tr_prob = t.dst, t.prob
-        self.group_src = t.src[new_group]
-        self.n_groups = len(self.group_src)
-        self.has_choice = np.zeros(self.n, dtype=bool)
-        self.has_choice[self.group_src] = True
-        self.run_start = np.flatnonzero(_new_runs(self.group_src))  # each state's first group
-
-    def group_values(self, x: np.ndarray) -> np.ndarray:
-        """One-step expectation of x under each group, summed in the
-        order of the transition arrays."""
-        return np.bincount(self.tr_group, weights=self.tr_prob * x[self.tr_dst], minlength=self.n_groups)
+def _choice_values(t: TransitionTable, x: np.ndarray) -> np.ndarray:
+    """One-step expectation of x under each choice, summed in row order (sorted rows fix its bits)."""
+    return np.bincount(t.choice, weights=t.prob * x[t.dst], minlength=len(t.choice_src))
 
 
-def _indexed(model: AbstractMdp) -> _Indexed:
-    cached = model.caches.get("indexed")
-    if cached is None:
-        cached = model.caches["indexed"] = _Indexed(model)
-    return cached
-
-
-def _sweep(ix: _Indexed, x: np.ndarray, semantics: str) -> np.ndarray:
+def _sweep(t: TransitionTable, x: np.ndarray, semantics: str) -> np.ndarray:
     """One Bellman sweep: optimal one-step expectation per state; states
     with no choice keep probability 0 (absorbing convention)."""
-    out = np.zeros(ix.n)
-    if ix.n_groups:
+    out = np.zeros(len(t.order))
+    if len(t.choice_src):
         extreme = np.maximum if semantics == "MAX" else np.minimum
-        out[ix.has_choice] = extreme.reduceat(ix.group_values(x), ix.run_start)
+        out[t.choice_src[t.first_choice]] = extreme.reduceat(_choice_values(t, x), t.first_choice)
     return out
 
 
@@ -286,44 +260,44 @@ def _until_probs(model: AbstractMdp, hold: np.ndarray, target: np.ndarray,
     """Extremal probability of (hold U target), optionally step-bounded,
     and its error bound: 0 when bounded, else the sup-norm Bellman
     residual of the returned vector."""
-    ix = _indexed(model)
+    t = model.table
     x = np.where(target, 1.0, 0.0)
     frozen = target | ~hold  # value fixed: 1 in target, 0 where hold fails
     if k is not None:
         for _ in range(k):
-            x_new = _sweep(ix, x, semantics)
+            x_new = _sweep(t, x, semantics)
             x_new[frozen] = x[frozen]
             if np.array_equal(x_new, x):
                 break  # an exact fixpoint: every later sweep returns it again
             x = x_new
         return x, 0.0
-    x = _exact_until(ix, ~frozen & ix.has_choice, target, semantics)
-    image = _sweep(ix, x, semantics)  # one Bellman step from the answer
+    x = _exact_until(t, ~frozen & (np.bincount(t.choice_src, minlength=len(t.order)) > 0), target, semantics)
+    image = _sweep(t, x, semantics)  # one Bellman step from the answer
     image[frozen] = x[frozen]
     return x, float(np.max(np.abs(image - x), initial=0.0))
 
 
-def _exact_until(ix: _Indexed, free: np.ndarray, target: np.ndarray, semantics: str) -> np.ndarray:
+def _exact_until(t: TransitionTable, free: np.ndarray, target: np.ndarray, semantics: str) -> np.ndarray:
     """Unbounded (hold U target) by Prob0/Prob1 on the graph, then policy
     iteration on the states left undecided. `free` marks the states whose
     value the schedulers decide: hold, not target, with a choice."""
-    live = ix.tr_prob > 0.0
-    free_group = free[ix.group_src]
+    n, live = len(t.order), t.prob > 0.0
+    free_choice = free[t.choice_src]
 
-    def hits(mask):  # per group: some successor lies in mask
-        return np.bincount(ix.tr_group, weights=mask[ix.tr_dst] & live, minlength=ix.n_groups) > 0
+    def hits(mask):  # per choice: some successor lies in mask
+        return np.bincount(t.choice, weights=mask[t.dst] & live, minlength=len(t.choice_src)) > 0
 
-    def some_group(group_mask):  # per state: some group of it is marked
-        return np.bincount(ix.group_src, weights=group_mask, minlength=ix.n) > 0
+    def some_choice(choice_mask):  # per state: some choice of it is marked
+        return np.bincount(t.choice_src, weights=choice_mask, minlength=n) > 0
 
-    policy = np.zeros(ix.n, dtype=int)  # the chosen group of each undecided state
+    policy = np.zeros(n, dtype=int)  # each undecided state's choice
     if semantics == "MAX":
-        # Prob0E, layer by layer: a newly reached state takes its first group
+        # Prob0E, layer by layer: a newly reached state takes its first choice
         # with a successor in the previous layer. This attractor policy is
         # proper, and strict improvement keeps it so.
         def attract(reach):
-            out = np.zeros(ix.n, dtype=bool)
-            out[_take_first(ix, policy, hits(reach) & free_group & ~reach[ix.group_src])] = True
+            out = np.zeros(n, dtype=bool)
+            out[_take_first(t, policy, hits(reach) & free_choice & ~reach[t.choice_src])] = True
             return out
 
         zero = ~_grow(target, attract)
@@ -331,23 +305,23 @@ def _exact_until(ix: _Indexed, free: np.ndarray, target: np.ndarray, semantics: 
         # and reaches the target
         one = ~zero
         while True:
-            stay = free_group & ~hits(~one)
-            inner = _grow(target, lambda r: some_group(stay & hits(r)))
+            stay = free_choice & ~hits(~one)
+            inner = _grow(target, lambda r: some_choice(stay & hits(r)))
             if not (one & ~inner).any():
                 break
             one = inner
     else:
-        # Prob0A: Pmin > 0 where every group has a successor that does.
+        # Prob0A: Pmin > 0 where every choice has a successor that does.
         # Every policy is then proper: a cycle avoiding the target would
         # have made Pmin 0.
-        zero = ~_grow(target, lambda r: free & ~some_group(~hits(r)))
+        zero = ~_grow(target, lambda r: free & ~some_choice(~hits(r)))
         # Prob1A: Pmin = 1 where no scheduler can reach a state of Pmin 0
-        one = ~_grow(zero, lambda e: free & some_group(hits(e)))
-        _take_first(ix, policy, np.ones(ix.n_groups, dtype=bool))
+        one = ~_grow(zero, lambda e: free & some_choice(hits(e)))
+        _take_first(t, policy, np.ones(len(t.choice_src), dtype=bool))
     x = np.where(one, 1.0, 0.0)
     undecided = np.flatnonzero(~zero & ~one)
     if undecided.size:
-        _policy_iteration(ix, x, undecided, policy, 1.0 if semantics == "MAX" else -1.0)
+        _policy_iteration(t, x, undecided, policy, 1.0 if semantics == "MAX" else -1.0)
     return x
 
 
@@ -361,56 +335,53 @@ def _grow(mask: np.ndarray, step) -> np.ndarray:
         mask |= new
 
 
-def _take_first(ix: _Indexed, policy: np.ndarray, group_mask: np.ndarray) -> np.ndarray:
-    """Point each state that has a marked group at its first one, and
-    return those states (groups are sorted by state)."""
-    g = np.flatnonzero(group_mask)
-    src = ix.group_src[g]
+def _take_first(t: TransitionTable, policy: np.ndarray, choice_mask: np.ndarray) -> np.ndarray:
+    """Point each state that has a marked choice at its first one, and
+    return those states (choices are sorted by state)."""
+    g = np.flatnonzero(choice_mask)
+    src = t.choice_src[g]
     first = _new_runs(src)
     policy[src[first]] = g[first]
     return src
 
 
-def _policy_iteration(ix: _Indexed, x: np.ndarray, u: np.ndarray, policy: np.ndarray,
+def _policy_iteration(t: TransitionTable, x: np.ndarray, u: np.ndarray, policy: np.ndarray,
                       sign: float) -> None:
     """Solve the undecided states `u` in place in `x`, starting from a
     proper `policy`; sign +1 maximizes, -1 minimizes. A state switches
-    only to a group better than its current one by more than IMPROVE_TOL,
+    only to a choice better than its current one by more than IMPROVE_TOL,
     and to the first best one."""
-    row_of = np.full(ix.n, -1)
+    row_of = np.full(len(t.order), -1)
     row_of[u] = np.arange(len(u))
-    own = row_of[ix.group_src] >= 0
+    own = row_of[t.choice_src] >= 0
     while True:
-        chosen = np.zeros(ix.n_groups, dtype=bool)
+        chosen = np.zeros(len(t.choice_src), dtype=bool)
         chosen[policy[u]] = True
-        t = chosen[ix.tr_group]
-        rows, dst, p = row_of[ix.group_src[ix.tr_group[t]]], ix.tr_dst[t], ix.tr_prob[t]
+        used = chosen[t.choice]
+        rows, dst, p = row_of[t.src[used]], t.dst[used], t.prob[used]
         cols = row_of[dst]
         inside = cols >= 0
         a = np.eye(len(u))
-        a[rows[inside], cols[inside]] -= p[inside]  # one group per row: no repeated entries
+        a[rows[inside], cols[inside]] -= p[inside]  # one choice per row: no repeated entries
         b = np.bincount(rows[~inside], weights=p[~inside] * x[dst[~inside]], minlength=len(u))
         x[u] = np.linalg.solve(a, b)
-        q = ix.group_values(x)
-        gain = sign * (q - q[policy[ix.group_src]])
+        q = _choice_values(t, x)
+        gain = sign * (q - q[policy[t.choice_src]])
         better = own & (gain > IMPROVE_TOL)
         if not better.any():
             return
-        best = np.zeros(ix.n)
-        np.maximum.at(best, ix.group_src[better], gain[better])
-        _take_first(ix, policy, better & (gain == best[ix.group_src]))
+        best = np.zeros(len(t.order))
+        np.maximum.at(best, t.choice_src[better], gain[better])
+        _take_first(t, policy, better & (gain == best[t.choice_src]))
 
 
 def _sat_mask(model: AbstractMdp, formula: PctlFormula, semantics: str) -> np.ndarray:
-    ix = _indexed(model)
     if isinstance(formula, TrueF):
-        return np.ones(ix.n, dtype=bool)
+        return np.ones(len(model.label), dtype=bool)
     if isinstance(formula, Ap):
-        if formula.name not in model.atomic_propositions:
-            raise ValueError(
-                f"unknown atomic proposition {formula.name!r}; model has {model.atomic_propositions}"
-            )
-        return ix.label == formula.name
+        if formula.name not in _LABELS:
+            raise ValueError(f"unknown atomic proposition {formula.name!r}; model has {tuple(_LABELS)}")
+        return model.label == _LABELS[formula.name]
     if isinstance(formula, NotF):
         return ~_sat_mask(model, formula.operand, semantics)
     if isinstance(formula, AndF):
@@ -432,13 +403,12 @@ def _prob_sat(model: AbstractMdp, formula: ProbF,
 
 
 def _path_probs(model: AbstractMdp, path: PathFormula, semantics: str) -> tuple[np.ndarray, float]:
-    ix = _indexed(model)
     if isinstance(path, Next):
         sat = _sat_mask(model, path.operand, semantics)
-        return _sweep(ix, np.where(sat, 1.0, 0.0), semantics), 0.0
+        return _sweep(model.table, np.where(sat, 1.0, 0.0), semantics), 0.0
     if isinstance(path, Finally):
         target = _sat_mask(model, path.operand, semantics)
-        return _until_probs(model, np.ones(ix.n, dtype=bool), target, path.k, semantics)
+        return _until_probs(model, np.ones(len(target), dtype=bool), target, path.k, semantics)
     if isinstance(path, UntilF):
         hold = _sat_mask(model, path.left, semantics)
         target = _sat_mask(model, path.right, semantics)
@@ -455,14 +425,14 @@ def reach_prob(model: AbstractMdp, target: set[StateId], k: int | None = None,
                semantics: str = "MAX") -> ReachResult:
     """Extremal probability, per state, of reaching the target set
     (within k steps when bounded)."""
-    ix = _indexed(model)
+    order = model.table.order
     unknown = set(target) - set(model.states)
     if unknown:
         raise ValueError(f"target states not in the model: {sorted(unknown)}")
-    mask = np.array([sid in target for sid in ix.order], dtype=bool)
-    probs, error_bound = _until_probs(model, np.ones(ix.n, dtype=bool), mask, k, semantics)
+    mask = np.array([sid in target for sid in order], dtype=bool)
+    probs, error_bound = _until_probs(model, np.ones(len(order), dtype=bool), mask, k, semantics)
     return ReachResult(
-        probs={sid: float(p) for sid, p in zip(ix.order, probs)},
+        probs={sid: float(p) for sid, p in zip(order, probs)},
         error_bound=error_bound,
     )
 
@@ -483,14 +453,13 @@ def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") 
     cached = model.caches.get(key)
     if cached is not None:
         return cached
-    ix = _indexed(model)
     if isinstance(formula, ProbF):
         probs, sat, error_bound = _prob_sat(model, formula, semantics)
         probs = probs.tolist()
     else:
         sat = _sat_mask(model, formula, semantics)
-        probs, error_bound = [None] * ix.n, None
+        probs, error_bound = [None] * len(sat), None
     verdicts = {sid: Verdict(holds=holds, probability=p, semantics=semantics, error_bound=error_bound)
-                for sid, holds, p in zip(ix.order, sat.tolist(), probs)}
+                for sid, holds, p in zip(model.table.order, sat.tolist(), probs)}
     model.caches[key] = verdicts
     return verdicts

@@ -40,7 +40,7 @@ from cpsguard.abstraction import (
     tra_lab_text,
 )
 from cpsguard.controllers import load_mlp
-from cpsguard.pmc import _Indexed, check_all, parse_pctl, reach_prob
+from cpsguard.pmc import check_all, parse_pctl, reach_prob
 from cpsguard.plants import default_input_spec, default_pid, default_sim_config, make_plant, simulate
 from cpsguard.signals import Trace, random_signal
 
@@ -596,8 +596,10 @@ def table_models():
 
 
 def indexed_arrays(model):
-    ix = _Indexed(model)
-    return {name: getattr(ix, name) for name in ("tr_group", "tr_dst", "tr_prob", "group_src", "has_choice", "run_start")}
+    """The table's choice columns under `indexed_oracle`'s names."""
+    t = model.table
+    return {"tr_group": t.choice, "tr_dst": t.dst, "tr_prob": t.prob, "group_src": t.choice_src,
+            "run_start": t.first_choice}
 
 
 def assert_same_arrays(got, want):
@@ -614,7 +616,9 @@ class TestTransitionTable:
             path.write_text(model_to_json(model))
             loaded = load_model(path)
             assert_same_arrays(indexed_arrays(loaded), indexed_arrays(model))
-            assert_same_arrays(indexed_arrays(model), indexed_oracle(model))
+            oracle = indexed_oracle(model)
+            assert np.array_equal(np.flatnonzero(oracle.pop("has_choice")), np.unique(model.table.choice_src))
+            assert_same_arrays(indexed_arrays(model), oracle)
             assert loaded.transitions == model.transitions
             assert loaded.num_transitions() == sum(len(d) for d in model.transitions.values())
 
@@ -671,6 +675,22 @@ class TestTransitionTable:
             model.transitions = {}
         with pytest.raises(ValueError, match="read-only"):
             model.table.prob[0] = 0.25
+
+    def test_a_model_is_read_only(self, tmp_path):
+        pairs = separable_cell_pairs()
+        model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
+        (tmp_path / "m.json").write_text(model_to_json(model))
+        for model in (model, load_model(tmp_path / "m.json")):
+            sid, cell = next(iter(model.states)), next(iter(model.classifiers))
+            with pytest.raises(TypeError):
+                model.states[sid] = model.states[sid]
+            with pytest.raises(TypeError):
+                model.classifiers[cell + 1] = model.classifiers[cell]
+            for array in (model.classifiers[cell][0], model.label, model.pca.mean, model.pca.components,
+                          model.table.choice, model.table.choice_src, model.table.first_choice):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+            assert model.label.tolist() == [model.states[sid].label for sid in model.table.order]
 
     @pytest.mark.parametrize("defect,message", [
         (lambda rows: rows[0].__setitem__(3, float("nan")), r"c1 -0-> c0 with probability nan lies outside \[0, 1\]"),

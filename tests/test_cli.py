@@ -332,6 +332,22 @@ class TestCheck:
         assert run(["--config", cfg, "check", "--state-file", vec]) == 0
         assert "holds=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", [
+        lambda width: '{"a": 1}',
+        lambda width: json.dumps([float("nan")] + [0.0] * (width - 1)),
+        lambda width: json.dumps([1.0, 2.0] + [0.0] * width),
+        lambda width: json.dumps([True] * width),
+        lambda width: "[1, 2",
+    ])
+    def test_bad_state_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        cfg, model = self.build_model(tmp_path)
+        width = len(model.pca.mean)
+        vec = tmp_path / "state.json"
+        vec.write_text(text(width))
+        capsys.readouterr()
+        assert run(["--config", cfg, "check", "--state-file", vec]) == 2
+        assert capsys.readouterr().err == f"error: {vec}: expected a JSON list of {width} finite numbers\n"
+
 
 MODEL_DEFECTS = {
     "row_sum": lambda doc: doc["transitions"][0].__setitem__(3, doc["transitions"][0][3] + 0.25),
@@ -476,6 +492,24 @@ class TestUsage:
     def test_bad_flag_value(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "collect", "--num", "notanumber"]) == 1
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({"monitor": {"perod": 1.0}}, "monitor.perod"),
+        ({"sede": 3}, "sede"),
+        ({"controller": {"kind": "pid", "kP": 1.0}}, "controller.kP"),
+    ])
+    def test_unknown_config_key_exits_1_naming_it(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path, **overrides)
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 1
+        assert f"unknown config key {path!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_plant_params_are_left_to_the_plant(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, plant={"name": "watertank", "params": {"inflow_max": 2.5}})
+        assert cli.load_config(str(cfg)).plant().control_range == (0.0, 2.5)
+        cfg = write_config(tmp_path, plant={"name": "watertank", "params": {"inflow_mx": 2.5}})
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 2
+        assert "unknown watertank parameter 'inflow_mx'" in capsys.readouterr().err
 
     def test_determinism_of_whole_pipeline(self, tmp_path):
         cfg_a = write_config(tmp_path / "a") if (tmp_path / "a").mkdir() is None else None

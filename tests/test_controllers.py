@@ -235,6 +235,10 @@ class TestPersistence:
         (1, "dims 4 a 1", r"dims 4 a 1 are not all nonnegative integers"),
         (9, "0.5 0.25", r"bias of layer 1 has 2 entries, dims \[4, 6, 5, 1\] need 6"),
         (17, "0.5 0.25", r"bias of layer 3 has 2 entries, dims \[4, 6, 5, 1\] need 1"),
+        (2, "range -3.0 abc", r"range: could not convert string to float: 'abc'"),
+        (3, "0.5 abc 0.1 0.2", r"weight row 1 of layer 1: could not convert string to float: 'abc'"),
+        (4, "0.5 0.25", r"weight row 2 of layer 1 has 2 entries, dims \[4, 6, 5, 1\] need 4"),
+        (9, "0 0 0 0 0 x1", r"bias of layer 1: could not convert string to float: 'x1'"),
     ])
     def test_bad_dims_or_bias_names_the_file(self, tmp_path, line, fix, message):
         save_mlp(init_mlp(4, (6, 5), (-3.0, 2.0), seed=11), tmp_path / "net.txt")
