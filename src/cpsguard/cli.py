@@ -212,10 +212,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(raw=raw, config_hash=digest, base_dir=base_dir)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -250,8 +250,8 @@ def cmd_collect(cfg: RunConfig, num: int | None) -> int:
             failures.append({"index": i, "seed": seed, "error": str(exc)})
             continue
         robs = stl.labeling_robustness(trace, labeling)
-        name = f"trace_{i:04d}.txt"
-        _atomic_write(out / name, signals.trace_text(trace, cfg.config_hash, {"rob": robs}))
+        name = f"trace_{i:04d}.trace"
+        _atomic_write(out / name, signals.trace_bytes(trace, cfg.config_hash, {"rob": robs}))
         entries.append({"file": f"traces/{name}", "seed": seed})
     manifest = {
         "config_hash": cfg.config_hash,
@@ -388,8 +388,8 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
                 for q in mt.queries
             ],
         })
-        _atomic_write(out / f"monitored_{i:04d}.txt",
-                      signals.trace_text(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
+        _atomic_write(out / f"monitored_{i:04d}.trace",
+                      signals.trace_bytes(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
     done = [r for r in rows if "error" not in r]
     mean_safety = statistics.fmean(r["safety_frac"] for r in done) if done else None
     mean_perf = statistics.fmean(r["perf_frac"] for r in done) if done else None

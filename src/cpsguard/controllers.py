@@ -40,6 +40,8 @@ class MlpNet:
                 raise ValueError("non-finite network parameter")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output layer must be scalar")
+        if not (math.isfinite(self.out_lo) and math.isfinite(self.out_hi) and self.out_lo < self.out_hi):
+            raise ValueError(f"output range [{self.out_lo}, {self.out_hi}] is not finite and non-empty")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -210,7 +212,10 @@ def load_mlp(path) -> MlpNet:
                                  for r in range(b)]))
         biases.append(np.array(numbers(rows[at + b].split(), f"bias of layer {layer}", b)))
         at += b + 1
-    return MlpNet(tuple(weights), tuple(biases), lo, hi)
+    try:
+        return MlpNet(tuple(weights), tuple(biases), lo, hi)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

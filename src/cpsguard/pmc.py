@@ -33,9 +33,10 @@ sweep returns its input bit for bit. Unbounded ones are solved
 exactly: Prob0/Prob1 graph precomputation (Baier & Katoen, *Principles
 of Model Checking*, 10.6), then policy iteration with one dense linear
 solve per policy, from a proper policy that end components cannot trap
-(Haddad & Monmege, TCS 2018). Every answer carries an error bound: the
-sup-norm Bellman residual for unbounded operators, 0 for bounded ones
-and next. States with no outgoing choice are treated as absorbing:
+(Haddad & Monmege, TCS 2018). An answer's ``error_bound`` is the final
+sup-norm Bellman residual for unbounded operators, not a bound on the
+distance to the exact value, and 0.0, ignoring rounding, for step-bounded
+ones and next. States with no outgoing choice are treated as absorbing:
 they contribute probability 0 unless they already satisfy the target.
 Unbounded always goes through the dual: Pmax[G phi] = 1 - Pmin[F !phi]
 (and with MAX/MIN swapped).
@@ -231,7 +232,7 @@ class Verdict:
     holds: bool
     probability: float | None  # set when the formula is a top-level P operator
     semantics: str  # "MAX" or "MIN"
-    error_bound: float | None  # sup-norm Bellman residual of the probabilities
+    error_bound: float | None  # final Bellman residual (0.0 if step-bounded), not a distance to the exact value
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Input signals, closed-loop traces, and their text formats.
+"""Input signals, closed-loop traces, and their file format.
 
 An input signal holds a small matrix of control values, one row per
 channel, stretched over a fixed duration. Two interpolations are
@@ -16,18 +16,25 @@ channels, the held controller action, and the exogenous values seen at
 each step, all on a fixed dt grid. Lookups use sampled semantics, i.e.
 the nearest grid index, never inter-sample interpolation.
 
-Trace files are plain text: ``#`` comment lines carrying dt and an
-optional config hash, a header row of column names, then one line per
-step. `trace_text` is the one writer of that format; callers add named
-extra columns (collected traces their ``rob`` labeling robustness,
-monitored runs their ``controller`` tags), and `load_trace` reads it
-back. Input signals are not persisted: a run is reproduced from its
-seed. All values are immutable after construction and safe to share
-across concurrent runs.
+A trace file (format ``cpsguard-trace v2``) is an ASCII prelude, the
+format line, ``# dt=<repr>``, an optional ``# config=<hash>`` and a row
+of column names, followed directly by one .npy array of shape
+(T, columns) and dtype ``<f8``, written and read by ``numpy.lib.format``
+with ``allow_pickle=False``, so values read back bit for bit.
+`trace_bytes` is the one writer (callers add extra columns: collected
+traces ``rob``, monitored runs ``controller``) and `load_trace` the one
+reader. It refuses, naming the file and, for a prelude fault, the line:
+another format line (v1 text traces included), a missing or bad dt, a
+column row without ``time`` first or without ``action``, and a body
+that is not one non-empty 2-D ``<f8`` array, is truncated, is followed
+by more bytes or differs in width from the column row. Input signals
+are not persisted: a run is reproduced from its seed. All values are
+immutable after construction and safe to share across concurrent runs.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -38,6 +45,7 @@ PIECEWISE_LINEAR = "plinear"
 _INTERPOLATIONS = (PIECEWISE_CONSTANT, PIECEWISE_LINEAR)
 
 _T_TOL = 1e-9
+_TRACE_FORMAT = "# cpsguard-trace v2"
 
 
 @dataclass(frozen=True)
@@ -174,77 +182,63 @@ def time_index(trace: Trace, t: float) -> int:
     return min(int(math.floor(t / trace.dt + 0.5)), len(trace) - 1)
 
 
-def trace_text(trace: Trace, config_hash: str | None = None,
-               extra_columns: dict[str, np.ndarray] | None = None) -> str:
-    """The columnar text format; extra_columns append named data of trace
-    length, integer columns written as integers and the rest as floats."""
+def trace_bytes(trace: Trace, config_hash: str | None = None,
+                extra_columns: dict[str, np.ndarray] | None = None) -> bytes:
+    """One trace file: the prelude, then every column as one .npy array;
+    extra_columns append named data of trace length."""
     extra = extra_columns or {}
     for name, col in extra.items():
         if len(col) != len(trace):
             raise ValueError(f"extra column {name!r} has length {len(col)}, trace has {len(trace)}")
-    lines = ["# cpsguard-trace v1", f"# dt={float(trace.dt)!r}"]
+    lines = [_TRACE_FORMAT, f"# dt={float(trace.dt)!r}"]
     if config_hash is not None:
         lines.append(f"# config={config_hash}")
     exo_names = [f"input_{j}" for j in range(trace.inputs.shape[1])]
-    header = ["time", *trace.channels, "action", *exo_names, *extra.keys()]
-    lines.append(" ".join(header))
-    # tolist() yields Python floats and ints, whose repr is the format
-    body = np.column_stack([trace.states, trace.actions, trace.inputs]).tolist()
-    extras = [np.asarray(col).tolist() for col in extra.values()]
-    for i, values in enumerate(body):
-        lines.append(" ".join(map(repr, [float(i * trace.dt), *values, *(col[i] for col in extras)])))
-    return "\n".join(lines) + "\n"
+    lines.append(" ".join(["time", *trace.channels, "action", *exo_names, *extra]))
+    times = np.arange(len(trace)) * float(trace.dt)
+    body = np.column_stack([times, trace.states, trace.actions, trace.inputs, *extra.values()])
+    out = io.BytesIO()
+    np.lib.format.write_array(out, body.astype("<f8", copy=False), allow_pickle=False)
+    return ("\n".join(lines) + "\n").encode() + out.getvalue()
 
 
 def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
-    """Read the columnar format back; returns (trace, extra columns). A
-    ValueError names the file (and the line) for a header without a
-    leading time column or without an action column, a `# dt=` that is
-    not a finite positive number, a row whose width differs from the
-    header's, or a value that is not a number."""
-    dt = None
-    header = None
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.split()
-            if not fields:
-                continue
-            if fields[0].startswith("#"):
-                body = line.strip()[1:].strip()
-                if body.startswith("dt="):
+    """(trace, extra columns) read from a trace file; each refusal the module docstring lists names the file."""
+    dt = names = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.decode(errors="replace").strip()
+            if lineno == 1 and line != _TRACE_FORMAT:
+                raise ValueError(f"{path}:1: not a {_TRACE_FORMAT[2:]} file: its first line is {line[:40]!r}")
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("dt="):
                     try:
-                        dt = float(body[3:])
+                        dt = float(comment[3:])
                     except ValueError:
                         dt = math.nan
                     if not 0.0 < dt < math.inf:
-                        raise ValueError(f"{path}:{lineno}: dt must be a finite positive number, got {body[3:]!r}")
-            elif header is None:
-                header = fields
-                if header[0] != "time" or "action" not in header:
+                        raise ValueError(f"{path}:{lineno}: dt must be a finite positive number, got {comment[3:]!r}")
+            elif line:
+                names = line.split()
+                if names[0] != "time" or "action" not in names:
                     raise ValueError(f"{path}:{lineno}: the column row needs 'time' first and an 'action' column")
-            elif len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: {len(fields)} values for {len(header)} columns")
-            else:
-                rows.append(fields)
-    if dt is None or header is None or not rows:
-        raise ValueError(f"{path}: not a trace file (missing dt header, column row, or data)")
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    names = header
+                break
+        if dt is None or names is None:
+            raise ValueError(f"{path}: not a trace file (missing dt header or column row)")
+        try:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:  # MemoryError: a header declaring a huge shape
+            raise ValueError(f"{path}: body: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the body's array")
+    if data.dtype != "<f8" or data.ndim != 2 or not len(data):
+        raise ValueError(f"{path}: the body is a {data.dtype.str} array of shape {data.shape}, "
+                         "expected a 2-D <f8 array with at least one row")
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: the body has {data.shape[1]} columns, the column row names {len(names)}")
     act_col = names.index("action")
-    channels = tuple(names[1:act_col])
     exo_cols = [j for j, n in enumerate(names) if n.startswith("input_")]
-    known = {0, act_col, *exo_cols, *range(1, act_col)}
-    extra_cols = [j for j in range(len(names)) if j not in known]
-    trace = Trace(
-        dt=dt,
-        channels=channels,
-        states=data[:, 1:act_col],
-        actions=data[:, act_col],
-        inputs=data[:, exo_cols] if exo_cols else np.zeros((data.shape[0], 0)),
-    )
-    extras = {names[j]: data[:, j] for j in extra_cols}
-    return trace, extras
+    trace = Trace(dt=dt, channels=tuple(names[1:act_col]), states=data[:, 1:act_col],
+                  actions=data[:, act_col], inputs=data[:, exo_cols])
+    return trace, {names[j]: data[:, j] for j in range(act_col + 1, len(names)) if j not in exo_cols}

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import json
 import re
 
@@ -56,12 +58,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def read_trace_file(path):
+    """A trace file's prelude lines (text) and its .npy body (bytes)."""
+    data = path.read_bytes()
+    cut = data.index(b"\x93NUMPY")
+    return data[:cut].decode().splitlines(), data[cut:]
+
+
+def write_trace_file(path, lines, body):
+    path.write_bytes(("\n".join(lines) + "\n").encode() + body)
+
+
 class TestCollect:
     def test_single_trace_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path)
         assert run(["--config", cfg, "collect", "--num", "1"]) == 0
         out = tmp_path / "out"
-        assert (out / "traces" / "trace_0000.txt").exists()
+        assert (out / "traces" / "trace_0000.trace").exists()
         manifest = json.loads((out / "collect_manifest.json").read_text())
         assert len(manifest["traces"]) == 1
         assert manifest["failures"] == []
@@ -78,9 +91,9 @@ class TestCollect:
     def test_trace_files_embed_config_hash(self, tmp_path):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect", "--num", "1"])
-        text = (tmp_path / "out" / "traces" / "trace_0000.txt").read_text()
+        lines, _ = read_trace_file(tmp_path / "out" / "traces" / "trace_0000.trace")
         manifest = json.loads((tmp_path / "out" / "collect_manifest.json").read_text())
-        assert f"# config={manifest['config_hash']}" in text
+        assert f"# config={manifest['config_hash']}" in lines
 
     def test_blowup_in_rk4_stage_is_contained(self, tmp_path):
         # a 0.5 s step drives one CSTR run to an overflow inside an RK4
@@ -98,7 +111,7 @@ class TestCollect:
         for entry in manifest["traces"]:
             assert (out / entry["file"]).exists()
         failed = manifest["failures"][0]["index"]
-        assert not (out / "traces" / f"trace_{failed:04d}.txt").exists()
+        assert not (out / "traces" / f"trace_{failed:04d}.trace").exists()
 
     def test_non_finite_number_in_spec_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, labeling_spec="G[0,5](F[0,1e999](level >= 0))")
@@ -142,7 +155,7 @@ class TestBlowupContained:
         assert doc["mean_safety_frac"] == pytest.approx(np.mean([r["safety_frac"] for r in done]))
         assert doc["mean_perf_frac"] == pytest.approx(np.mean([r["perf_frac"] for r in done]))
         assert sorted(p.name for p in (out / "monitored").iterdir()) == \
-            [f"monitored_{i:04d}.txt" for i in range(8) if i not in failed]
+            [f"monitored_{i:04d}.trace" for i in range(8) if i not in failed]
         assert "(2 failed)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("algo", ["random", "guided"])
@@ -217,12 +230,12 @@ class TestBuild:
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect", "--num", "2"])
         assert run(["--config", cfg, "build"]) == 0
-        path = tmp_path / "out" / "traces" / "trace_0001.txt"
-        lines = path.read_text().splitlines()
-        row = lines[6].split()  # row 2: the column row follows three comment lines
-        row[1] = "1000.0"
-        lines[6] = " ".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "out" / "traces" / "trace_0001.trace"
+        trace, extras = signals.load_trace(path)
+        states = trace.states.copy()
+        states[2, 0] = 1000.0
+        config_hash = json.loads((tmp_path / "out" / "collect_manifest.json").read_text())["config_hash"]
+        path.write_bytes(signals.trace_bytes(dataclasses.replace(trace, states=states), config_hash, extras))
         capsys.readouterr()
         assert run(["--config", cfg, "refine"]) == 2
         assert "error: trace 1: row 2 lies outside the grid of the model it refines" in capsys.readouterr().err
@@ -236,23 +249,36 @@ class TestBuild:
         assert abstraction.model_to_json(model, json.loads(path.read_text())["config_hash"]) == path.read_text()
 
     @pytest.mark.parametrize("defect, where", [
-        ("header wider than rows", ":5: 6 values for 7 columns"),
-        ("ragged row", ":10: 5 values for 6 columns"),
+        ("column row wider than the body", ": the body has 6 columns, the column row names 7"),
+        ("body narrower than the column row", ": the body has 5 columns, the column row names 6"),
         ("no action column", ":4: the column row needs 'time' first and an 'action' column"),
+        ("truncated body", ": body: Failed to read all data for array"),
+        ("bytes after the array", ": bytes after the body's array"),
+        ("v1 text trace", ":1: not a cpsguard-trace v2 file: its first line is '# cpsguard-trace v1'"),
     ])
     def test_malformed_trace_names_the_file(self, tmp_path, capsys, defect, where):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect", "--num", "2"])
-        path = tmp_path / "out" / "traces" / "trace_0001.txt"
-        lines = path.read_text().splitlines()
+        path = tmp_path / "out" / "traces" / "trace_0001.trace"
+        lines, body = read_trace_file(path)
         assert lines[3].startswith("time ")  # the column row follows three comment lines
-        if defect == "header wider than rows":
+        data = np.lib.format.read_array(io.BytesIO(body), allow_pickle=False)
+        if defect == "column row wider than the body":
             lines[3] += " extra"
-        elif defect == "ragged row":
-            lines[9] = lines[9].rsplit(" ", 1)[0]
-        else:
+        elif defect == "body narrower than the column row":
+            out = io.BytesIO()
+            np.lib.format.write_array(out, data[:, :-1], allow_pickle=False)
+            body = out.getvalue()
+        elif defect == "no action column":
             lines[3] = lines[3].replace("action", "act")
-        path.write_text("\n".join(lines) + "\n")
+        elif defect == "truncated body":
+            body = body[:-8]
+        elif defect == "bytes after the array":
+            body += b"\n"
+        else:
+            lines[0] = "# cpsguard-trace v1"
+            body = "".join(" ".join(map(repr, row)) + "\n" for row in data.tolist()).encode()
+        write_trace_file(path, lines, body)
         capsys.readouterr()
         assert run(["--config", cfg, "build"]) == 2
         assert f"error: {path}{where}" in capsys.readouterr().err
@@ -261,11 +287,11 @@ class TestBuild:
     def test_bad_dt_names_the_file(self, tmp_path, capsys, dt):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect", "--num", "2"])
-        path = tmp_path / "out" / "traces" / "trace_0001.txt"
-        lines = path.read_text().splitlines()
+        path = tmp_path / "out" / "traces" / "trace_0001.trace"
+        lines, body = read_trace_file(path)
         lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("# dt="))
         lines[lineno - 1] = f"# dt={dt}"
-        path.write_text("\n".join(lines) + "\n")
+        write_trace_file(path, lines, body)
         capsys.readouterr()
         assert run(["--config", cfg, "build"]) == 2
         assert (f"error: {path}:{lineno}: dt must be a finite positive number, got {dt!r}"

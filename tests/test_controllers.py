@@ -239,6 +239,11 @@ class TestPersistence:
         (3, "0.5 abc 0.1 0.2", r"weight row 1 of layer 1: could not convert string to float: 'abc'"),
         (4, "0.5 0.25", r"weight row 2 of layer 1 has 2 entries, dims \[4, 6, 5, 1\] need 4"),
         (9, "0 0 0 0 0 x1", r"bias of layer 1: could not convert string to float: 'x1'"),
+        (2, "range nan 1", r"output range \[nan, 1.0\] is not finite and non-empty"),
+        (2, "range -3 inf", r"output range \[-3.0, inf\] is not finite and non-empty"),
+        (2, "range 2 2", r"output range \[2.0, 2.0\] is not finite and non-empty"),
+        (2, "range 2 -3", r"output range \[2.0, -3.0\] is not finite and non-empty"),
+        (3, "0.5 nan 0.1 0.2", r"non-finite network parameter"),
     ])
     def test_bad_dims_or_bias_names_the_file(self, tmp_path, line, fix, message):
         save_mlp(init_mlp(4, (6, 5), (-3.0, 2.0), seed=11), tmp_path / "net.txt")

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cpsguard.signals import (
     make_input,
     sample,
     time_index,
-    trace_text,
+    trace_bytes,
 )
 
 
@@ -78,7 +80,22 @@ def trace_value(trace, channel, t):
 
 
 def save_trace(trace, path, config_hash=None, extra_columns=None):
-    path.write_text(trace_text(trace, config_hash, extra_columns))
+    path.write_bytes(trace_bytes(trace, config_hash, extra_columns))
+
+
+def npy_bytes(array, allow_pickle=False):
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
+
+
+def _unpickled():
+    raise AssertionError("the trace body was unpickled")
+
+
+class _Payload:
+    def __reduce__(self):
+        return _unpickled, ()
 
 
 def small_trace():
@@ -122,8 +139,8 @@ class TestTrace:
 
     def test_save_load_roundtrip(self, tmp_path):
         tr = small_trace()
-        save_trace(tr, tmp_path / "t.txt", config_hash="cafe")
-        back, extras = load_trace(tmp_path / "t.txt")
+        save_trace(tr, tmp_path / "t.trace", config_hash="cafe")
+        back, extras = load_trace(tmp_path / "t.trace")
         assert back.dt == tr.dt
         assert back.channels == tr.channels
         np.testing.assert_array_equal(back.states, tr.states)
@@ -135,10 +152,67 @@ class TestTrace:
         tr = small_trace()
         robs = np.linspace(-1, 1, len(tr))
         tags = np.array([0, 0, 1, 1, 0, 1])
-        save_trace(tr, tmp_path / "t.txt", extra_columns={"rob": robs, "controller": tags})
-        lines = (tmp_path / "t.txt").read_text().splitlines()
-        assert lines[2].split()[-2:] == ["rob", "controller"]
-        assert [line.split()[-1] for line in lines[3:]] == ["0", "0", "1", "1", "0", "1"]
-        _, extras = load_trace(tmp_path / "t.txt")
+        save_trace(tr, tmp_path / "t.trace", extra_columns={"rob": robs, "controller": tags})
+        data = (tmp_path / "t.trace").read_bytes()
+        prelude = data[: data.index(b"\x93NUMPY")].decode().splitlines()
+        assert prelude[2].split()[-2:] == ["rob", "controller"]
+        _, extras = load_trace(tmp_path / "t.trace")
         np.testing.assert_array_equal(extras["rob"], robs)
         np.testing.assert_array_equal(extras["controller"], tags)
+
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1e308, 0.1, 1 / 3, np.nextafter(1.0, 2.0)]
+        n = len(values)
+        tr = Trace(dt=0.1, channels=("a", "b"), states=np.column_stack([values, values[::-1]]),
+                   actions=np.array(values), inputs=np.array(values).reshape(n, 1))
+        save_trace(tr, tmp_path / "t.trace", extra_columns={"rob": -np.array(values)})
+        back, extras = load_trace(tmp_path / "t.trace")
+        for got, want in ((back.states, tr.states), (back.actions, tr.actions), (back.inputs, tr.inputs),
+                          (extras["rob"], -np.array(values))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_object_body_refused_without_unpickling(self, tmp_path):
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path)
+        data = path.read_bytes()
+        body = np.empty((6, 5), dtype=object)
+        body[:] = _Payload()
+        path.write_bytes(data[: data.index(b"\x93NUMPY")] + npy_bytes(body, allow_pickle=True))
+        with pytest.raises(ValueError, match="Object arrays cannot be loaded") as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("body", [
+        np.zeros((6, 5), dtype="<i8"), np.zeros((6, 5), dtype=">f8"), np.zeros((6, 5), dtype="<f4"),
+        np.zeros(30), np.zeros((6, 5, 1)), np.zeros((0, 5)),
+    ], ids=["int64", "big-endian", "float32", "1-D", "3-D", "no rows"])
+    def test_body_that_is_not_a_2d_f8_array_is_refused(self, tmp_path, body):
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\x93NUMPY")] + npy_bytes(body))
+        with pytest.raises(ValueError, match="expected a 2-D <f8 array with at least one row") as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("rows", [7, 10**13])
+    def test_header_declaring_more_rows_than_the_file_holds(self, tmp_path, rows):
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path)
+        old, new = b"'shape': (6, 5), }", f"'shape': ({rows}, 5), }}".encode()
+        data = path.read_bytes()
+        assert old + b" " * (len(new) - len(old)) in data  # the .npy header is padded with spaces
+        path.write_bytes(data.replace(old + b" " * (len(new) - len(old)), new))
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: body: ")
+
+    def test_v1_text_trace_refused_naming_the_format(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("# cpsguard-trace v1\n# dt=0.1\ntime a b action input_0\n0.0 0.0 1.0 0.0 0.0\n")
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value) == (f"{path}:1: not a cpsguard-trace v2 file: "
+                                  "its first line is '# cpsguard-trace v1'")
