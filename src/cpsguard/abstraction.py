@@ -17,6 +17,14 @@ outside the grid of the model it refines. At runtime the cell behaves
 like any never-observed cell: `abstract_state_of` returns None
 (UNKNOWN), and `preciseness` counts such rows as UNKNOWN.
 
+`build_abstraction`, `refine` and `preciseness` stack the rows of their
+traces once per call and map them in one batch (`_reduce_batch`, then
+`_state_codes`); a transition is a row and the next row of the same
+trace, and `refine` re-codes its reduced rows after adding hyperplanes.
+The one-row query `abstract_state_of` stays scalar: the monitor asks it
+about one state at a time, and one row through the batch path costs five
+to six times as much.
+
 Refinement re-examines each state: members are split by robustness sign
 and, when the population variance of member robustness exceeds the
 variance threshold and both sign classes are nonempty, a soft-margin
@@ -294,14 +302,19 @@ def _route(classifiers, cell: int, reduced: np.ndarray) -> StateId:
     return (cell, side)
 
 
+def _code(sid) -> int:
+    """The integer code (cell + 1) * 3 + side + 1 of a state id, or of
+    (cells, sides) arrays: codes sort as the ids, and `_sid` turns one back."""
+    cell, side = sid
+    return (cell + 1) * 3 + side + 1
+
+
 def _sid(code: int) -> StateId:
     return (code // 3 - 1, code % 3 - 1)
 
 
 def _state_codes(config, classifiers, R: np.ndarray) -> np.ndarray:
-    """The state of every row of reduced states, as one integer code
-    (cell + 1) * 3 + side + 1 per row: codes sort as the (cell, side)
-    ids, and `_sid` turns one back."""
+    """The `_code` of the state of every row of reduced states."""
     cells = _cells_batch(config, R)
     sides = np.zeros(len(cells), dtype=np.int64)
     for cell in set(cells.tolist()).intersection(classifiers):
@@ -316,7 +329,7 @@ def _state_codes(config, classifiers, R: np.ndarray) -> np.ndarray:
         for i in np.flatnonzero(near).tolist():
             side[i] = _route(classifiers, cell, R[rows[i]])[1]
         sides[rows] = side
-    return (cells + 1) * 3 + sides + 1
+    return _code((cells, sides))
 
 
 def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
@@ -343,33 +356,40 @@ def _abstract_actions(sigma) -> np.ndarray:
     return sigma.astype(np.int64)
 
 
-def _mapped(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers):
-    """Per trace: the trace, its reduced states, state codes and robustness.
-    A ValueError names the trace and row of a non-finite state."""
-    for n, (trace, robs) in enumerate(pairs):
-        robs = np.asarray(robs, dtype=float)
-        if len(robs) != len(trace):
-            raise ValueError(f"robustness has length {len(robs)}, trace has {len(trace)}")
-        bad = np.flatnonzero(~np.isfinite(trace.states).all(axis=1))
-        if bad.size:
-            raise ValueError(f"trace {n}: non-finite state in row {bad[0]}: {trace.states[bad[0]].tolist()}")
-        R = _reduce_batch(pca, trace.states)
-        yield trace, R, _state_codes(config, classifiers, R), robs
+def _stacked(pairs):
+    """The rows of the (trace, robustness) pairs stacked once: states, robustness, actions
+    and each trace's first row. A ValueError for no traces, a robustness of the wrong
+    length, or a non-finite state, naming its trace and row."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("no traces")
+    for trace, rob in pairs:
+        if len(rob) != len(trace):
+            raise ValueError(f"robustness has length {len(rob)}, trace has {len(trace)}")
+    starts = np.cumsum([0] + [len(trace) for trace, _ in pairs[:-1]])
+    states = np.vstack([trace.states for trace, _ in pairs])
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        n = np.searchsorted(starts, bad[0], "right") - 1
+        raise ValueError(f"trace {n}: non-finite state in row {bad[0] - starts[n]}: {states[bad[0]].tolist()}")
+    robs = np.concatenate([rob for _, rob in pairs], dtype=float)
+    return states, robs, np.concatenate([trace.actions for trace, _ in pairs]), starts
 
 
-def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) -> AbstractMdp:
-    """Map traces through the state functions and count the MDP out."""
-    codes, robs, src, act, dst = [], [], [], [], []
-    for trace, _, code, rob in _mapped(pairs, pca, config, classifiers):
-        act.append(_abstract_actions(trace.actions[: len(trace) - 1]))
-        codes.append(code)
-        robs.append(rob)
-        src.append(code[:-1])
-        dst.append(code[1:])
-    starts = sorted({int(code[0]) for code in codes})
-    codes, robs = np.concatenate(codes), np.concatenate(robs)
+def _groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable permutation that groups equal codes, and where each group starts in it."""
     order = np.argsort(codes, kind="stable")
-    heads = np.flatnonzero(_new_runs(codes[order]))
+    return order, np.flatnonzero(_new_runs(codes[order]))
+
+
+def _assemble(codes, robs, actions, starts, pca, config, classifiers) -> AbstractMdp:
+    """Count the MDP out of the stacked rows' state codes; a transition is
+    row i -> i + 1 inside one trace."""
+    inner = np.ones(len(codes) - 1, dtype=bool)
+    inner[starts[1:] - 1] = False
+    src, act, dst = codes[:-1][inner], _abstract_actions(actions[:-1][inner]), codes[1:][inner]
+    initials = sorted(set(codes[starts].tolist()))
+    order, heads = _groups(codes)
     first = order[heads]  # each state's first row
     support = np.diff(heads, append=len(codes))
     min_rob = np.fmin.reduceat(robs[order], heads)
@@ -380,7 +400,6 @@ def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) 
         for code, rob, n in zip(state_codes, min_rob.tolist(), support.tolist())
     }
     # count (src, act, dst) triples in sorted runs; probability = count / (src, act) total
-    src, act, dst = np.concatenate(src), np.concatenate(act), np.concatenate(dst)
     order = np.lexsort((dst, act, src))
     src, act, dst = src[order], act[order], dst[order]
     new_key = _new_runs(src, act)
@@ -388,16 +407,16 @@ def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) 
     counts = np.diff(heads, append=len(src))
     key_id = np.cumsum(new_key) - 1
     cols = [col.tolist() for col in (src[heads], act[heads], dst[heads], counts / np.bincount(key_id)[key_id[heads]])]
-    if len(starts) == 1:
-        initial = _sid(starts[0])
+    if len(initials) == 1:
+        initial = _sid(initials[0])
     else:
         # Traces start in different cells: synthetic initial state with
         # uniform transitions to every observed start.
         initial = INIT_STATE
         states[INIT_STATE] = StateInfo(label=+1, support=0)
-        n, init = len(starts), -2  # the code of INIT_STATE, which sorts first
+        n, init = len(initials), _code(INIT_STATE)  # sorts first
         state_codes = [init] + state_codes
-        cols = [head + col for head, col in zip(([init] * n, [0] * n, starts, [1.0 / n] * n), cols)]
+        cols = [head + col for head, col in zip(([init] * n, [0] * n, initials, [1.0 / n] * n), cols)]
     if len(states) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
     table = _table([_sid(code) for code in state_codes], {code: r for r, code in enumerate(state_codes)}, cols)
@@ -407,14 +426,11 @@ def _assemble(pairs, pca: PcaTransform, config: AbstractionConfig, classifiers) 
 
 def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
     """Build the labeled MDP from (trace, per-step robustness) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no traces")
-    all_states = np.vstack([trace.states for trace, _ in pairs])
-    pca = fit_pca(all_states, config.k)
-    R = _reduce_batch(pca, all_states)
+    states, robs, actions, starts = _stacked(pairs)
+    pca = fit_pca(states, config.k)
+    R = _reduce_batch(pca, states)
     config = replace(config, bounds=_grid_bounds(R))
-    return _assemble(pairs, pca, config, {})
+    return _assemble(_state_codes(config, {}, R), robs, actions, starts, pca, config, {})
 
 
 def abstract_state_of(model: AbstractMdp, q: np.ndarray) -> StateId | None:
@@ -473,19 +489,16 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     ValueError names the trace and row of a state outside the model's
     grid, which no state of the model could hold.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no traces")
+    states, robs_all, actions, starts = _stacked(pairs)
     config = model.config if config is None else replace(config, bounds=model.config.bounds)
-    _, R, codes, robs_all = zip(*_mapped(pairs, model.pca, config, model.classifiers))
-    for n, code in enumerate(codes):
-        outside = np.flatnonzero(code // 3 - 1 == OUT_OF_BOUNDS)
-        if outside.size:
-            raise ValueError(f"trace {n}: row {outside[0]} lies outside the grid of the model it refines")
-    R, codes, robs_all = np.concatenate(R), np.concatenate(codes), np.concatenate(robs_all)
+    R = _reduce_batch(model.pca, states)
+    codes = _state_codes(config, model.classifiers, R)
+    outside = np.flatnonzero(codes // 3 - 1 == OUT_OF_BOUNDS)
+    if outside.size:
+        n = np.searchsorted(starts, outside[0], "right") - 1
+        raise ValueError(f"trace {n}: row {outside[0] - starts[n]} lies outside the grid of the model it refines")
     # members of each state in trace order: the SVM's permutation applies to it
-    order = np.argsort(codes, kind="stable")
-    heads = np.flatnonzero(_new_runs(codes[order]))
+    order, heads = _groups(codes)
     classifiers = dict(model.classifiers)
     for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
         cell, side = _sid(code)
@@ -496,7 +509,7 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
         if variance > config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
             y = np.where(robs >= 0.0, 1.0, -1.0)
             classifiers[cell] = _train_linear_svm(R[members], y, lam=0.01, epochs=200, seed=cell & 0x7FFFFFFF)
-    return _assemble(pairs, model.pca, config, classifiers)
+    return _assemble(_state_codes(config, classifiers, R), robs_all, actions, starts, model.pca, config, classifiers)
 
 
 @dataclass(frozen=True)
@@ -512,25 +525,18 @@ def preciseness(model: AbstractMdp, pairs) -> PrecisenessReport:
     """Fraction of fresh concrete states whose abstract label agrees
     with the label their own robustness would get; UNKNOWN hits are
     excluded from the match rate and reported separately."""
-    eps = model.config.label_threshold
-    n_match = n_known = n_unknown = 0
-    for _, _, codes, robs in _mapped(pairs, model.pca, model.config, model.classifiers):
-        for sid, rob in zip(map(_sid, codes.tolist()), robs):
-            if sid not in model.states:
-                n_unknown += 1
-                continue
-            n_known += 1
-            expected = -1 if rob < eps else +1
-            if model.states[sid].label == expected:
-                n_match += 1
-    total = n_known + n_unknown
-    return PrecisenessReport(
-        matched_fraction=n_match / n_known if n_known else 0.0,
-        unknown_fraction=n_unknown / total if total else 0.0,
-        n_matched=n_match,
-        n_known=n_known,
-        n_unknown=n_unknown,
-    )
+    pairs = list(pairs)
+    if not pairs:
+        return PrecisenessReport(0.0, 0.0, 0, 0, 0)
+    states, robs, _, _ = _stacked(pairs)
+    codes = _state_codes(model.config, model.classifiers, _reduce_batch(model.pca, states))
+    model_codes = np.array([_code(sid) for sid in model.table.order])  # ascending, as the ids
+    at = np.minimum(np.searchsorted(model_codes, codes), len(model_codes) - 1)
+    known = model_codes[at] == codes
+    expected = np.where(robs[known] < model.config.label_threshold, -1, 1)
+    n_match, n_known = int(np.sum(model.label[at[known]] == expected)), int(known.sum())
+    n_unknown = len(codes) - n_known
+    return PrecisenessReport(n_match / n_known if n_known else 0.0, n_unknown / len(codes), n_match, n_known, n_unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +604,11 @@ def load_model(path) -> AbstractMdp:
     """Read a model file; a ValueError names the file if it is inconsistent."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "cpsguard-mdp-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "cpsguard-mdp-v1":
         raise ValueError(f"{path}: not a model file")
+    for section in ("abstraction", "pca", "initial", "states", "classifiers", "transitions"):
+        if section not in doc:
+            raise ValueError(f"{path}: no {section!r} section")
     a = doc["abstraction"]
     config = AbstractionConfig(
         k=a["k"], c=a["c"], label_threshold=a["label_threshold"],
@@ -629,8 +638,10 @@ def load_model(path) -> AbstractMdp:
         table = _table(order, {text: rank[sid] for text, sid in ids.items()}, list(zip(*doc["transitions"])))
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return AbstractMdp(pca=pca, config=config, states=states, initial=parse_state_id(doc["initial"]),
-                       classifiers=classifiers, table=table)
+    initial = parse_state_id(doc["initial"])
+    if initial not in states:
+        raise ValueError(f"{path}: initial state {doc['initial']} is not a listed state")
+    return AbstractMdp(pca=pca, config=config, states=states, initial=initial, classifiers=classifiers, table=table)
 
 
 def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:

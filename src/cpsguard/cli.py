@@ -71,22 +71,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _check_keys(given: dict, known: dict, prefix: str = "") -> None:
-    """UsageError naming the dotted path of a key `known` lacks; `make_plant` checks plant.params."""
-    for key, value in given.items():
-        if key not in known:
-            raise UsageError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(known[key], dict) and prefix + key != "plant.params":
-            _check_keys(value, known[key], f"{prefix}{key}.")
+# The type of each key whose default is null, by dotted path; such a key also takes null.
+_NULL_DEFAULT_TYPES = {
+    "input.duration": float, "input.ranges": list, "falsify.spec": str,
+    **{f"{section}.{key}": kind for section in ("controller", "safety_controller")
+       for key, kind in (("path", str), ("kp", float), ("ki", float), ("kd", float))},
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+               dict: "an object", list: "a list"}
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """`override` laid over `base`. A UsageError names the dotted path of a key
+    `base` lacks or of a value of another JSON type than the one `base` holds:
+    an integer takes an integer, a float any finite number, and a bool is not
+    a number; a key in `_NULL_DEFAULT_TYPES` takes null or its type there.
+    plant.params takes an object, whose contents `make_plant` checks."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        path = prefix + key
+        if key not in base:
+            raise UsageError(f"unknown config key {path!r}")
+        kind = _NULL_DEFAULT_TYPES.get(path, type(base[key]))
+        if kind is float:
+            fits = type(value) in (int, float) and abs(value) <= sys.float_info.max
         else:
-            out[key] = value
+            fits = type(value) is kind
+        if not (fits or value is None and path in _NULL_DEFAULT_TYPES):
+            raise UsageError(f"config key {path!r} takes {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
+        out[key] = _merge(base[key], value, path + ".") if kind is dict and path != "plant.params" else value
     return out
 
 
@@ -106,7 +119,7 @@ class RunConfig:
 
     def plant(self) -> plants.PlantModel:
         section = self.raw["plant"]
-        return plants.make_plant(section["name"], section.get("params") or {})
+        return plants.make_plant(section["name"], section["params"])
 
     def simcfg(self) -> plants.SimConfig:
         s = self.raw["sim"]
@@ -202,7 +215,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise UsageError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config file {path}: expected a JSON object")
-        _check_keys(doc, DEFAULT_CONFIG)
         raw = _merge(raw, doc)
         base_dir = file.parent
     if overrides:

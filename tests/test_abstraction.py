@@ -22,6 +22,7 @@ from cpsguard.abstraction import (
     INIT_STATE,
     OUT_OF_BOUNDS,
     AbstractionConfig,
+    PrecisenessReport,
     _reduce_batch,
     _state_ids,
     _train_linear_svm,
@@ -338,6 +339,8 @@ class TestRefine:
         states[3] = row
         bad = pairs + [(trace_nd(states), rng.normal(size=5))]
         with pytest.raises(ValueError, match=r"trace 1: non-finite state in row 3"):
+            build_abstraction(bad, AbstractionConfig(k=2, c=3))
+        with pytest.raises(ValueError, match=r"trace 1: non-finite state in row 3"):
             refine(model, bad)
         with pytest.raises(ValueError, match=r"trace 1: non-finite state in row 3"):
             preciseness(model, bad)
@@ -520,6 +523,7 @@ class TestPreciseness:
         assert report.n_unknown == 1
         assert report.n_known == 1
         assert report.unknown_fraction == 0.5
+        assert preciseness(model, []) == PrecisenessReport(0.0, 0.0, 0, 0, 0)  # no traces
 
 
 class TestSerialization:

@@ -380,12 +380,15 @@ MODEL_DEFECTS = {
     "unknown_src": lambda doc: doc["transitions"][0].__setitem__(0, "c999999"),
     "unknown_dst": lambda doc: doc["transitions"][0].__setitem__(2, "c999999"),
     "label": lambda doc: doc["states"][0].__setitem__("label", 0),
-    "bounds": lambda doc: doc["abstraction"]["bounds"].pop(),
-    "pca_shape": lambda doc: doc["pca"]["components"].pop(),
+    "bounds": lambda doc: doc["abstraction"]["bounds"].__delitem__(-1),
+    "pca_shape": lambda doc: doc["pca"]["components"].__delitem__(-1),
     "classifier_width": lambda doc: doc.__setitem__("classifiers", [{"cell": 0, "w": [1.0], "b": 0.0}]),
     "nan_prob": lambda doc: doc["transitions"][0].__setitem__(3, float("nan")),
     "duplicate_row": lambda doc: doc["transitions"].insert(1, list(doc["transitions"][0])),
-}
+    "not_an_object": lambda doc: [],
+    "missing_section": lambda doc: doc.__delitem__("abstraction"),
+    "unlisted_initial": lambda doc: doc.__setitem__("initial", "c99999"),
+}  # each edits the model in place and returns None, or returns what replaces it
 
 
 class TestModelValidation:
@@ -395,8 +398,8 @@ class TestModelValidation:
         path = tmp_path / "out" / "model.json"
         assert run(["--config", cfg, "check"]) == 0
         doc = json.loads(path.read_text())
-        MODEL_DEFECTS[defect](doc)
-        path.write_text(json.dumps(doc))
+        replaced = MODEL_DEFECTS[defect](doc)
+        path.write_text(json.dumps(doc if replaced is None else replaced))
         capsys.readouterr()
         assert run(["--config", cfg, "check"]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
@@ -511,6 +514,26 @@ class TestReport:
         assert run(["--config", cfg, "report"]) == 2
 
 
+# (overrides, the dotted path the error names, what a value there takes; None for an unknown key)
+CONFIG_DEFECTS = [
+    ({"monitor": {"perod": 1.0}}, "monitor.perod", None),
+    ({"sede": 3}, "sede", None),
+    ({"controller": {"kind": "pid", "kP": 1.0}}, "controller.kP", None),
+    # a value of the wrong JSON type
+    ({"monitor": {"period": "1"}}, "monitor.period", "a finite number"),
+    ({"sim": {"dt": None}}, "sim.dt", "a finite number"),
+    ({"input": {"duration": "5"}}, "input.duration", "a finite number"),
+    ({"controller": {"kind": "pid", "kp": [1]}}, "controller.kp", "a finite number"),
+    ({"falsify": {"trials": 2.5}}, "falsify.trials", "an integer"),
+    ({"sim": {"horizon": float("inf")}}, "sim.horizon", "a finite number"),
+    ({"seed": 3.7}, "seed", "an integer"),
+    ({"abstraction": {"k": True}}, "abstraction.k", "an integer"),
+    ({"monitor": {"switch_back": 1}}, "monitor.switch_back", "true or false"),
+    ({"monitor": 5}, "monitor", "an object"),
+    ({"plant": {"name": "acc", "params": None}}, "plant.params", "an object"),
+]
+
+
 class TestUsage:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/cfg.json", "collect"]) == 1
@@ -519,16 +542,29 @@ class TestUsage:
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "collect", "--num", "notanumber"]) == 1
 
-    @pytest.mark.parametrize("overrides,path", [
-        ({"monitor": {"perod": 1.0}}, "monitor.perod"),
-        ({"sede": 3}, "sede"),
-        ({"controller": {"kind": "pid", "kP": 1.0}}, "controller.kP"),
-    ])
-    def test_unknown_config_key_exits_1_naming_it(self, tmp_path, capsys, overrides, path):
+    @pytest.mark.parametrize("overrides,path,takes", CONFIG_DEFECTS,
+                             ids=[f"overrides{i}-{path}" for i, (_, path, _) in enumerate(CONFIG_DEFECTS)])
+    def test_unknown_config_key_exits_1_naming_it(self, tmp_path, capsys, overrides, path, takes):
         cfg = write_config(tmp_path, **overrides)
         assert run(["--config", cfg, "collect", "--num", "1"]) == 1
-        assert f"unknown config key {path!r}" in capsys.readouterr().err
+        message = f"unknown config key {path!r}" if takes is None else f"config key {path!r} takes {takes}"
+        assert f"usage error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_every_null_default_has_a_type(self):
+        def null_paths(section, prefix=""):
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from null_paths(value, prefix + key + ".")
+                elif value is None:
+                    yield prefix + key
+        assert sorted(null_paths(cli.DEFAULT_CONFIG)) == sorted(cli._NULL_DEFAULT_TYPES)
+
+    def test_values_of_the_right_type_are_taken(self, tmp_path):
+        cfg = write_config(tmp_path, sim={"horizon": 4}, controller={"kind": "pid", "kp": 2, "path": None},
+                           input={"duration": 3, "ranges": [[0.0, 1.0]]}, falsify={"spec": "G[0,1](level >= 0)"})
+        cfg = cli.load_config(str(cfg))
+        assert (cfg.simcfg().horizon, cfg.controller().kp, cfg.input_spec().duration) == (4, 2.0, 3)
 
     def test_plant_params_are_left_to_the_plant(self, tmp_path, capsys):
         cfg = write_config(tmp_path, plant={"name": "watertank", "params": {"inflow_max": 2.5}})
