@@ -600,15 +600,42 @@ def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+_SECTIONS = {"abstraction": dict, "pca": dict, "initial": str, "states": list, "classifiers": list,
+             "transitions": list}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_KEYS = {"abstraction": ("k", "c", "label_threshold", "variance_threshold", "bounds"), "pca": ("mean", "components")}
+
+
 def load_model(path) -> AbstractMdp:
-    """Read a model file; a ValueError names the file if it is inconsistent."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a model file; a ValueError names the file if it is not a consistent model."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+    try:
+        return _model_of(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _model_of(doc) -> AbstractMdp:
+    """The model a parsed model file holds; an error says what is wrong but not where."""
     if not isinstance(doc, dict) or doc.get("format") != "cpsguard-mdp-v1":
-        raise ValueError(f"{path}: not a model file")
-    for section in ("abstraction", "pca", "initial", "states", "classifiers", "transitions"):
+        raise ValueError("not a model file")
+    for section, kind in _SECTIONS.items():
         if section not in doc:
-            raise ValueError(f"{path}: no {section!r} section")
+            raise ValueError(f"no {section!r} section")
+        if not isinstance(doc[section], kind):
+            raise ValueError(f"the {section!r} section is not {_JSON_KINDS[kind]}")
+        for key in _KEYS.get(section, ()):
+            if key not in doc[section]:
+                raise ValueError(f"no key {section}.{key}")
+    bad = next((i for i, r in enumerate(doc["transitions"]) if not (isinstance(r, list) and len(r) == 4)), None)
+    if bad is not None:
+        raise ValueError(f"transition row {bad} is {json.dumps(doc['transitions'][bad])}, not [src, act, dst, p]")
     a = doc["abstraction"]
     config = AbstractionConfig(
         k=a["k"], c=a["c"], label_threshold=a["label_threshold"],
@@ -616,31 +643,27 @@ def load_model(path) -> AbstractMdp:
         bounds=tuple(tuple(b) for b in a["bounds"]),
     )
     if len(config.bounds) != config.k:
-        raise ValueError(f"{path}: {len(config.bounds)} grid bounds for k={config.k}")
+        raise ValueError(f"{len(config.bounds)} grid bounds for k={config.k}")
     mean, components = np.array(doc["pca"]["mean"]), np.array(doc["pca"]["components"])
     if components.shape != (config.k, len(mean)):
-        raise ValueError(f"{path}: PCA components have shape {components.shape}, "
-                         f"expected {(config.k, len(mean))}")
+        raise ValueError(f"PCA components have shape {components.shape}, expected {(config.k, len(mean))}")
     pca = PcaTransform(mean=mean, components=components)
     ids = {s["id"]: parse_state_id(s["id"]) for s in doc["states"]}  # each id parsed once
     states = {}
     for s in doc["states"]:
         if s["label"] not in (-1, 1):
-            raise ValueError(f"{path}: state {s['id']} has label {s['label']!r}, expected -1 or 1")
+            raise ValueError(f"state {s['id']} has label {s['label']!r}, expected -1 or 1")
         states[ids[s["id"]]] = StateInfo(label=s["label"], support=s["support"])
     classifiers = {c["cell"]: (np.array(c["w"]), float(c["b"])) for c in doc["classifiers"]}
     for cell, (w, _) in classifiers.items():
         if w.shape != (config.k,):
-            raise ValueError(f"{path}: classifier of cell {cell} has shape {w.shape}, expected ({config.k},)")
+            raise ValueError(f"classifier of cell {cell} has shape {w.shape}, expected ({config.k},)")
     order = sorted(states)
     rank = {sid: r for r, sid in enumerate(order)}
-    try:
-        table = _table(order, {text: rank[sid] for text, sid in ids.items()}, list(zip(*doc["transitions"])))
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    table = _table(order, {text: rank[sid] for text, sid in ids.items()}, list(zip(*doc["transitions"])))
     initial = parse_state_id(doc["initial"])
     if initial not in states:
-        raise ValueError(f"{path}: initial state {doc['initial']} is not a listed state")
+        raise ValueError(f"initial state {doc['initial']} is not a listed state")
     return AbstractMdp(pca=pca, config=config, states=states, initial=initial, classifiers=classifiers, table=table)
 
 

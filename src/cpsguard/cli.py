@@ -81,24 +81,35 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", boo
                dict: "an object", list: "a list"}
 
 
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     """`override` laid over `base`. A UsageError names the dotted path of a key
     `base` lacks or of a value of another JSON type than the one `base` holds:
     an integer takes an integer, a float any finite number, and a bool is not
     a number; a key in `_NULL_DEFAULT_TYPES` takes null or its type there.
-    plant.params takes an object, whose contents `make_plant` checks."""
+    plant.params takes an object of finite numbers, whose names `make_plant`
+    checks, and input.ranges a list of [lo, hi] pairs of finite numbers."""
     out = dict(base)
     for key, value in override.items():
         path = prefix + key
         if key not in base:
             raise UsageError(f"unknown config key {path!r}")
         kind = _NULL_DEFAULT_TYPES.get(path, type(base[key]))
-        if kind is float:
-            fits = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        else:
-            fits = type(value) is kind
+        fits = _finite(value) if kind is float else type(value) is kind
         if not (fits or value is None and path in _NULL_DEFAULT_TYPES):
             raise UsageError(f"config key {path!r} takes {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
+        if path == "plant.params":
+            for name, param in value.items():
+                if not _finite(param):
+                    raise UsageError(f"config key '{path}.{name}' takes a finite number, not {json.dumps(param)}")
+        if path == "input.ranges":
+            for i, pair in enumerate(value or ()):
+                if not (type(pair) is list and len(pair) == 2 and all(map(_finite, pair))):
+                    raise UsageError(f"config key '{path}[{i}]' takes a [lo, hi] pair of finite numbers, "
+                                     f"not {json.dumps(pair)}")
         out[key] = _merge(base[key], value, path + ".") if kind is dict and path != "plant.params" else value
     return out
 

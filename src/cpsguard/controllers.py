@@ -48,15 +48,28 @@ class MlpNet:
         return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
 
+def mlp_policy(net: MlpNet):
+    """The net's deterministic forward pass with its layers bound once:
+    obs -> action, clamped to the control range."""
+    hidden = tuple(zip(net.weights[:-1], net.biases[:-1]))
+    w_out, b_out, lo, hi = net.weights[-1], float(net.biases[-1][0]), net.out_lo, net.out_hi
+    shape = (net.weights[0].shape[1],)
+    dot, tanh, asarray = np.dot, np.tanh, np.asarray
+
+    def act(obs) -> float:
+        h = asarray(obs, dtype=float)
+        if h.shape != shape:
+            raise ValueError(f"observation has shape {h.shape}, net expects {shape}")
+        for w, b in hidden:
+            h = tanh(dot(w, h) + b)
+        out = float(dot(w_out, h)[0]) + b_out
+        return lo if out < lo else hi if out > hi else out
+    return act
+
+
 def mlp_forward(net: MlpNet, obs: np.ndarray) -> float:
     """Deterministic forward pass, output clamped to the control range."""
-    h = np.asarray(obs, dtype=float)
-    if h.shape != (net.weights[0].shape[1],):
-        raise ValueError(f"observation has shape {h.shape}, net expects ({net.weights[0].shape[1]},)")
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = np.tanh(w @ h + b)
-    out = float((net.weights[-1] @ h + net.biases[-1])[0])
-    return min(max(out, net.out_lo), net.out_hi)
+    return mlp_policy(net)(obs)
 
 
 def _forward_batch(weights, biases, X):

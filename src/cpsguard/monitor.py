@@ -113,10 +113,10 @@ def run_monitored(plant: PlantModel, ai, safe, model: AbstractMdp, config: Monit
     tags: list[int] = []
     queries: list[QueryRecord] = []
 
-    def supervise(i: int, t: float, row: np.ndarray):
+    def supervise(i: int, t: float, row: tuple):
         nonlocal active, active_tag
         if i % period_steps == 0 and i < n_steps:
-            record = monitor_step(model, config, row, t)
+            record = monitor_step(model, config, np.array(row), t)
             queries.append(record)
             if record.verdict == UNSAFE:
                 if active_tag == AI_TAG:

@@ -39,12 +39,16 @@ watertank: dh/dt = (u - outflow_coeff*sqrt(max(h, 0)))/area, u the
     Observation [level, level_ref]; PID error level_ref - level.
 
 Each plant is one entry of the `_PLANTS` table: names, defaults
-(overridable via `make_plant(name, params)`) and float kernels that
-step a tuple of Python floats with the same float operations, in the
-same order, as numpy on arrays; `simulate` steps through them, and
-`observe` gives a controller's observation as an array. Simulations are
-pure functions of (plant, controller parameters, input, cfg), so
-identical inputs give bit-identical traces.
+(overridable via `make_plant(name, params)`) and float kernels over
+tuples of Python floats, with the same float operations, in the same
+order, as numpy on arrays. Its kernel factory `step(p, dt)` reads the
+params once per run and returns the step (s, u, e) -> next state: the
+control and exogenous input clamped once, classical RK4, then the
+projection. `simulate` binds it, and the controller's action function
+(`controllers.mlp_policy` for a net), once per run; `observe` gives a
+controller's observation as an array. Simulations are pure functions
+of (plant, controller parameters, input, cfg), so identical inputs give
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from math import exp, isfinite, sqrt
 
 import numpy as np
 
-from .controllers import MlpNet, PidController, mlp_forward, pid_act
+from .controllers import MlpNet, PidController, mlp_policy, pid_act
 from .signals import InputSignal, InputSpec, Trace, sample
 
 
@@ -72,61 +76,36 @@ class _PlantDef:
     exogenous: tuple[str, str]  # params bounding the exogenous channel
     sim: tuple[float, float, float]  # default dt, horizon, control_period
     pid: tuple[float, float, float, float]  # default kp, ki, kd, integral_limit
-    derivative: Callable  # (p, s, u, e) -> ds/dt; raises FloatingPointError on non-finite s
-    rk4: Callable  # (derivative, p, s, u, e, dt) -> next s
-    project: Callable  # s -> s clipped to the physical domain
+    step: Callable  # (p, dt) -> (s, u, e) -> next s, projected
     row: Callable  # (p, s, e, t) -> recorded channel values
     observe: Callable  # (p, s, e, t) -> controller observation
     error: Callable  # (p, observation) -> PID error
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
-
-
-def _rk4_1(f, p, s, u, e, dt):
-    """Classical RK4, s + dt/6*(k1 + 2*k2 + 2*k3 + k4), for 1 state (_rk4_2, _rk4_4: 2 and 4)."""
+def _acc_step(p, dt):
+    """RK4, s + dt/6*(k1 + 2*k2 + 2*k3 + k4), over the derivative f; the inputs are clamped
+    before it, as the clamp does not depend on the stage state. A non-finite stage state
+    raises FloatingPointError (in every plant)."""
+    e_lo, e_hi, u_lo, u_hi = p["lead_accel_min"], p["lead_accel_max"], p["accel_min"], p["accel_max"]
     h, w = 0.5 * dt, dt / 6.0
-    (x,) = s
-    (a,) = f(p, s, u, e)
-    (b,) = f(p, (x + h * a,), u, e)
-    (c,) = f(p, (x + h * b,), u, e)
-    (d,) = f(p, (x + dt * c,), u, e)
-    return (x + w * (a + 2.0 * b + 2.0 * c + d),)
 
+    def f(s, a_l, a_e):
+        x_l, v_l, x_e, v_e = s
+        if not (isfinite(x_l) and isfinite(v_l) and isfinite(x_e) and isfinite(v_e)):
+            raise FloatingPointError(f"acc: non-finite state {s}")
+        return v_l, 0.0 if v_l <= 0.0 and a_l < 0.0 else a_l, v_e, 0.0 if v_e <= 0.0 and a_e < 0.0 else a_e
 
-def _rk4_2(f, p, s, u, e, dt):
-    h, w = 0.5 * dt, dt / 6.0
-    x0, x1 = s
-    a0, a1 = f(p, s, u, e)
-    b0, b1 = f(p, (x0 + h * a0, x1 + h * a1), u, e)
-    c0, c1 = f(p, (x0 + h * b0, x1 + h * b1), u, e)
-    d0, d1 = f(p, (x0 + dt * c0, x1 + dt * c1), u, e)
-    return (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
-
-
-def _rk4_4(f, p, s, u, e, dt):
-    h, w = 0.5 * dt, dt / 6.0
-    x0, x1, x2, x3 = s
-    a0, a1, a2, a3 = f(p, s, u, e)
-    b0, b1, b2, b3 = f(p, (x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3), u, e)
-    c0, c1, c2, c3 = f(p, (x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3), u, e)
-    d0, d1, d2, d3 = f(p, (x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3), u, e)
-    return (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-
-
-def _acc_derivative(p, s, u, e):
-    x_l, v_l, x_e, v_e = s
-    if not (isfinite(x_l) and isfinite(v_l) and isfinite(x_e) and isfinite(v_e)):
-        raise FloatingPointError(f"acc: non-finite state {s}")
-    a_l = _clamp(e[0], p["lead_accel_min"], p["lead_accel_max"])
-    a_e = _clamp(u, p["accel_min"], p["accel_max"])
-    if v_l <= 0.0 and a_l < 0.0:
-        a_l = 0.0
-    if v_e <= 0.0 and a_e < 0.0:
-        a_e = 0.0
-    return v_l, a_l, v_e, a_e
+    def step(s, u, e):
+        a_l, a_e = e[0], u_lo if u < u_lo else u_hi if u > u_hi else u
+        a_l = e_lo if a_l < e_lo else e_hi if a_l > e_hi else a_l
+        x0, x1, x2, x3 = s
+        a0, a1, a2, a3 = f(s, a_l, a_e)
+        b0, b1, b2, b3 = f((x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3), a_l, a_e)
+        c0, c1, c2, c3 = f((x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3), a_l, a_e)
+        d0, d1, d2, d3 = f((x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3), a_l, a_e)
+        return (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), max(x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1), 0.0),
+                x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), max(x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3), 0.0))
+    return step
 
 
 def _acc_error(p, obs):
@@ -148,15 +127,27 @@ def _conc_ref(p, t):
     return p["ref_start"] + frac * (p["ref_end"] - p["ref_start"])
 
 
-def _cstr_derivative(p, s, u, e):
-    conc, temp = s
-    if not (isfinite(conc) and isfinite(temp)):
-        raise FloatingPointError(f"cstr: non-finite state {s}")
-    u = _clamp(u, p["u_min"], p["u_max"])
-    rate = p["k0"] * exp(-p["e_act"] / temp) * conc
-    dc = (e[0] - conc) / p["theta"] - rate
-    dT = (p["t_feed"] - temp) / p["theta"] + p["k1"] * rate + p["k2"] * (u - temp)
-    return dc, dT
+def _cstr_step(p, dt):
+    k0, e_act, k1, k2, theta, t_feed = p["k0"], p["e_act"], p["k1"], p["k2"], p["theta"], p["t_feed"]
+    u_lo, u_hi = p["u_min"], p["u_max"]
+    h, w = 0.5 * dt, dt / 6.0
+
+    def f(s, c_feed, u):
+        conc, temp = s
+        if not (isfinite(conc) and isfinite(temp)):
+            raise FloatingPointError(f"cstr: non-finite state {s}")
+        rate = k0 * exp(-e_act / temp) * conc
+        return (c_feed - conc) / theta - rate, (t_feed - temp) / theta + k1 * rate + k2 * (u - temp)
+
+    def step(s, u, e):
+        c_feed, u = e[0], u_lo if u < u_lo else u_hi if u > u_hi else u
+        x0, x1 = s
+        a0, a1 = f(s, c_feed, u)
+        b0, b1 = f((x0 + h * a0, x1 + h * a1), c_feed, u)
+        c0, c1 = f((x0 + h * b0, x1 + h * b1), c_feed, u)
+        d0, d1 = f((x0 + dt * c0, x1 + dt * c1), c_feed, u)
+        return max(x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), 0.0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+    return step
 
 
 def _cstr_row(p, s, e, t):
@@ -164,11 +155,25 @@ def _cstr_row(p, s, e, t):
     return s[0], s[1], ref, s[0] - ref
 
 
-def _tank_derivative(p, s, u, e):
-    if not isfinite(s[0]):
-        raise FloatingPointError(f"watertank: non-finite state {s}")
-    u = _clamp(u, p["inflow_min"], p["inflow_max"])
-    return ((u - p["outflow_coeff"] * sqrt(max(s[0], 0.0))) / p["area"],)
+def _tank_step(p, dt):
+    coeff, area, u_lo, u_hi = p["outflow_coeff"], p["area"], p["inflow_min"], p["inflow_max"]
+    h, w = 0.5 * dt, dt / 6.0
+
+    def f(x, u):
+        if not isfinite(x):
+            raise FloatingPointError(f"watertank: non-finite state {(x,)}")
+        return (u - coeff * sqrt(max(x, 0.0))) / area
+
+    def step(s, u, e):
+        u = u_lo if u < u_lo else u_hi if u > u_hi else u
+        (x,) = s
+        a = f(x, u)
+        b = f(x + h * a, u)
+        c = f(x + h * b, u)
+        d = f(x + dt * c, u)
+        x = x + w * (a + 2.0 * b + 2.0 * c + d)
+        return (0.0 if x <= 0.0 else x,)  # as np.maximum(s, 0.0): NaN stays NaN, -0.0 becomes 0.0
+    return step
 
 
 _PLANTS = {
@@ -188,8 +193,7 @@ _PLANTS = {
         # anticipates, and a memoryless law is what behavior cloning
         # can actually reproduce from single observations
         pid=(1.5, 0.02, 0.0, 50.0),
-        derivative=_acc_derivative, rk4=_rk4_4, error=_acc_error,
-        project=lambda s: (s[0], max(s[1], 0.0), s[2], max(s[3], 0.0)),
+        step=_acc_step, error=_acc_error,
         row=lambda p, s, e, t: (*s, s[0] - s[2], p["d_default"] + p["t_gap"] * s[3], p["v_target"]),
         observe=lambda p, s, e, t: (s[0] - s[2], s[3], s[1], p["v_target"] - s[3]),
     ),
@@ -202,7 +206,7 @@ _PLANTS = {
         },
         control=("u_min", "u_max"), exogenous=("feed_min", "feed_max"),
         sim=(0.05, 30.0, 0.05), pid=(400.0, 60.0, 40.0, 10.0),
-        derivative=_cstr_derivative, rk4=_rk4_2, project=lambda s: (max(s[0], 0.0), s[1]), row=_cstr_row,
+        step=_cstr_step, row=_cstr_row,
         observe=lambda p, s, e, t: (s[0], s[1], _conc_ref(p, t)), error=lambda p, o: o[0] - o[2],
     ),
     "watertank": _PlantDef(
@@ -213,9 +217,7 @@ _PLANTS = {
         },
         control=("inflow_min", "inflow_max"), exogenous=("ref_min", "ref_max"),
         sim=(0.05, 20.0, 0.05), pid=(4.0, 0.5, 0.2, 10.0),
-        derivative=_tank_derivative, rk4=_rk4_1, error=lambda p, o: o[1] - o[0],
-        # as np.maximum(s, 0.0): NaN stays NaN, -0.0 becomes 0.0
-        project=lambda s: (0.0 if s[0] <= 0.0 else s[0],),
+        step=_tank_step, error=lambda p, o: o[1] - o[0],
         row=lambda p, s, e, t: (s[0], e[0]), observe=lambda p, s, e, t: (s[0], e[0]),
     ),
 }
@@ -316,12 +318,13 @@ def _fresh_controller(controller):
     return controller
 
 
-def controller_action(controller, plant: PlantModel, obs, dt: float) -> float:
-    """One action for an observation (array or tuple of floats)."""
+def _policy(controller, plant: PlantModel, period: float):
+    """The controller's action as a function of an observation (a tuple of floats)."""
     if isinstance(controller, MlpNet):
-        return mlp_forward(controller, obs)
+        return mlp_policy(controller)
     if isinstance(controller, PidController):
-        return pid_act(controller, _PLANTS[plant.name].error(plant.params, obs), dt)
+        error, p = _PLANTS[plant.name].error, plant.params
+        return lambda obs: pid_act(controller, error(p, obs), period)
     raise TypeError(f"not a controller: {controller!r}")
 
 
@@ -335,7 +338,7 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     instance can be reused across runs.
 
     step_hook, when given, is called at every step i (time t) with
-    (i, t, row), row being the channel vector recorded for that step,
+    (i, t, row), row being the tuple of channel values recorded for that step,
     before the controller acts; it returns the controller to act from
     that step on, in place of `controller`. The online monitor uses it
     to switch controllers at its period boundaries.
@@ -348,24 +351,26 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
         raise ValueError(f"input duration {input_signal.spec.duration} shorter than horizon {cfg.horizon}")
     controller = _fresh_controller(controller)
     kind = _PLANTS[plant.name]
-    f, rk4, project, row_of, observe_of = kind.derivative, kind.rk4, kind.project, kind.row, kind.observe
     p, dt, per, n_steps = plant.params, cfg.dt, cfg.steps_per_control, cfg.n_steps
+    step, row_of, observe_of = kind.step(p, dt), kind.row, kind.observe
     inputs = sample(input_signal, np.arange(n_steps + 1) * dt)
     state = tuple(initial_state(plant).tolist())
     rows, actions = [], []
-    action = 0.0
+    action, acting = 0.0, None
     for i, exo in enumerate(inputs.tolist()):
         t = i * dt
         row = row_of(p, state, exo, t)
         if step_hook is not None:
-            controller = step_hook(i, t, np.array(row))
+            controller = step_hook(i, t, row)
         if i % per == 0 and i < n_steps:
-            action = controller_action(controller, plant, observe_of(p, state, exo, t), cfg.control_period)
+            if controller is not acting:  # `is`, not id(): a freed controller's id can be reused
+                act, acting = _policy(controller, plant, cfg.control_period), controller
+            action = act(observe_of(p, state, exo, t))
         rows.append(row)
         actions.append(action)
         if i < n_steps:
             try:
-                state = project(rk4(f, p, state, action, exo, dt))
+                state = step(state, action, exo)
                 finite = all(map(isfinite, state))
             except (FloatingPointError, OverflowError):
                 finite = False

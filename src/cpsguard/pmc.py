@@ -45,6 +45,7 @@ Unbounded always goes through the dual: Pmax[G phi] = 1 - Pmin[F !phi]
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,24 +444,36 @@ def check(model: AbstractMdp, state: StateId, formula: PctlFormula,
     """Evaluate a PCTL state formula at one state of the model."""
     if state not in model.states:
         raise ValueError(f"state {state!r} is not in the model")
-    return check_all(model, formula, semantics)[state]
+    sat, probs, error_bound = _answers(model, formula, semantics)
+    r = bisect_left(model.table.order, state)
+    return Verdict(holds=sat[r], probability=probs[r], semantics=semantics, error_bound=error_bound)
 
 
 def check_all(model: AbstractMdp, formula: PctlFormula, semantics: str = "MAX") -> dict[StateId, Verdict]:
     """Verdicts for every state in one pass (memoized on the model)."""
+    key = ("verdicts", formula, semantics)
+    verdicts = model.caches.get(key)
+    if verdicts is None:
+        sat, probs, error_bound = _answers(model, formula, semantics)
+        verdicts = model.caches[key] = {
+            sid: Verdict(holds=holds, probability=p, semantics=semantics, error_bound=error_bound)
+            for sid, holds, p in zip(model.table.order, sat, probs)}
+    return verdicts
+
+
+def _answers(model: AbstractMdp, formula: PctlFormula, semantics: str) -> tuple[list, list, float | None]:
+    """Whether the formula holds and its probability (None without a top-level
+    P), per state in `model.table.order`, and the error bound; memoized on the model."""
     if semantics not in ("MAX", "MIN"):
         raise ValueError(f"semantics must be MAX or MIN, got {semantics!r}")
-    key = ("verdicts", formula, semantics)
-    cached = model.caches.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(formula, ProbF):
-        probs, sat, error_bound = _prob_sat(model, formula, semantics)
-        probs = probs.tolist()
-    else:
-        sat = _sat_mask(model, formula, semantics)
-        probs, error_bound = [None] * len(sat), None
-    verdicts = {sid: Verdict(holds=holds, probability=p, semantics=semantics, error_bound=error_bound)
-                for sid, holds, p in zip(model.table.order, sat.tolist(), probs)}
-    model.caches[key] = verdicts
-    return verdicts
+    key = ("answers", formula, semantics)
+    answers = model.caches.get(key)
+    if answers is None:
+        if isinstance(formula, ProbF):
+            probs, sat, error_bound = _prob_sat(model, formula, semantics)
+            probs = probs.tolist()
+        else:
+            sat = _sat_mask(model, formula, semantics)
+            probs, error_bound = [None] * len(sat), None
+        answers = model.caches[key] = (sat.tolist(), probs, error_bound)
+    return answers

@@ -22,7 +22,7 @@ from cpsguard.abstraction import (
     fit_pca,
     state_id_str,
 )
-from cpsguard.controllers import MlpNet, PidController, mlp_forward, pid_act
+from cpsguard.controllers import MlpNet, PidController, pid_act
 from cpsguard.falsify import (
     GUIDED,
     GUIDED_RAND,
@@ -247,6 +247,18 @@ def _pid_error_oracle(plant, obs):
     return float(obs[1] - obs[0])
 
 
+def mlp_forward_oracle(net, obs):
+    """The net's forward pass as a chain of `w @ h` products, one layer at
+    a time, output clamped to the control range."""
+    h = np.asarray(obs, dtype=float)
+    if h.shape != (net.weights[0].shape[1],):
+        raise ValueError(f"observation has shape {h.shape}, net expects ({net.weights[0].shape[1]},)")
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.tanh(w @ h + b)
+    out = float((net.weights[-1] @ h + net.biases[-1])[0])
+    return min(max(out, net.out_lo), net.out_hi)
+
+
 def fresh_oracle(controller):
     if isinstance(controller, PidController):
         controller = dataclasses.replace(controller)
@@ -277,7 +289,7 @@ def simulate_oracle(plant, controller, input_signal, cfg, step_hook=None):
         if i % per == 0 and i < n_steps:
             obs = _observe_oracle(plant, state, exo, t)
             if isinstance(controller, MlpNet):
-                action = mlp_forward(controller, obs)
+                action = mlp_forward_oracle(controller, obs)
             else:
                 action = pid_act(controller, _pid_error_oracle(plant, obs), cfg.control_period)
         rows.append(row)

@@ -388,7 +388,15 @@ MODEL_DEFECTS = {
     "not_an_object": lambda doc: [],
     "missing_section": lambda doc: doc.__delitem__("abstraction"),
     "unlisted_initial": lambda doc: doc.__setitem__("initial", "c99999"),
-}  # each edits the model in place and returns None, or returns what replaces it
+    "not_json": lambda doc: "{not json",
+    "states_not_a_list": lambda doc: doc.__setitem__("states", 5),
+    "abstraction_not_an_object": lambda doc: doc.__setitem__("abstraction", []),
+    "missing_nested_key": lambda doc: doc["abstraction"].__delitem__("k"),
+    "missing_state_key": lambda doc: doc["states"][0].__delitem__("support"),
+    "bad_state_id": lambda doc: doc["states"][0].__setitem__("id", "x1"),
+    "short_row": lambda doc: doc["transitions"][0].pop(),
+    "long_row": lambda doc: doc["transitions"][-1].append(0.0),
+}  # each edits the model in place and returns None, or returns what replaces it (text as it is)
 
 
 class TestModelValidation:
@@ -399,7 +407,7 @@ class TestModelValidation:
         assert run(["--config", cfg, "check"]) == 0
         doc = json.loads(path.read_text())
         replaced = MODEL_DEFECTS[defect](doc)
-        path.write_text(json.dumps(doc if replaced is None else replaced))
+        path.write_text(replaced if isinstance(replaced, str) else json.dumps(doc if replaced is None else replaced))
         capsys.readouterr()
         assert run(["--config", cfg, "check"]) == 2
         assert f"error: {path}:" in capsys.readouterr().err
@@ -531,6 +539,12 @@ CONFIG_DEFECTS = [
     ({"monitor": {"switch_back": 1}}, "monitor.switch_back", "true or false"),
     ({"monitor": 5}, "monitor", "an object"),
     ({"plant": {"name": "acc", "params": None}}, "plant.params", "an object"),
+    # contents of the two values whose shape their type does not fix
+    ({"plant": {"params": {"inflow_max": [1]}}}, "plant.params.inflow_max", "a finite number"),
+    ({"plant": {"params": {"area": "2"}}}, "plant.params.area", "a finite number"),
+    ({"input": {"ranges": [1, 2]}}, "input.ranges[0]", "a [lo, hi] pair of finite numbers"),
+    ({"input": {"ranges": [[0.0, 1.0], [0.0, "1"]]}}, "input.ranges[1]", "a [lo, hi] pair of finite numbers"),
+    ({"input": {"ranges": [[0.0, 1.0, 2.0]]}}, "input.ranges[0]", "a [lo, hi] pair of finite numbers"),
 ]
 
 

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import mlp_forward_oracle
 
 from cpsguard.controllers import (
     MlpNet,
@@ -10,6 +12,7 @@ from cpsguard.controllers import (
     init_mlp,
     load_mlp,
     mlp_forward,
+    mlp_policy,
     perturb_weights,
     pid_act,
     save_mlp,
@@ -17,6 +20,8 @@ from cpsguard.controllers import (
 )
 from cpsguard.plants import default_input_spec, default_pid, default_sim_config, make_plant, observe, simulate
 from cpsguard.signals import random_signal
+
+BENCH_NETS = sorted((Path(__file__).resolve().parent.parent / "bench" / "data").glob("*.txt"))
 
 
 def straight_line_forward(net, obs):
@@ -50,6 +55,28 @@ class TestForward:
             net = init_mlp(4, (8, 6), (-3.0, 2.0), seed=int(rng.integers(1 << 30)))
             obs = rng.uniform(-2, 2, size=4)
             assert mlp_forward(net, obs) == pytest.approx(straight_line_forward(net, obs), abs=1e-12)
+
+    def test_policy_matches_oracle_bit_for_bit(self):
+        # the bound policy multiplies with np.dot, the oracle with `@`
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            width = int(rng.integers(1, 6))
+            dims = (width, *rng.integers(1, 25, size=int(rng.integers(1, 4))).tolist(), 1)
+            weights = tuple(rng.normal(0.0, 1.0, size=(b, a)) for a, b in zip(dims[:-1], dims[1:]))
+            biases = tuple(rng.normal(0.0, 1.0, size=b) for b in dims[1:])
+            net = MlpNet(weights, biases, -50.0, 50.0)
+            act = mlp_policy(net)
+            for obs in rng.uniform(-100.0, 100.0, size=(20, width)):
+                assert act(obs) == mlp_forward_oracle(net, obs), (trial, dims)
+                assert act(tuple(obs.tolist())) == mlp_forward_oracle(net, obs)
+
+    @pytest.mark.parametrize("path", BENCH_NETS, ids=lambda p: p.stem)
+    def test_policy_matches_oracle_on_shipped_nets(self, path):
+        net = load_mlp(path)
+        act = mlp_policy(net)
+        rng = np.random.default_rng(5)
+        for obs in rng.uniform(-100.0, 100.0, size=(2000, net.layer_dims[0])):
+            assert act(obs) == mlp_forward_oracle(net, obs)
 
     def test_dimension_mismatch(self):
         net = init_mlp(4, (8,), (-1.0, 1.0), seed=0)

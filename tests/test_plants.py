@@ -28,14 +28,20 @@ UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_un
 
 
 def derivative(plant, state, control, exo):
-    """The plant's derivative kernel on an array state."""
-    return np.array(_PLANTS[plant.name].derivative(plant.params, tuple(state), control, exo))
+    """ds/dt on an array state, as the plant's step kernel evaluates it in its
+    first RK4 stage, with the control and input the kernel has clamped: the
+    derivative `f` the kernel binds is swapped for one that records its values."""
+    step = _PLANTS[plant.name].step(plant.params, 0.1)
+    cell = step.__closure__[step.__code__.co_freevars.index("f")]
+    f, seen = cell.cell_contents, []
+    cell.cell_contents = lambda *args: seen.append(f(*args)) or seen[-1]
+    step(tuple(state), control, exo)
+    return np.atleast_1d(seen[0])
 
 
 def rk4_step(plant, state, control, exo, dt):
-    """One step of the plant's RK4 kernel on an array state."""
-    kind = _PLANTS[plant.name]
-    return np.array(kind.rk4(kind.derivative, plant.params, tuple(state), control, exo, dt))
+    """One projected RK4 step of the plant's step kernel on an array state."""
+    return np.array(_PLANTS[plant.name].step(plant.params, dt)(tuple(state), control, exo))
 
 
 def constant_input(plant, value, duration=50.0):

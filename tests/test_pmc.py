@@ -406,6 +406,19 @@ class TestCheck:
         assert set(first) == set(model.states)
         assert check_all(model, f) is first  # memoized on the model
 
+    def test_check_equals_check_all_without_building_every_verdict(self):
+        rng = np.random.default_rng(4)
+        texts = ('P>0.5 [ F "rob=-1" ]', 'P<=0.3 [ G "rob=+1" ]', 'P>=0.2 [ F<=3 "rob=-1" ]', '!"rob=-1"')
+        for _ in range(20):
+            model = random_mdp(rng)
+            for text in texts:
+                for semantics in ("MAX", "MIN"):
+                    formula = parse_pctl(text)
+                    verdicts = [check(model, sid, formula, semantics) for sid in model.states]
+                    assert ("verdicts", formula, semantics) not in model.caches
+                    everyone = check_all(model, formula, semantics)
+                    assert verdicts == [everyone[sid] for sid in model.states]
+
     def test_non_prob_formula_has_no_probability(self):
         model = make_mdp(2, {(0, 0): {1: 1.0}}, labels={0: -1})
         v = check(model, (0, 0), parse_pctl('"rob=-1"'))
