@@ -240,6 +240,23 @@ class TestBuild:
         assert run(["--config", cfg, "refine"]) == 2
         assert "error: trace 1: row 2 lies outside the grid of the model it refines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"abstraction": {"c": 5}},
+         "error: abstraction schema mismatch: model was built with k=2, c=4, config asks for k=2, c=5\n"),
+        (None, "model.json missing (run build first)\n"),
+    ], ids=["other_c", "no_model"])
+    def test_refine_needs_the_model_of_its_config(self, tmp_path, capsys, change, message):
+        cfg = write_config(tmp_path)
+        run(["--config", cfg, "collect", "--num", "2"])
+        assert run(["--config", cfg, "build"]) == 0
+        if change is None:
+            (tmp_path / "out" / "model.json").unlink()
+        else:
+            cfg = write_config(tmp_path, **change)
+        capsys.readouterr()
+        assert run(["--config", cfg, "refine"]) == 2
+        assert capsys.readouterr().err.endswith(message)
+
     def test_model_json_roundtrips(self, tmp_path):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect"])
@@ -357,6 +374,15 @@ class TestCheck:
         vec.write_text(json.dumps(list(map(float, trace.states[0]))))
         assert run(["--config", cfg, "check", "--state-file", vec]) == 0
         assert "holds=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, code", [([], 0), (["--assert-holds"], 3)], ids=["plain", "assert"])
+    def test_state_file_outside_every_cell_is_unknown(self, tmp_path, capsys, flags, code):
+        cfg, model = self.build_model(tmp_path)
+        vec = tmp_path / "state.json"
+        vec.write_text(json.dumps([1e6] * len(model.pca.mean)))
+        capsys.readouterr()
+        assert run(["--config", cfg, "check", "--state-file", vec, *flags]) == code
+        assert capsys.readouterr().out == "state: UNKNOWN (outside every observed cell)\n"
 
     @pytest.mark.parametrize("text", [
         lambda width: '{"a": 1}',
@@ -548,6 +574,26 @@ CONFIG_DEFECTS = [
 ]
 
 
+# (what the config file holds, the usage error it gets; {path} is the file, {dir} its directory)
+CONFIG_FILE_DEFECTS = [
+    ("[1]", "config file {path}: expected a JSON object"),
+    ("{not json", "config file {path}: Expecting property name enclosed in double quotes"),
+    ({"controller": {"kind": "mlp"}}, "controller: mlp controller needs a 'path'"),
+    ({"controller": {"kind": "mlp", "path": "missing.txt"}}, "controller: weights file {dir}/missing.txt does not exist"),
+    ({"controller": {"kind": "lqr"}}, "controller: unknown controller kind 'lqr'"),
+]
+
+SPEC = "G[0,1](level >= 100)"  # violated at once: one simulation per trial
+QUERY = 'P>0.5 [ F<=5 "rob=-1" ]'
+FALSIFY = ["falsify", "--algo", "random", "--trials", "2"]
+# (arguments with a flag, the same without it, the config values the flag stands for)
+FLAG_CASES = [
+    (["--seed", "8", "collect", "--num", "2"], ["collect", "--num", "2"], {"seed": 8}),
+    ([*FALSIFY, "--spec", SPEC], FALSIFY, {"falsify": {"spec": SPEC}}),
+    ([*FALSIFY, "--spec", SPEC, "--query", QUERY], [*FALSIFY, "--spec", SPEC], {"falsify": {"query": QUERY}}),
+]
+
+
 class TestUsage:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/cfg.json", "collect"]) == 1
@@ -564,6 +610,28 @@ class TestUsage:
         message = f"unknown config key {path!r}" if takes is None else f"config key {path!r} takes {takes}"
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", CONFIG_FILE_DEFECTS,
+                             ids=["list", "not_json", "mlp_no_path", "mlp_missing_file", "lqr"])
+    def test_bad_config_file_or_controller_exits_1(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "config.json"
+        if isinstance(content, str):
+            cfg.write_text(content)
+        else:
+            write_config(tmp_path, **content)
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: " + message.format(path=cfg, dir=tmp_path))
+
+    @pytest.mark.parametrize("with_flag, without, config", FLAG_CASES, ids=["seed", "spec", "query"])
+    def test_a_flag_writes_what_its_config_value_writes(self, tmp_path, with_flag, without, config):
+        """Byte-identical outputs, config hash included, whether a value comes from a flag or the file."""
+        outputs = []
+        for side, args, values in (("flag", with_flag, {}), ("file", without, config)):
+            (tmp_path / side).mkdir()
+            assert run(["--config", write_config(tmp_path / side, **values), *args]) == 0
+            out = tmp_path / side / "out"
+            outputs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()})
+        assert outputs[0] == outputs[1] and outputs[0]
 
     def test_every_null_default_has_a_type(self):
         def null_paths(section, prefix=""):
