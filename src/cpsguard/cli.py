@@ -20,7 +20,7 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,58 +133,34 @@ class RunConfig:
         return plants.make_plant(section["name"], section["params"])
 
     def simcfg(self) -> plants.SimConfig:
-        s = self.raw["sim"]
-        return plants.SimConfig(dt=s["dt"], horizon=s["horizon"], control_period=s["control_period"])
+        return plants.SimConfig(**self.raw["sim"])
 
     def input_spec(self) -> signals.InputSpec:
-        plant = self.plant()
         section = self.raw["input"]
         duration = section["duration"] if section["duration"] is not None else self.raw["sim"]["horizon"]
-        spec = plants.default_input_spec(
-            plant,
-            num_control_points=section["num_control_points"],
-            duration=duration,
-            interpolation=section["interpolation"],
-        )
-        if section["ranges"] is not None:
-            spec = signals.InputSpec(
-                dims=len(section["ranges"]),
-                ranges=tuple(tuple(r) for r in section["ranges"]),
-                num_control_points=spec.num_control_points,
-                duration=spec.duration,
-                interpolation=spec.interpolation,
-            )
-        return spec
+        spec = plants.default_input_spec(self.plant(), section["num_control_points"], duration, section["interpolation"])
+        ranges = section["ranges"]
+        return spec if ranges is None else replace(spec, dims=len(ranges), ranges=ranges)
 
     def controller(self, which: str = "controller"):
         section = self.raw[which]
-        plant = self.plant()
         if section["kind"] == "mlp":
-            path = section.get("path")
-            if not path:
+            if not section["path"]:
                 raise UsageError(f"{which}: mlp controller needs a 'path'")
-            full = self.base_dir / path
+            full = self.base_dir / section["path"]
             if not full.exists():
                 raise UsageError(f"{which}: weights file {full} does not exist")
             return controllers.load_mlp(full)
         if section["kind"] == "pid":
-            pid = plants.default_pid(plant)
-            for gain in ("kp", "ki", "kd"):
-                if section.get(gain) is not None:
-                    setattr(pid, gain, float(section[gain]))
-            return pid
+            gains = {gain: float(section[gain]) for gain in ("kp", "ki", "kd") if section[gain] is not None}
+            return replace(plants.default_pid(self.plant()), **gains)
         raise UsageError(f"{which}: unknown controller kind {section['kind']!r}")
 
     def labeling_spec(self) -> stl.StlFormula:
         return stl.parse_stl(self.raw["labeling_spec"])
 
     def abstraction_config(self) -> abstraction.AbstractionConfig:
-        a = self.raw["abstraction"]
-        return abstraction.AbstractionConfig(
-            k=a["k"], c=a["c"],
-            label_threshold=a["label_threshold"],
-            variance_threshold=a["variance_threshold"],
-        )
+        return abstraction.AbstractionConfig(**self.raw["abstraction"])
 
     def monitor_config(self) -> monitor.MonitorConfig:
         m = self.raw["monitor"]
@@ -196,20 +172,10 @@ class RunConfig:
         )
 
     def falsify_config(self, seed: int) -> falsify.FalsifyConfig:
-        f = self.raw["falsify"]
-        spec_text = f["spec"] if f["spec"] else self.raw["labeling_spec"]
-        return falsify.FalsifyConfig(
-            stl_spec=stl.parse_stl(spec_text),
-            safety_query=pmc.parse_pctl(f["query"]),
-            queue_seed_count=f["queue_seed_count"],
-            global_budget=f["global_budget"],
-            local_budget=f["local_budget"],
-            checkpoint_time=f["checkpoint_time"],
-            seed=seed,
-            step_init=f["step_init"],
-            step_decay=f["step_decay"],
-            step_growth=f["step_growth"],
-        )
+        f = self.raw["falsify"]  # every key but the command-level spec, query and trials is a FalsifyConfig field
+        search = {key: value for key, value in f.items() if key not in ("spec", "query", "trials")}
+        return falsify.FalsifyConfig(stl_spec=stl.parse_stl(f["spec"] or self.raw["labeling_spec"]),
+                                     safety_query=pmc.parse_pctl(f["query"]), seed=seed, **search)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -252,13 +218,13 @@ def _spawn_seeds(root: int, purpose: str, n: int) -> list[int]:
 # subcommands
 
 
-def cmd_collect(cfg: RunConfig, num: int | None) -> int:
+def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
     plant = cfg.plant()
     simcfg = cfg.simcfg()
     spec = cfg.input_spec()
     controller = cfg.controller()
     labeling = cfg.labeling_spec()
-    n = num if num is not None else cfg.raw["collect"]["num_traces"]
+    n = args.num if args.num is not None else cfg.raw["collect"]["num_traces"]
     out = cfg.output_dir / "traces"
     out.mkdir(parents=True, exist_ok=True)
     seeds = _spawn_seeds(cfg.seed, "collect", n)
@@ -302,7 +268,7 @@ def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
     return pairs
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     pairs = _load_trace_pairs(cfg)
     model = abstraction.build_abstraction(pairs, cfg.abstraction_config())
     _write_model(cfg, model)
@@ -310,7 +276,7 @@ def cmd_build(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_refine(cfg: RunConfig) -> int:
+def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
     pairs = _load_trace_pairs(cfg)
     model_path = cfg.output_dir / "model.json"
     if not model_path.exists():
@@ -340,41 +306,39 @@ def _write_model(cfg: RunConfig, model: abstraction.AbstractMdp) -> None:
     _atomic_write(cfg.output_dir / "model.lab", lab)
 
 
-def cmd_check(cfg: RunConfig, query: str | None, state: str | None, state_file: str | None,
-              assert_holds: bool, semantics: str) -> int:
+def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = abstraction.load_model(cfg.output_dir / "model.json")
-    text = query if query else cfg.raw["monitor"]["query"]
-    formula = pmc.parse_pctl(text)
-    if state_file:
+    formula = pmc.parse_pctl(args.query or cfg.raw["monitor"]["query"])
+    if args.state_file:
         width, vec = len(model.pca.mean), None
         try:
-            doc = json.loads(Path(state_file).read_text())
+            doc = json.loads(Path(args.state_file).read_text())
             if isinstance(doc, list) and all(type(v) in (int, float) for v in doc):
                 vec = np.array(doc, dtype=float)
         except (json.JSONDecodeError, OverflowError):
             pass
         if vec is None or vec.shape != (width,) or not np.isfinite(vec).all():
-            raise ValueError(f"{state_file}: expected a JSON list of {width} finite numbers")
+            raise ValueError(f"{args.state_file}: expected a JSON list of {width} finite numbers")
         sid = abstraction.abstract_state_of(model, vec)
         if sid is None:
             print("state: UNKNOWN (outside every observed cell)")
-            return 3 if assert_holds else 0
-    elif state:
-        sid = abstraction.parse_state_id(state)
+            return 3 if args.assert_holds else 0
+    elif args.state:
+        sid = abstraction.parse_state_id(args.state)
         if sid not in model.states:
-            raise ValueError(f"state {state!r} not in the model")
+            raise ValueError(f"state {args.state!r} not in the model")
     else:
         sid = model.initial
-    verdict = pmc.check(model, sid, formula, semantics)
+    verdict = pmc.check(model, sid, formula, args.semantics)
     prob = f"{verdict.probability:.6f}" if verdict.probability is not None else "n/a"
     bound = f" error<={verdict.error_bound:.1e}" if verdict.error_bound is not None else ""
     print(f"state {abstraction.state_id_str(sid)}: holds={verdict.holds} probability={prob} ({verdict.semantics}){bound}")
-    if assert_holds and not verdict.holds:
+    if args.assert_holds and not verdict.holds:
         return 3
     return 0
 
 
-def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
+def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     plant = cfg.plant()
     simcfg = cfg.simcfg()
     spec = cfg.input_spec()
@@ -384,7 +348,7 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
     mcfg = cfg.monitor_config()
     safety_metric = stl.parse_stl(cfg.raw["monitor"]["safety_metric"])
     perf_metric = stl.parse_stl(cfg.raw["monitor"]["performance_metric"])
-    n = runs if runs is not None else cfg.raw["monitor"]["num_runs"]
+    n = args.runs if args.runs is not None else cfg.raw["monitor"]["num_runs"]
     seeds = _spawn_seeds(cfg.seed, "monitor", n)
     out = cfg.output_dir / "monitored"
     out.mkdir(parents=True, exist_ok=True)
@@ -425,19 +389,19 @@ def cmd_monitor(cfg: RunConfig, runs: int | None) -> int:
     return 0 if len(done) == n else 2
 
 
-def cmd_falsify(cfg: RunConfig, algo: str, trials: int | None,
-                model_path: str | None = None) -> int:
+def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
     plant = cfg.plant()
     system = plants.ClosedLoopSystem(plant, cfg.controller(), cfg.simcfg(), cfg.input_spec())
     kinds = {"guided": falsify.GUIDED, "random": falsify.RANDOM,
              "opt": falsify.OPT_ONLY, "guided-rand": falsify.GUIDED_RAND}
+    algo = args.algo
     if algo not in kinds:
         raise UsageError(f"unknown algorithm {algo!r}, expected one of {sorted(kinds)}")
     kind = kinds[algo]
     model = None
     if kind == falsify.GUIDED:
-        model = abstraction.load_model(model_path if model_path else cfg.output_dir / "model.json")
-    n = trials if trials is not None else cfg.raw["falsify"]["trials"]
+        model = abstraction.load_model(args.model or cfg.output_dir / "model.json")
+    n = args.trials if args.trials is not None else cfg.raw["falsify"]["trials"]
     seeds = _spawn_seeds(cfg.seed, f"falsify-{algo}", n)
     outcomes, per_trial = [], []
     print(f"{'trial':>5} {'success':>8} {'time[s]':>8} {'#sim':>5} {'best rob':>10}")
@@ -475,7 +439,7 @@ def _fmt_opt(value, digits: int = 1, missing: str = "-") -> str:
     return missing if value is None else f"{value:.{digits}f}"
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = cfg.output_dir
     sections = []
     manifest = out / "collect_manifest.json"
@@ -528,12 +492,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="simulate seeded random inputs and write traces")
+    p.set_defaults(run=cmd_collect)
     p.add_argument("--num", type=int, help="number of traces")
 
-    sub.add_parser("build", help="build the abstract model from collected traces")
-    sub.add_parser("refine", help="refine the model (split mixed states)")
+    sub.add_parser("build", help="build the abstract model from collected traces").set_defaults(run=cmd_build)
+    sub.add_parser("refine", help="refine the model (split mixed states)").set_defaults(run=cmd_refine)
 
     p = sub.add_parser("check", help="check a safety query at a state")
+    p.set_defaults(run=cmd_check)
     p.add_argument("--query", help="PCTL query (defaults to the monitor query)")
     p.add_argument("--state", help="state id, e.g. c123 (defaults to the initial state)")
     p.add_argument("--state-file", help="JSON file with a concrete channel vector")
@@ -541,16 +507,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--semantics", choices=["MAX", "MIN"], default="MAX")
 
     p = sub.add_parser("monitor", help="run monitored simulations and report metrics")
+    p.set_defaults(run=cmd_monitor)
     p.add_argument("--runs", type=int)
 
     p = sub.add_parser("falsify", help="run falsification trials")
+    p.set_defaults(run=cmd_falsify)
     p.add_argument("--algo", default="guided", help="guided | random | opt | guided-rand")
     p.add_argument("--trials", type=int)
     p.add_argument("--spec", help="STL specification to falsify (overrides config)")
     p.add_argument("--query", help="PCTL safety query for the guided search (overrides config)")
     p.add_argument("--model", help="model file (defaults to <output_dir>/model.json)")
 
-    sub.add_parser("report", help="aggregate outputs into a summary")
+    sub.add_parser("report", help="aggregate outputs into a summary").set_defaults(run=cmd_report)
     return parser
 
 
@@ -558,35 +526,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides: dict = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out_dir is not None:
-            overrides["output_dir"] = args.out_dir
+        overrides = {"seed": args.seed, "output_dir": args.out_dir}
         if args.command == "falsify":
-            falsify_over = {}
-            if args.spec:
-                falsify_over["spec"] = args.spec
-            if args.query:
-                falsify_over["query"] = args.query
-            if falsify_over:
-                overrides["falsify"] = falsify_over
-        cfg = load_config(args.config, overrides)
-        if args.command == "collect":
-            return cmd_collect(cfg, args.num)
-        if args.command == "build":
-            return cmd_build(cfg)
-        if args.command == "refine":
-            return cmd_refine(cfg)
-        if args.command == "check":
-            return cmd_check(cfg, args.query, args.state, args.state_file, args.assert_holds, args.semantics)
-        if args.command == "monitor":
-            return cmd_monitor(cfg, args.runs)
-        if args.command == "falsify":
-            return cmd_falsify(cfg, args.algo, args.trials, args.model)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+            overrides["falsify"] = {key: value for key, value in (("spec", args.spec), ("query", args.query)) if value}
+        cfg = load_config(args.config, {key: value for key, value in overrides.items() if value not in (None, {})})
+        return args.run(cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
