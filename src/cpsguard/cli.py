@@ -88,8 +88,9 @@ def _finite(value) -> bool:
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     """`override` laid over `base`. A UsageError names the dotted path of a key
     `base` lacks or of a value of another JSON type than the one `base` holds:
-    an integer takes an integer, a float any finite number, and a bool is not
-    a number; a key in `_NULL_DEFAULT_TYPES` takes null or its type there.
+    an integer takes a non-negative integer (every one is a count or a seed),
+    a float any finite number, and a bool is not a number; a key in
+    `_NULL_DEFAULT_TYPES` takes null or its type there.
     plant.params takes an object of finite numbers, whose names `make_plant`
     checks, and input.ranges a list of [lo, hi] pairs of finite numbers."""
     out = dict(base)
@@ -101,6 +102,8 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
         fits = _finite(value) if kind is float else type(value) is kind
         if not (fits or value is None and path in _NULL_DEFAULT_TYPES):
             raise UsageError(f"config key {path!r} takes {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
+        if kind is int and value < 0:
+            raise UsageError(f"config key {path!r} takes a non-negative integer, not {value}")
         if path == "plant.params":
             for name, param in value.items():
                 if not _finite(param):
@@ -484,6 +487,17 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A flag's count; argparse reports the ValueError of a non-integer with this function's name."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"takes a non-negative integer, not {value}")
+    return value
+
+
+_count.__name__ = "int"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpsguard", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; defaults apply without one")
@@ -493,7 +507,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("collect", help="simulate seeded random inputs and write traces")
     p.set_defaults(run=cmd_collect)
-    p.add_argument("--num", type=int, help="number of traces")
+    p.add_argument("--num", type=_count, help="number of traces")
 
     sub.add_parser("build", help="build the abstract model from collected traces").set_defaults(run=cmd_build)
     sub.add_parser("refine", help="refine the model (split mixed states)").set_defaults(run=cmd_refine)
@@ -501,19 +515,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="check a safety query at a state")
     p.set_defaults(run=cmd_check)
     p.add_argument("--query", help="PCTL query (defaults to the monitor query)")
-    p.add_argument("--state", help="state id, e.g. c123 (defaults to the initial state)")
-    p.add_argument("--state-file", help="JSON file with a concrete channel vector")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--state", help="state id, e.g. c123 (defaults to the initial state)")
+    where.add_argument("--state-file", help="JSON file with a concrete channel vector")
     p.add_argument("--assert-holds", action="store_true", help="exit 3 when the query does not hold")
     p.add_argument("--semantics", choices=["MAX", "MIN"], default="MAX")
 
     p = sub.add_parser("monitor", help="run monitored simulations and report metrics")
     p.set_defaults(run=cmd_monitor)
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", type=_count)
 
     p = sub.add_parser("falsify", help="run falsification trials")
     p.set_defaults(run=cmd_falsify)
     p.add_argument("--algo", default="guided", help="guided | random | opt | guided-rand")
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_count)
     p.add_argument("--spec", help="STL specification to falsify (overrides config)")
     p.add_argument("--query", help="PCTL safety query for the guided search (overrides config)")
     p.add_argument("--model", help="model file (defaults to <output_dir>/model.json)")

@@ -571,6 +571,10 @@ CONFIG_DEFECTS = [
     ({"input": {"ranges": [1, 2]}}, "input.ranges[0]", "a [lo, hi] pair of finite numbers"),
     ({"input": {"ranges": [[0.0, 1.0], [0.0, "1"]]}}, "input.ranges[1]", "a [lo, hi] pair of finite numbers"),
     ({"input": {"ranges": [[0.0, 1.0, 2.0]]}}, "input.ranges[0]", "a [lo, hi] pair of finite numbers"),
+    # every integer key is a count or a seed
+    ({"collect": {"num_traces": -2}}, "collect.num_traces", "a non-negative integer, not -2"),
+    ({"falsify": {"trials": -1}}, "falsify.trials", "a non-negative integer, not -1"),
+    ({"seed": -4}, "seed", "a non-negative integer, not -4"),
 ]
 
 
@@ -598,9 +602,20 @@ class TestUsage:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/cfg.json", "collect"]) == 1
 
-    def test_bad_flag_value(self, tmp_path):
+    def test_bad_flag_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["--config", str(cfg), "collect", "--num", "notanumber"]) == 1
+        for args, message in (
+            (["collect", "--num", "notanumber"], "argument --num: invalid int value: 'notanumber'"),
+            (["collect", "--num", "-3"], "argument --num: takes a non-negative integer, not -3"),
+            (["monitor", "--runs", "-2"], "argument --runs: takes a non-negative integer, not -2"),
+            (["falsify", "--trials", "-1"], "argument --trials: takes a non-negative integer, not -1"),
+            (["--seed", "-1", "build"], "config key 'seed' takes a non-negative integer, not -1"),
+            (["check", "--state", "c0", "--state-file", "f.json"],
+             "argument --state-file: not allowed with argument --state"),
+        ):
+            assert main(["--config", str(cfg), *args]) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides,path,takes", CONFIG_DEFECTS,
                              ids=[f"overrides{i}-{path}" for i, (_, path, _) in enumerate(CONFIG_DEFECTS)])
