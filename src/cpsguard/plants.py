@@ -229,7 +229,6 @@ class PlantModel:
     state_names: tuple[str, ...]  # integration state vector
     channels: tuple[str, ...]  # recorded trace channels
     control_range: tuple[float, float]
-    exogenous_dim: int
     params: dict
 
     @property
@@ -272,7 +271,7 @@ def make_plant(name: str, params: dict | None = None) -> PlantModel:
         p[key] = float(value)
     lo, hi = kind.control
     return PlantModel(name=name, state_names=kind.state_names, channels=kind.channels,
-                      control_range=(p[lo], p[hi]), exogenous_dim=1, params=p)
+                      control_range=(p[lo], p[hi]), params=p)
 
 
 def default_input_spec(plant: PlantModel, num_control_points: int = 6, duration: float = 50.0,

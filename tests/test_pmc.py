@@ -312,6 +312,29 @@ class TestUnboundedOracle:
                         assert v.probability == pytest.approx(want[sid], abs=self.TOL)
                         assert v.error_bound <= self.TOL
 
+    def test_nested_probability_operators(self):
+        """A P under F, U and F<=k checks as the outer operator with the
+        inner P's holding set as its target."""
+        inners = ('P>0.3 [ X "rob=-1" ]', 'P>=0.5 [ F<=2 "rob=-1" ]', 'P<0.6 [ F "rob=-1" ]')
+        outers = {
+            "P>=0.5 [ F ({}) ]": lambda m, target, sem: oracle_unbounded_until(m, set(m.states), target, sem),
+            'P>0.4 [ "rob=+1" U ({}) ]': lambda m, target, sem: oracle_unbounded_until(
+                m, {sid for sid, info in m.states.items() if info.label == +1}, target, sem),
+            "P>=0.2 [ F<=3 ({}) ]": lambda m, target, sem: oracle_bounded_reach(m, target, 3, sem),
+        }
+        compared = 0
+        for _, model in self.models(92, 300):
+            for inner in inners:
+                for semantics in ("MAX", "MIN"):
+                    verdicts = check_all(model, parse_pctl(inner), semantics)
+                    target = {sid for sid, v in verdicts.items() if v.holds}
+                    for text, oracle in outers.items():
+                        want = oracle(model, target, semantics)
+                        for sid, v in check_all(model, parse_pctl(text.format(inner)), semantics).items():
+                            assert v.probability == pytest.approx(want[sid], abs=self.TOL)
+                            compared += 1
+        assert compared > 10_000
+
     def test_zero_probability_entry_is_no_edge(self):
         # a model file may list an entry of probability 0; taken as an edge
         # it would make the self-loop the first policy, which never leaves
