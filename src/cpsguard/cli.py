@@ -1,12 +1,13 @@
 """Command-line front end and experiment orchestration.
 
 Subcommands: collect, build, refine, check, monitor, falsify, report.
-A single JSON config file describes a whole experiment; flags override
-file values. Every output file embeds a short hash of the resolved
-config, all writes are atomic (temp file + rename), and all randomness
-flows from the root seed through per-trace / per-trial spawned streams,
-so a command with a fixed seed produces byte-identical outputs across
-runs (wall-clock timings are printed, never persisted).
+A single JSON config file describes a whole experiment; a flag that
+stands for a config key overrides it, and every section is built, and so
+checked, when the config loads. Every output file embeds a short hash of
+the resolved config, all writes are atomic (temp file + rename), and all
+randomness flows from the root seed through per-trace / per-trial spawned
+streams, so a command with a fixed seed produces byte-identical outputs
+across runs (wall-clock timings are printed, never persisted).
 
 Exit codes: 0 ok, 1 usage error, 2 runtime failure, 3 property violated
 (check with --assert-holds).
@@ -20,6 +21,7 @@ import json
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -119,9 +121,21 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
 
 @dataclass
 class RunConfig:
+    """A merged and hashed config with each section built by `load_config`. The controllers
+    alone are built on demand, since an mlp one reads its weights file."""
+
     raw: dict
     config_hash: str
     base_dir: Path
+    plant: plants.PlantModel
+    simcfg: plants.SimConfig
+    input_spec: signals.InputSpec
+    labeling_spec: stl.StlFormula
+    abstraction_config: abstraction.AbstractionConfig
+    monitor_config: monitor.MonitorConfig
+    safety_metric: stl.StlFormula
+    performance_metric: stl.StlFormula
+    falsify_config: falsify.FalsifyConfig  # seed 0; each trial replaces it with its own
 
     @property
     def seed(self) -> int:
@@ -130,20 +144,6 @@ class RunConfig:
     @property
     def output_dir(self) -> Path:
         return self.base_dir / self.raw["output_dir"]
-
-    def plant(self) -> plants.PlantModel:
-        section = self.raw["plant"]
-        return plants.make_plant(section["name"], section["params"])
-
-    def simcfg(self) -> plants.SimConfig:
-        return plants.SimConfig(**self.raw["sim"])
-
-    def input_spec(self) -> signals.InputSpec:
-        section = self.raw["input"]
-        duration = section["duration"] if section["duration"] is not None else self.raw["sim"]["horizon"]
-        spec = plants.default_input_spec(self.plant(), section["num_control_points"], duration, section["interpolation"])
-        ranges = section["ranges"]
-        return spec if ranges is None else replace(spec, dims=len(ranges), ranges=ranges)
 
     def controller(self, which: str = "controller"):
         section = self.raw[which]
@@ -156,52 +156,69 @@ class RunConfig:
             return controllers.load_mlp(full)
         if section["kind"] == "pid":
             gains = {gain: float(section[gain]) for gain in ("kp", "ki", "kd") if section[gain] is not None}
-            return replace(plants.default_pid(self.plant()), **gains)
+            return replace(plants.default_pid(self.plant), **gains)
         raise UsageError(f"{which}: unknown controller kind {section['kind']!r}")
 
-    def labeling_spec(self) -> stl.StlFormula:
-        return stl.parse_stl(self.raw["labeling_spec"])
 
-    def abstraction_config(self) -> abstraction.AbstractionConfig:
-        return abstraction.AbstractionConfig(**self.raw["abstraction"])
-
-    def monitor_config(self) -> monitor.MonitorConfig:
-        m = self.raw["monitor"]
-        return monitor.MonitorConfig(
-            query=pmc.parse_pctl(m["query"]),
-            period=m["period"],
-            unknown_policy=m["unknown_policy"],
-            switch_back=m["switch_back"],
-        )
-
-    def falsify_config(self, seed: int) -> falsify.FalsifyConfig:
-        f = self.raw["falsify"]  # every key but the command-level spec, query and trials is a FalsifyConfig field
-        search = {key: value for key, value in f.items() if key not in ("spec", "query", "trials")}
-        return falsify.FalsifyConfig(stl_spec=stl.parse_stl(f["spec"] or self.raw["labeling_spec"]),
-                                     safety_query=pmc.parse_pctl(f["query"]), seed=seed, **search)
+@contextmanager
+def _section(name: str):
+    """Prefixes a ValueError raised while building a config section with the section's name."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from exc
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """The defaults, then the file at `path`, then `overrides`, merged and hashed, with every
+    section built. A file or key the config cannot take is a UsageError; a value that the
+    type of its section refuses is a ValueError naming the section."""
     raw = DEFAULT_CONFIG
     base_dir = Path.cwd()
     if path is not None:
-        file = Path(path)
-        if not file.exists():
-            raise UsageError(f"config file {path} does not exist")
-        with open(file) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file {path}: {exc}") from exc
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:  # missing, a directory, unreadable
+            raise UsageError(f"config file {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config file {path}: expected a JSON object")
         raw = _merge(raw, doc)
-        base_dir = file.parent
+        base_dir = Path(path).parent
     if overrides:
         raw = _merge(raw, overrides)
     canonical = json.dumps(raw, sort_keys=True)
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    return RunConfig(raw=raw, config_hash=digest, base_dir=base_dir)
+    with _section("plant"):
+        plant = plants.make_plant(raw["plant"]["name"], raw["plant"]["params"])
+    with _section("sim"):
+        simcfg = plants.SimConfig(**raw["sim"])
+    with _section("input"):
+        section = raw["input"]
+        duration = section["duration"] if section["duration"] is not None else simcfg.horizon
+        input_spec = plants.default_input_spec(plant, section["num_control_points"], duration, section["interpolation"])
+        if section["ranges"] is not None:
+            input_spec = replace(input_spec, dims=len(section["ranges"]), ranges=section["ranges"])
+    with _section("labeling_spec"):
+        labeling_spec = stl.parse_stl(raw["labeling_spec"])
+    with _section("abstraction"):
+        abstraction_config = abstraction.AbstractionConfig(**raw["abstraction"])
+    with _section("monitor"):
+        m = raw["monitor"]
+        monitor_config = monitor.MonitorConfig(query=pmc.parse_pctl(m["query"]), period=m["period"],
+                                               unknown_policy=m["unknown_policy"], switch_back=m["switch_back"])
+        safety_metric = stl.parse_stl(m["safety_metric"])
+        performance_metric = stl.parse_stl(m["performance_metric"])
+    with _section("falsify"):
+        f = raw["falsify"]  # every key but the command-level spec, query and trials is a FalsifyConfig field
+        search = {key: value for key, value in f.items() if key not in ("spec", "query", "trials")}
+        falsify_config = falsify.FalsifyConfig(stl_spec=stl.parse_stl(f["spec"]) if f["spec"] else labeling_spec,
+                                               safety_query=pmc.parse_pctl(f["query"]), **search)
+    return RunConfig(raw=raw, config_hash=digest, base_dir=base_dir, plant=plant, simcfg=simcfg,
+                     input_spec=input_spec, labeling_spec=labeling_spec, abstraction_config=abstraction_config,
+                     monitor_config=monitor_config, safety_metric=safety_metric,
+                     performance_metric=performance_metric, falsify_config=falsify_config)
 
 
 def _atomic_write(path: Path, data: str | bytes) -> None:
@@ -222,26 +239,21 @@ def _spawn_seeds(root: int, purpose: str, n: int) -> list[int]:
 
 
 def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
-    plant = cfg.plant()
-    simcfg = cfg.simcfg()
-    spec = cfg.input_spec()
     controller = cfg.controller()
-    labeling = cfg.labeling_spec()
-    n = args.num if args.num is not None else cfg.raw["collect"]["num_traces"]
     out = cfg.output_dir / "traces"
     out.mkdir(parents=True, exist_ok=True)
-    seeds = _spawn_seeds(cfg.seed, "collect", n)
+    seeds = _spawn_seeds(cfg.seed, "collect", cfg.raw["collect"]["num_traces"])
     entries = []
     failures = []
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        signal = signals.random_signal(spec, rng)
+        signal = signals.random_signal(cfg.input_spec, rng)
         try:
-            trace = plants.simulate(plant, controller, signal, simcfg)
+            trace = plants.simulate(cfg.plant, controller, signal, cfg.simcfg)
         except plants.SimulationBlowup as exc:
             failures.append({"index": i, "seed": seed, "error": str(exc)})
             continue
-        robs = stl.labeling_robustness(trace, labeling)
+        robs = stl.labeling_robustness(trace, cfg.labeling_spec)
         name = f"trace_{i:04d}.trace"
         _atomic_write(out / name, signals.trace_bytes(trace, cfg.config_hash, {"rob": robs}))
         entries.append({"file": f"traces/{name}", "seed": seed})
@@ -273,7 +285,7 @@ def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     pairs = _load_trace_pairs(cfg)
-    model = abstraction.build_abstraction(pairs, cfg.abstraction_config())
+    model = abstraction.build_abstraction(pairs, cfg.abstraction_config)
     _write_model(cfg, model)
     print(f"model: {len(model.states)} states, {model.num_transitions()} transitions")
     return 0
@@ -285,7 +297,7 @@ def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not model_path.exists():
         raise FileNotFoundError(f"{model_path} missing (run build first)")
     model = abstraction.load_model(model_path)
-    acfg = cfg.abstraction_config()
+    acfg = cfg.abstraction_config
     if (acfg.k, acfg.c) != (model.config.k, model.config.c):
         raise ValueError(
             f"abstraction schema mismatch: model was built with k={model.config.k}, "
@@ -311,7 +323,7 @@ def _write_model(cfg: RunConfig, model: abstraction.AbstractMdp) -> None:
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = abstraction.load_model(cfg.output_dir / "model.json")
-    formula = pmc.parse_pctl(args.query or cfg.raw["monitor"]["query"])
+    formula = pmc.parse_pctl(args.query) if args.query else cfg.monitor_config.query
     if args.state_file:
         width, vec = len(model.pca.mean), None
         try:
@@ -342,16 +354,10 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
-    plant = cfg.plant()
-    simcfg = cfg.simcfg()
-    spec = cfg.input_spec()
     ai = cfg.controller("controller")
     safe = cfg.controller("safety_controller")
     model = abstraction.load_model(cfg.output_dir / "model.json")
-    mcfg = cfg.monitor_config()
-    safety_metric = stl.parse_stl(cfg.raw["monitor"]["safety_metric"])
-    perf_metric = stl.parse_stl(cfg.raw["monitor"]["performance_metric"])
-    n = args.runs if args.runs is not None else cfg.raw["monitor"]["num_runs"]
+    n = cfg.raw["monitor"]["num_runs"]
     seeds = _spawn_seeds(cfg.seed, "monitor", n)
     out = cfg.output_dir / "monitored"
     out.mkdir(parents=True, exist_ok=True)
@@ -359,13 +365,13 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     total_query = total_wall = 0.0
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        signal = signals.random_signal(spec, rng)
+        signal = signals.random_signal(cfg.input_spec, rng)
         try:
-            mt = monitor.run_monitored(plant, ai, safe, model, mcfg, signal, simcfg)
+            mt = monitor.run_monitored(cfg.plant, ai, safe, model, cfg.monitor_config, signal, cfg.simcfg)
         except plants.SimulationBlowup as exc:
             rows.append({"seed": seed, "error": str(exc)})
             continue
-        safety_frac, perf_frac = monitor.eval_metrics(mt.trace, safety_metric, perf_metric)
+        safety_frac, perf_frac = monitor.eval_metrics(mt.trace, cfg.safety_metric, cfg.performance_metric)
         total_query += mt.query_time
         total_wall += mt.wall_time
         rows.append({
@@ -393,8 +399,7 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    plant = cfg.plant()
-    system = plants.ClosedLoopSystem(plant, cfg.controller(), cfg.simcfg(), cfg.input_spec())
+    system = plants.ClosedLoopSystem(cfg.plant, cfg.controller(), cfg.simcfg, cfg.input_spec)
     kinds = {"guided": falsify.GUIDED, "random": falsify.RANDOM,
              "opt": falsify.OPT_ONLY, "guided-rand": falsify.GUIDED_RAND}
     algo = args.algo
@@ -403,15 +408,13 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
     kind = kinds[algo]
     model = None
     if kind == falsify.GUIDED:
-        model = abstraction.load_model(args.model or cfg.output_dir / "model.json")
-    n = args.trials if args.trials is not None else cfg.raw["falsify"]["trials"]
-    seeds = _spawn_seeds(cfg.seed, f"falsify-{algo}", n)
+        model = abstraction.load_model(cfg.output_dir / "model.json")
+    seeds = _spawn_seeds(cfg.seed, f"falsify-{algo}", cfg.raw["falsify"]["trials"])
     outcomes, per_trial = [], []
     print(f"{'trial':>5} {'success':>8} {'time[s]':>8} {'#sim':>5} {'best rob':>10}")
     for i, trial_seed in enumerate(seeds):
-        fcfg = cfg.falsify_config(trial_seed)
         try:
-            outcome = falsify.run_baseline(kind, system, model, fcfg)
+            outcome = falsify.run_baseline(kind, system, model, replace(cfg.falsify_config, seed=trial_seed))
         except plants.SimulationBlowup as exc:
             outcomes.append(None)
             per_trial.append({"seed": trial_seed, "error": str(exc)})
@@ -487,27 +490,16 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """A flag's count; argparse reports the ValueError of a non-integer with this function's name."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"takes a non-negative integer, not {value}")
-    return value
-
-
-_count.__name__ = "int"
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpsguard", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; defaults apply without one")
     parser.add_argument("--seed", type=int, help="override the root seed")
-    parser.add_argument("--out-dir", help="override the output directory")
+    parser.add_argument("--out-dir", dest="output_dir", help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="simulate seeded random inputs and write traces")
     p.set_defaults(run=cmd_collect)
-    p.add_argument("--num", type=_count, help="number of traces")
+    p.add_argument("--num", dest="collect.num_traces", type=int, help="number of traces")
 
     sub.add_parser("build", help="build the abstract model from collected traces").set_defaults(run=cmd_build)
     sub.add_parser("refine", help="refine the model (split mixed states)").set_defaults(run=cmd_refine)
@@ -523,15 +515,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("monitor", help="run monitored simulations and report metrics")
     p.set_defaults(run=cmd_monitor)
-    p.add_argument("--runs", type=_count)
+    p.add_argument("--runs", dest="monitor.num_runs", type=int, help="number of monitored runs")
 
     p = sub.add_parser("falsify", help="run falsification trials")
     p.set_defaults(run=cmd_falsify)
     p.add_argument("--algo", default="guided", help="guided | random | opt | guided-rand")
-    p.add_argument("--trials", type=_count)
-    p.add_argument("--spec", help="STL specification to falsify (overrides config)")
-    p.add_argument("--query", help="PCTL safety query for the guided search (overrides config)")
-    p.add_argument("--model", help="model file (defaults to <output_dir>/model.json)")
+    p.add_argument("--trials", dest="falsify.trials", type=int, help="number of trials")
+    p.add_argument("--spec", dest="falsify.spec", help="STL specification to falsify")
+    p.add_argument("--query", dest="falsify.query", help="PCTL safety query for the guided search")
 
     sub.add_parser("report", help="aggregate outputs into a summary").set_defaults(run=cmd_report)
     return parser
@@ -541,10 +532,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {"seed": args.seed, "output_dir": args.out_dir}
-        if args.command == "falsify":
-            overrides["falsify"] = {key: value for key, value in (("spec", args.spec), ("query", args.query)) if value}
-        cfg = load_config(args.config, {key: value for key, value in overrides.items() if value not in (None, {})})
+        overrides = {}  # from each flag whose dest is a config key's dotted path
+        for dest, value in vars(args).items():
+            section, _, key = dest.rpartition(".")
+            if value is not None and (section or key in DEFAULT_CONFIG):
+                target = overrides.setdefault(section, {}) if section else overrides
+                target[key] = value
+        cfg = load_config(args.config, overrides)
         return args.run(cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

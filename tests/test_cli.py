@@ -2,11 +2,12 @@ import dataclasses
 import io
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
-from cpsguard import abstraction, cli, monitor, plants, signals, stl
+from cpsguard import abstraction, cli, monitor, plants, signals
 from cpsguard.cli import main
 
 
@@ -483,17 +484,12 @@ class TestMonitorCmd:
         metrics = json.loads((tmp_path / "out" / "monitor_metrics.json").read_text())
         # recompute the AI-only metrics with the same seeds
         cfg = cli.load_config(str(cfg_path))
-        plant = cfg.plant()
-        simcfg = cfg.simcfg()
-        spec = cfg.input_spec()
         controller = cfg.controller()
-        safety = stl.parse_stl(cfg.raw["monitor"]["safety_metric"])
-        perf = stl.parse_stl(cfg.raw["monitor"]["performance_metric"])
         for row, seed in zip(metrics["runs"], cli._spawn_seeds(cfg.seed, "monitor", 2)):
             rng = np.random.default_rng(seed)
-            sig = signals.random_signal(spec, rng)
-            trace = plants.simulate(plant, controller, sig, simcfg)
-            s, p = monitor.eval_metrics(trace, safety, perf)
+            sig = signals.random_signal(cfg.input_spec, rng)
+            trace = plants.simulate(cfg.plant, controller, sig, cfg.simcfg)
+            s, p = monitor.eval_metrics(trace, cfg.safety_metric, cfg.performance_metric)
             assert row["safety_frac"] == pytest.approx(s)
             assert row["perf_frac"] == pytest.approx(p)
         assert "overhead_ratio" in capsys.readouterr().out
@@ -578,10 +574,13 @@ CONFIG_DEFECTS = [
 ]
 
 
-# (what the config file holds, the usage error it gets; {path} is the file, {dir} its directory)
+# (what the config file holds, the usage error it gets; {path} is the file, {dir} its directory;
+# None makes the path a directory)
 CONFIG_FILE_DEFECTS = [
     ("[1]", "config file {path}: expected a JSON object"),
     ("{not json", "config file {path}: Expecting property name enclosed in double quotes"),
+    (b'{"seed": 1}\xff', "config file {path}: 'utf-8' codec can't decode byte 0xff in position 11"),
+    (None, "config file {path}: Is a directory"),
     ({"controller": {"kind": "mlp"}}, "controller: mlp controller needs a 'path'"),
     ({"controller": {"kind": "mlp", "path": "missing.txt"}}, "controller: weights file {dir}/missing.txt does not exist"),
     ({"controller": {"kind": "lqr"}}, "controller: unknown controller kind 'lqr'"),
@@ -595,7 +594,28 @@ FLAG_CASES = [
     (["--seed", "8", "collect", "--num", "2"], ["collect", "--num", "2"], {"seed": 8}),
     ([*FALSIFY, "--spec", SPEC], FALSIFY, {"falsify": {"spec": SPEC}}),
     ([*FALSIFY, "--spec", SPEC, "--query", QUERY], [*FALSIFY, "--spec", SPEC], {"falsify": {"query": QUERY}}),
+    (["collect", "--num", "2"], ["collect"], {"collect": {"num_traces": 2}}),
+    (["monitor", "--runs", "2"], ["monitor"], {"monitor": {"num_runs": 2}}),
+    ([*FALSIFY, "--spec", SPEC], ["falsify", "--algo", "random", "--spec", SPEC], {"falsify": {"trials": 2}}),
 ]
+
+# (a value of the right JSON type that the type its section builds refuses, the section, the message)
+SECTION_DEFECTS = [
+    ({"falsify": {"queue_seed_count": 0}}, "falsify", "queue_seed_count must be >= 1"),
+    ({"input": {"num_control_points": 0}}, "input", "num_control_points must be >= 1"),
+    ({"abstraction": {"c": 1}}, "abstraction", "c must be >= 2"),
+    ({"monitor": {"unknown_policy": "X"}}, "monitor", "unknown_policy must be SAFE or AI, got 'X'"),
+    ({"sim": {"dt": 0}}, "sim", "dt must be positive"),
+]
+
+
+@pytest.fixture(scope="module")
+def built_model(tmp_path_factory):
+    """A model.json of `write_config`'s config, for a command that reads one."""
+    tmp_path = tmp_path_factory.mktemp("built")
+    cfg = write_config(tmp_path)
+    assert run(["--config", cfg, "collect"]) == 0 and run(["--config", cfg, "build"]) == 0
+    return tmp_path / "out" / "model.json"
 
 
 class TestUsage:
@@ -606,9 +626,9 @@ class TestUsage:
         cfg = write_config(tmp_path)
         for args, message in (
             (["collect", "--num", "notanumber"], "argument --num: invalid int value: 'notanumber'"),
-            (["collect", "--num", "-3"], "argument --num: takes a non-negative integer, not -3"),
-            (["monitor", "--runs", "-2"], "argument --runs: takes a non-negative integer, not -2"),
-            (["falsify", "--trials", "-1"], "argument --trials: takes a non-negative integer, not -1"),
+            (["collect", "--num", "-3"], "config key 'collect.num_traces' takes a non-negative integer, not -3"),
+            (["monitor", "--runs", "-2"], "config key 'monitor.num_runs' takes a non-negative integer, not -2"),
+            (["falsify", "--trials", "-1"], "config key 'falsify.trials' takes a non-negative integer, not -1"),
             (["--seed", "-1", "build"], "config key 'seed' takes a non-negative integer, not -1"),
             (["check", "--state", "c0", "--state-file", "f.json"],
              "argument --state-file: not allowed with argument --state"),
@@ -627,26 +647,42 @@ class TestUsage:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content, message", CONFIG_FILE_DEFECTS,
-                             ids=["list", "not_json", "mlp_no_path", "mlp_missing_file", "lqr"])
+                             ids=["list", "not_json", "not_utf8", "directory", "mlp_no_path", "mlp_missing_file",
+                                  "lqr"])
     def test_bad_config_file_or_controller_exits_1(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "config.json"
-        if isinstance(content, str):
+        if content is None:
+            cfg.mkdir()
+        elif isinstance(content, bytes):
+            cfg.write_bytes(content)
+        elif isinstance(content, str):
             cfg.write_text(content)
         else:
             write_config(tmp_path, **content)
         assert run(["--config", cfg, "collect", "--num", "1"]) == 1
         assert capsys.readouterr().err.startswith("usage error: " + message.format(path=cfg, dir=tmp_path))
 
-    @pytest.mark.parametrize("with_flag, without, config", FLAG_CASES, ids=["seed", "spec", "query"])
-    def test_a_flag_writes_what_its_config_value_writes(self, tmp_path, with_flag, without, config):
+    @pytest.mark.parametrize("with_flag, without, config", FLAG_CASES,
+                             ids=["seed", "spec", "query", "num", "runs", "trials"])
+    def test_a_flag_writes_what_its_config_value_writes(self, tmp_path, built_model, with_flag, without, config):
         """Byte-identical outputs, config hash included, whether a value comes from a flag or the file."""
         outputs = []
         for side, args, values in (("flag", with_flag, {}), ("file", without, config)):
-            (tmp_path / side).mkdir()
-            assert run(["--config", write_config(tmp_path / side, **values), *args]) == 0
             out = tmp_path / side / "out"
+            out.mkdir(parents=True)
+            shutil.copy(built_model, out)
+            assert run(["--config", write_config(tmp_path / side, **values), *args]) == 0
             outputs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()})
         assert outputs[0] == outputs[1] and outputs[0]
+
+    @pytest.mark.parametrize("command", [["collect"], ["falsify", "--algo", "random"]], ids=["collect", "falsify"])
+    @pytest.mark.parametrize("overrides, section, message", SECTION_DEFECTS, ids=[s for _, s, _ in SECTION_DEFECTS])
+    def test_a_value_its_section_refuses_exits_2_before_any_output(self, tmp_path, capsys, overrides, section,
+                                                                   message, command):
+        cfg = write_config(tmp_path, **overrides)
+        assert run(["--config", cfg, *command]) == 2
+        assert capsys.readouterr() == ("", f"error: config section '{section}': {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_every_null_default_has_a_type(self):
         def null_paths(section, prefix=""):
@@ -661,11 +697,11 @@ class TestUsage:
         cfg = write_config(tmp_path, sim={"horizon": 4}, controller={"kind": "pid", "kp": 2, "path": None},
                            input={"duration": 3, "ranges": [[0.0, 1.0]]}, falsify={"spec": "G[0,1](level >= 0)"})
         cfg = cli.load_config(str(cfg))
-        assert (cfg.simcfg().horizon, cfg.controller().kp, cfg.input_spec().duration) == (4, 2.0, 3)
+        assert (cfg.simcfg.horizon, cfg.controller().kp, cfg.input_spec.duration) == (4, 2.0, 3)
 
     def test_plant_params_are_left_to_the_plant(self, tmp_path, capsys):
         cfg = write_config(tmp_path, plant={"name": "watertank", "params": {"inflow_max": 2.5}})
-        assert cli.load_config(str(cfg)).plant().control_range == (0.0, 2.5)
+        assert cli.load_config(str(cfg)).plant.control_range == (0.0, 2.5)
         cfg = write_config(tmp_path, plant={"name": "watertank", "params": {"inflow_mx": 2.5}})
         assert run(["--config", cfg, "collect", "--num", "1"]) == 2
         assert "unknown watertank parameter 'inflow_mx'" in capsys.readouterr().err
