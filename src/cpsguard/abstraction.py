@@ -59,6 +59,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .stl import Record
 
 OUT_OF_BOUNDS = -1
 INIT_STATE: "StateId" = (-2, 0)
@@ -66,10 +67,8 @@ INIT_STATE: "StateId" = (-2, 0)
 StateId = tuple[int, int]  # (cell id, side); side 0 unsplit, +1/-1 after a split
 
 
-@dataclass(frozen=True)
-class PcaTransform:
-    mean: np.ndarray  # (l,)
-    components: np.ndarray  # (k, l), orthonormal rows
+class PcaTransform(Record):
+    __slots__ = ("mean", "components")  # shapes (l,) and (k, l), orthonormal rows
 
     def __post_init__(self):
         gram = self.components @ self.components.T
@@ -99,10 +98,8 @@ class AbstractionConfig:
             object.__setattr__(self, "bounds", bounds)
 
 
-@dataclass
-class StateInfo:
-    label: int  # -1 or +1
-    support: int  # member count in the construction data
+class StateInfo(Record):
+    __slots__ = ("label", "support")  # label -1 or +1; support: member count in the construction data
 
 
 @dataclass(frozen=True)
@@ -512,13 +509,9 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     return _assemble(_state_codes(config, classifiers, R), robs_all, actions, starts, model.pca, config, classifiers)
 
 
-@dataclass(frozen=True)
-class PrecisenessReport:
-    matched_fraction: float  # over non-UNKNOWN states
-    unknown_fraction: float  # over all states
-    n_matched: int
-    n_known: int
-    n_unknown: int
+class PrecisenessReport(Record):
+    # matched_fraction is over non-UNKNOWN states, unknown_fraction over all states
+    __slots__ = ("matched_fraction", "unknown_fraction", "n_matched", "n_known", "n_unknown")
 
 
 def preciseness(model: AbstractMdp, pairs) -> PrecisenessReport:

@@ -16,13 +16,14 @@ Exit codes: 0 ok, 1 usage error, 2 runtime failure, 3 property violated
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
-import statistics
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,23 +120,13 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
-@dataclass
-class RunConfig:
+class RunConfig(stl.Record):
     """A merged and hashed config with each section built by `load_config`. The controllers
     alone are built on demand, since an mlp one reads its weights file."""
 
-    raw: dict
-    config_hash: str
-    base_dir: Path
-    plant: plants.PlantModel
-    simcfg: plants.SimConfig
-    input_spec: signals.InputSpec
-    labeling_spec: stl.StlFormula
-    abstraction_config: abstraction.AbstractionConfig
-    monitor_config: monitor.MonitorConfig
-    safety_metric: stl.StlFormula
-    performance_metric: stl.StlFormula
-    falsify_config: falsify.FalsifyConfig  # seed 0; each trial replaces it with its own
+    # falsify_config has seed 0; each trial replaces it with its own
+    __slots__ = ("raw", "config_hash", "base_dir", "plant", "simcfg", "input_spec", "labeling_spec",
+                 "abstraction_config", "monitor_config", "safety_metric", "performance_metric", "falsify_config")
 
     @property
     def seed(self) -> int:
@@ -387,8 +378,8 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
         _atomic_write(out / f"monitored_{i:04d}.trace",
                       signals.trace_bytes(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
     done = [r for r in rows if "error" not in r]
-    mean_safety = statistics.fmean(r["safety_frac"] for r in done) if done else None
-    mean_perf = statistics.fmean(r["perf_frac"] for r in done) if done else None
+    mean_safety = math.fsum(r["safety_frac"] for r in done) / len(done) if done else None  # as statistics.fmean
+    mean_perf = math.fsum(r["perf_frac"] for r in done) / len(done) if done else None
     overhead = total_query / total_wall if total_wall > 0 else 0.0
     metrics = {"config_hash": cfg.config_hash, "runs": rows,
                "mean_safety_frac": mean_safety, "mean_perf_frac": mean_perf}
@@ -490,7 +481,10 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built by the first `main` call of a process and reused:
+    building it takes about a millisecond, and `parse_args` returns a fresh namespace."""
     parser = _Parser(prog="cpsguard", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file; defaults apply without one")
     parser.add_argument("--seed", type=int, help="override the root seed")
@@ -498,14 +492,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="simulate seeded random inputs and write traces")
-    p.set_defaults(run=cmd_collect)
     p.add_argument("--num", dest="collect.num_traces", type=int, help="number of traces")
 
-    sub.add_parser("build", help="build the abstract model from collected traces").set_defaults(run=cmd_build)
-    sub.add_parser("refine", help="refine the model (split mixed states)").set_defaults(run=cmd_refine)
+    sub.add_parser("build", help="build the abstract model from collected traces")
+    sub.add_parser("refine", help="refine the model (split mixed states)")
 
     p = sub.add_parser("check", help="check a safety query at a state")
-    p.set_defaults(run=cmd_check)
     p.add_argument("--query", help="PCTL query (defaults to the monitor query)")
     where = p.add_mutually_exclusive_group()
     where.add_argument("--state", help="state id, e.g. c123 (defaults to the initial state)")
@@ -514,24 +506,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--semantics", choices=["MAX", "MIN"], default="MAX")
 
     p = sub.add_parser("monitor", help="run monitored simulations and report metrics")
-    p.set_defaults(run=cmd_monitor)
     p.add_argument("--runs", dest="monitor.num_runs", type=int, help="number of monitored runs")
 
     p = sub.add_parser("falsify", help="run falsification trials")
-    p.set_defaults(run=cmd_falsify)
     p.add_argument("--algo", default="guided", help="guided | random | opt | guided-rand")
     p.add_argument("--trials", dest="falsify.trials", type=int, help="number of trials")
     p.add_argument("--spec", dest="falsify.spec", help="STL specification to falsify")
     p.add_argument("--query", dest="falsify.query", help="PCTL safety query for the guided search")
 
-    sub.add_parser("report", help="aggregate outputs into a summary").set_defaults(run=cmd_report)
+    sub.add_parser("report", help="aggregate outputs into a summary")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = {}  # from each flag whose dest is a config key's dotted path
         for dest, value in vars(args).items():
             section, _, key = dest.rpartition(".")
@@ -539,11 +528,12 @@ def main(argv=None) -> int:
                 target = overrides.setdefault(section, {}) if section else overrides
                 target[key] = value
         cfg = load_config(args.config, overrides)
-        return args.run(cfg, args)
+        run = globals()["cmd_" + args.command]  # looked up per call, as the parser outlives a call
+        return run(cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stl import Record
 
-@dataclass(frozen=True)
-class MlpNet:
-    weights: tuple[np.ndarray, ...]  # weights[i] has shape (dims[i+1], dims[i])
-    biases: tuple[np.ndarray, ...]
-    out_lo: float
-    out_hi: float
+
+class MlpNet(Record):
+    __slots__ = ("weights", "biases", "out_lo", "out_hi")  # tuples of arrays; weights[i] is (dims[i+1], dims[i])
 
     def __post_init__(self):
         dims_ok = all(

@@ -65,13 +65,8 @@ class FalsifyConfig:
             raise ValueError("budgets must be >= 1")
 
 
-@dataclass
-class FalsificationOutcome:
-    success: bool
-    falsifying_input: InputSignal | None
-    robustness_history: list[float]
-    simulations: int
-    wall_time: float
+class FalsificationOutcome(stl.Record):
+    __slots__ = ("success", "falsifying_input", "robustness_history", "simulations", "wall_time")
 
 
 class _AdaptiveStep:

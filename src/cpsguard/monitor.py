@@ -26,7 +26,6 @@ so runs with equal seeds produce identical files).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +42,9 @@ AI_TAG = 0
 SAFE_TAG = 1
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    query: pmc.PctlFormula
-    period: float = 5.0
-    unknown_policy: str = "SAFE"  # "SAFE" switches on unknown states, "AI" stays
-    switch_back: bool = True
+class MonitorConfig(stl.Record):
+    __slots__ = ("query", "period", "unknown_policy", "switch_back")  # policy "SAFE" switches on unknown states
+    _defaults = {"period": 5.0, "unknown_policy": "SAFE", "switch_back": True}
 
     def __post_init__(self):
         if self.unknown_policy not in ("SAFE", "AI"):
@@ -57,21 +53,14 @@ class MonitorConfig:
             raise ValueError("period must be positive")
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    t: float
-    verdict: str  # SAFE or UNSAFE after applying the unknown policy
-    raw_unknown: bool  # the state was not in the model
-    probability: float | None
-    wall_time: float
+class QueryRecord(stl.Record):
+    # verdict: SAFE or UNSAFE after applying the unknown policy; raw_unknown: the state was not in the model
+    __slots__ = ("t", "verdict", "raw_unknown", "probability", "wall_time")
 
 
-@dataclass
-class MonitoredTrace:
-    trace: Trace
-    controller_tags: np.ndarray  # per step: AI_TAG or SAFE_TAG
-    queries: list[QueryRecord]
-    wall_time: float  # whole run including queries
+class MonitoredTrace(stl.Record):
+    # controller_tags: per step, AI_TAG or SAFE_TAG; wall_time: the whole run, queries included
+    __slots__ = ("trace", "controller_tags", "queries", "wall_time")
 
     @property
     def query_time(self) -> float:

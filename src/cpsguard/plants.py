@@ -54,32 +54,32 @@ bit-identical traces.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
-from dataclasses import dataclass
 from math import exp, isfinite, sqrt
 
 import numpy as np
 
 from .controllers import MlpNet, PidController, mlp_policy, pid_act
 from .signals import InputSignal, InputSpec, Trace, sample
+from .stl import Record
 
 
-@dataclass(frozen=True)
-class _PlantDef:
+class _PlantDef(Record):
     """One plant: names, defaults and float kernels. A kernel reads p (params), s (state, a
     tuple of floats), u (control), e (exogenous values) and t (time)."""
 
-    state_names: tuple[str, ...]  # integration state vector
-    channels: tuple[str, ...]  # recorded trace channels
-    defaults: dict  # params; the initial state is the params named <state name>0
-    control: tuple[str, str]  # params bounding the control
-    exogenous: tuple[str, str]  # params bounding the exogenous channel
-    sim: tuple[float, float, float]  # default dt, horizon, control_period
-    pid: tuple[float, float, float, float]  # default kp, ki, kd, integral_limit
-    step: Callable  # (p, dt) -> (s, u, e) -> next s, projected
-    row: Callable  # (p, s, e, t) -> recorded channel values
-    observe: Callable  # (p, s, e, t) -> controller observation
-    error: Callable  # (p, observation) -> PID error
+    __slots__ = (
+        "state_names",  # integration state vector
+        "channels",  # recorded trace channels
+        "defaults",  # params; the initial state is the params named <state name>0
+        "control",  # params bounding the control
+        "exogenous",  # params bounding the exogenous channel
+        "sim",  # default dt, horizon, control_period
+        "pid",  # default kp, ki, kd, integral_limit
+        "step",  # (p, dt) -> (s, u, e) -> next s, projected
+        "row",  # (p, s, e, t) -> recorded channel values
+        "observe",  # (p, s, e, t) -> controller observation
+        "error",  # (p, observation) -> PID error
+    )
 
 
 def _acc_step(p, dt):
@@ -223,33 +223,31 @@ _PLANTS = {
 }
 
 
-@dataclass(frozen=True)
-class PlantModel:
-    name: str
-    state_names: tuple[str, ...]  # integration state vector
-    channels: tuple[str, ...]  # recorded trace channels
-    control_range: tuple[float, float]
-    params: dict
+class PlantModel(Record):
+    # state_names: the integration state vector; channels: the recorded trace channels
+    __slots__ = ("name", "state_names", "channels", "control_range", "params")
 
     @property
     def state_dim(self) -> int:
         return len(self.state_names)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float
-    horizon: float
-    control_period: float
+_MAX_STEPS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize  # float64 values one array can hold
+
+
+class SimConfig(Record):
+    __slots__ = ("dt", "horizon", "control_period")
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not self.horizon / self.dt < _MAX_STEPS:
+            raise ValueError(f"horizon {self.horizon} at dt {self.dt} takes more steps than an array can hold")
+        if self.horizon < self.control_period:
+            raise ValueError("horizon must cover at least one control period")
         per = self.control_period / self.dt
         if abs(per - round(per)) > 1e-9 or round(per) < 1:
             raise ValueError(f"control_period {self.control_period} is not a multiple of dt {self.dt}")
-        if self.horizon < self.control_period:
-            raise ValueError("horizon must cover at least one control period")
 
     @property
     def steps_per_control(self) -> int:
@@ -354,7 +352,11 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     step, row_of, observe_of = kind.step(p, dt), kind.row, kind.observe
     inputs = sample(input_signal, np.arange(n_steps + 1) * dt)
     state = tuple(initial_state(plant).tolist())
-    rows, actions = [], []
+    values, actions = [], []  # the recorded rows, end to end in one flat list
+
+    def trace(n):  # the first n steps
+        return Trace(dt, plant.channels, np.array(values, dtype=float).reshape(n, -1), actions, inputs[:n])
+
     action, acting = 0.0, None
     for i, exo in enumerate(inputs.tolist()):
         t = i * dt
@@ -365,7 +367,7 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
             if controller is not acting:  # `is`, not id(): a freed controller's id can be reused
                 act, acting = _policy(controller, plant, cfg.control_period), controller
             action = act(observe_of(p, state, exo, t))
-        rows.append(row)
+        values += row
         actions.append(action)
         if i < n_steps:
             try:
@@ -374,19 +376,14 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
             except (FloatingPointError, OverflowError):
                 finite = False
             if not finite:
-                partial = Trace(dt, plant.channels, rows, actions, inputs[: i + 1])
-                raise SimulationBlowup(f"{plant.name}: state diverged at t={t + dt:.3f}", partial)
-    return Trace(dt, plant.channels, rows, actions, inputs)
+                raise SimulationBlowup(f"{plant.name}: state diverged at t={t + dt:.3f}", trace(i + 1))
+    return trace(len(actions))
 
 
-@dataclass(frozen=True)
-class ClosedLoopSystem:
+class ClosedLoopSystem(Record):
     """A plant bound to one controller, sim config, and input space."""
 
-    plant: PlantModel
-    controller: object
-    simcfg: SimConfig
-    input_spec: InputSpec
+    __slots__ = ("plant", "controller", "simcfg", "input_spec")
 
     def run(self, input_signal: InputSignal) -> Trace:
         return simulate(self.plant, self.controller, input_signal, self.simcfg)

@@ -44,14 +44,12 @@ Unbounded always goes through the dual: Pmax[G phi] = 1 - Pmin[F !phi]
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from .abstraction import AbstractMdp, StateId, TransitionTable, _new_runs
-from .stl import _NUM_OR_NAME, SpecSyntaxError, _Cursor, _fmt_num
+from .stl import _NUM_OR_NAME, Record, SpecSyntaxError, _Cursor, _fmt_num, _token_pattern
 
 IMPROVE_TOL = 1e-12  # policy iteration switches an action only for a larger gain
 _LABELS = {"rob=-1": -1, "rob=+1": 1}  # atomic proposition -> the state label it holds at
@@ -61,55 +59,42 @@ _LABELS = {"rob=-1": -1, "rob=+1": 1}  # atomic proposition -> the state label i
 # AST
 
 
-@dataclass(frozen=True)
-class TrueF:
-    pass
+class TrueF(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ap:
-    name: str
+class Ap(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class NotF:
-    operand: "PctlFormula"
+class NotF(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class AndF:
-    left: "PctlFormula"
-    right: "PctlFormula"
+class AndF(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class ProbF:
-    op: str  # '<', '<=', '>', '>='
-    bound: float
-    path: "PathFormula"
+class ProbF(Record):
+    __slots__ = ("op", "bound", "path")  # op: '<', '<=', '>', '>='
 
 
-@dataclass(frozen=True)
-class Next:
-    operand: "PctlFormula"
+class Next(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Globally:
-    operand: "PctlFormula"
+class Globally(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Finally:
-    operand: "PctlFormula"
-    k: int | None = None  # None = unbounded
+class Finally(Record):
+    __slots__ = ("operand", "k")
+    _defaults = {"k": None}  # None = unbounded
 
 
-@dataclass(frozen=True)
-class UntilF:
-    left: "PctlFormula"
-    right: "PctlFormula"
-    k: int | None = None
+class UntilF(Record):
+    __slots__ = ("left", "right", "k")
+    _defaults = {"k": None}
 
 
 PctlFormula = TrueF | Ap | NotF | AndF | ProbF
@@ -121,7 +106,7 @@ class PctlSyntaxError(SpecSyntaxError):
 
 
 class _Parser(_Cursor):
-    _TOKEN = re.compile(r'(?P<str>"[^"]*")|' + _NUM_OR_NAME + r"|(?P<op><=|>=|[!&<>()\[\]])")
+    _TOKEN = _token_pattern(r'(?P<str>"[^"]*")|' + _NUM_OR_NAME + r"|(?P<op><=|>=|[!&<>()\[\]])")
     _ERROR = PctlSyntaxError
 
     def parse_state(self) -> PctlFormula:
@@ -228,18 +213,14 @@ def format_pctl(formula) -> str:
 # engine
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    probability: float | None  # set when the formula is a top-level P operator
-    semantics: str  # "MAX" or "MIN"
-    error_bound: float | None  # final Bellman residual (0.0 if step-bounded), not a distance to the exact value
+class Verdict(Record):
+    # probability: set when the formula is a top-level P operator; semantics: "MAX" or "MIN";
+    # error_bound: final Bellman residual (0.0 if step-bounded), not a distance to the exact value
+    __slots__ = ("holds", "probability", "semantics", "error_bound")
 
 
-@dataclass(frozen=True)
-class ReachResult:
-    probs: dict[StateId, float]
-    error_bound: float
+class ReachResult(Record):
+    __slots__ = ("probs", "error_bound")  # probs: {StateId: float}
 
 
 def _choice_values(t: TransitionTable, x: np.ndarray) -> np.ndarray:

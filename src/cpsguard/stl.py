@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,35 +59,78 @@ from .signals import Trace
 _SNAP = 1e-9
 
 
+class Record:
+    """An immutable record: the STL and PCTL syntax-tree nodes, and the value
+    types of the modules that import this one. A subclass lists its fields
+    in `__slots__`, and gets an `__init__` that takes them by position or
+    keyword (`_defaults` maps a field to its default), then calls
+    `__post_init__`, where the class has one. A record equals a record of
+    the same type with equal fields. Its hash is computed on first use and
+    kept. `_args` holds the field values in order."""
+
+    __slots__ = ("_args", "_hash")
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # Generated, as dataclasses do: a generic *args loop made parse_stl slower than dataclass nodes did.
+        names = cls.__dict__.get("__slots__", ())
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in names)
+        body = [f"_set_{name}(self, {name})" for name in names]
+        body.append(f"_set__args(self, ({''.join(name + ', ' for name in names)}))")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in (*names, "_args")}
+        scope["_defaults"] = cls._defaults
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), scope)
+        cls.__init__ = scope["__init__"]
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self is other or self._args == other._args
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # first use; hashing the children of every node as it is built slowed parsing
+            object.__setattr__(self, "_hash", hash((type(self), self._args)))
+            return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._args))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild the record rather than set its slots
+        return type(self), self._args
+
+
 # ---------------------------------------------------------------------------
 # expression AST (the left/right sides of predicates)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class BinExpr:
-    op: str  # '+', '-', '*'
-    left: "Expr"
-    right: "Expr"
+class BinExpr(Record):
+    __slots__ = ("op", "left", "right")  # op: '+', '-', '*'
 
 
-@dataclass(frozen=True)
-class NegExpr:
-    operand: "Expr"
+class NegExpr(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class AbsExpr:
-    operand: "Expr"
+class AbsExpr(Record):
+    __slots__ = ("operand",)
 
 
 Expr = Var | Const | BinExpr | NegExpr | AbsExpr
@@ -119,34 +161,24 @@ def eval_expr(expr: Expr, trace: Trace) -> np.ndarray:
 # formula AST
 
 
-@dataclass(frozen=True)
-class Pred:
-    left: Expr
-    op: str  # '<=', '<', '>=', '>'
-    right: Expr
+class Pred(Record):
+    __slots__ = ("left", "op", "right")  # op: '<=', '<', '>=', '>'
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "StlFormula"
+class Not(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "StlFormula"
-    right: "StlFormula"
+class And(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "StlFormula"
-    right: "StlFormula"
+class Or(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "StlFormula"
-    right: "StlFormula"
+class Implies(Record):
+    __slots__ = ("left", "right")
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -154,32 +186,22 @@ def _check_interval(lo: float, hi: float) -> None:
         raise ValueError(f"malformed temporal interval [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class Always:
-    lo: float
-    hi: float
-    operand: "StlFormula"
+class Always(Record):
+    __slots__ = ("lo", "hi", "operand")
 
     def __post_init__(self):
         _check_interval(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Eventually:
-    lo: float
-    hi: float
-    operand: "StlFormula"
+class Eventually(Record):
+    __slots__ = ("lo", "hi", "operand")
 
     def __post_init__(self):
         _check_interval(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Until:
-    lo: float
-    hi: float
-    left: "StlFormula"
-    right: "StlFormula"
+class Until(Record):
+    __slots__ = ("lo", "hi", "left", "right")
 
     def __post_init__(self):
         _check_interval(self.lo, self.hi)
@@ -219,24 +241,25 @@ class StlSyntaxError(SpecSyntaxError):
     """An STL formula that does not parse."""
 
 
+def _token_pattern(kinds: str) -> re.Pattern:
+    """One token after any whitespace: `kinds` has a named group per kind,
+    tried in order, and any other character is the group `bad`."""
+    return re.compile(r"\s*(?:" + kinds + r"|(?P<bad>\S))")
+
+
 class _Cursor:
     """The front end of the STL and PCTL parsers: a text's (kind, value,
     position) tokens, ending in ("end", "", len(text)), and a read position.
-    A subclass sets `_TOKEN`, one named group per kind, and `_ERROR`."""
+    A subclass sets `_TOKEN`, from `_token_pattern`, and `_ERROR`."""
 
     def __init__(self, text: str):
-        self.tokens = []
-        i = 0
-        while i < len(text):
-            if text[i].isspace():
-                i += 1
-                continue
-            m = self._TOKEN.match(text, i)
-            if m is None:
-                raise self._ERROR(f"unexpected character {text[i]!r}", i)
-            self.tokens.append((m.lastgroup, m.group(), i))
-            i = m.end()
-        self.tokens.append(("end", "", len(text)))
+        self.tokens = tokens = []
+        for m in self._TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self._ERROR(f"unexpected character {m[kind]!r}", m.start(kind))
+            tokens.append((kind, m[kind], m.start(kind)))
+        tokens.append(("end", "", len(text)))
         self.pos = 0
 
     def peek(self):
@@ -269,7 +292,7 @@ _KEYWORDS = {"not", "and", "or", "abs"}
 
 
 class _Parser(_Cursor):
-    _TOKEN = re.compile(_NUM_OR_NAME + r"|(?P<op><=|>=|->|[-+*<>()\[\],])")
+    _TOKEN = _token_pattern(_NUM_OR_NAME + r"|(?P<op><=|>=|->|[-+*<>()\[\],])")
     _ERROR = StlSyntaxError
 
     # formula levels ---------------------------------------------------

@@ -139,6 +139,15 @@ def random_stl_case(rng, max_steps=40):
     return trace, formula
 
 
+def subterms(node):
+    """The node and every node below it."""
+    yield node
+    for name in type(node).__slots__:
+        value = getattr(node, name)
+        if isinstance(value, stl.Record):
+            yield from subterms(value)
+
+
 # ---------------------------------------------------------------------------
 # closed loop: the array simulator, one numpy vector per RK4 stage
 

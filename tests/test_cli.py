@@ -1,8 +1,12 @@
 import dataclasses
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -606,6 +610,7 @@ SECTION_DEFECTS = [
     ({"abstraction": {"c": 1}}, "abstraction", "c must be >= 2"),
     ({"monitor": {"unknown_policy": "X"}}, "monitor", "unknown_policy must be SAFE or AI, got 'X'"),
     ({"sim": {"dt": 0}}, "sim", "dt must be positive"),
+    ({"sim": {"horizon": 1e300}}, "sim", "horizon 1e+300 at dt 0.05 takes more steps than an array can hold"),
 ]
 
 
@@ -676,13 +681,22 @@ class TestUsage:
         assert outputs[0] == outputs[1] and outputs[0]
 
     @pytest.mark.parametrize("command", [["collect"], ["falsify", "--algo", "random"]], ids=["collect", "falsify"])
-    @pytest.mark.parametrize("overrides, section, message", SECTION_DEFECTS, ids=[s for _, s, _ in SECTION_DEFECTS])
+    @pytest.mark.parametrize("overrides, section, message", SECTION_DEFECTS,
+                             ids=["falsify", "input", "abstraction", "monitor", "sim", "sim_steps"])
     def test_a_value_its_section_refuses_exits_2_before_any_output(self, tmp_path, capsys, overrides, section,
                                                                    message, command):
         cfg = write_config(tmp_path, **overrides)
         assert run(["--config", cfg, *command]) == 2
         assert capsys.readouterr() == ("", f"error: config section '{section}': {message}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_an_array_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 10**18 steps: within what an array can index, but 8 EB, more than any address space,
+        # so the allocation fails at once whatever the kernel's overcommit policy
+        cfg = write_config(tmp_path, sim={"horizon": 5e16})
+        assert run(["--config", cfg, "collect", "--num", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_every_null_default_has_a_type(self):
         def null_paths(section, prefix=""):
@@ -715,3 +729,46 @@ class TestUsage:
         bytes_a = (tmp_path / "a" / "out" / "model.json").read_bytes()
         bytes_b = (tmp_path / "b" / "out" / "model.json").read_bytes()
         assert bytes_a == bytes_b
+
+
+# in-process calls in a row, each compared with the same call alone in a fresh process
+CALL_SEQUENCES = [
+    [["check", "--query", QUERY, "--semantics", "MIN"], ["check"]],
+    [["--seed", "5", "falsify", "--trials", "1"], ["falsify"]],
+    [["check", "--semantics", "AVG"], ["check"]],
+]
+FRESH_MAIN = "import sys; from cpsguard.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def without_times(stdout):
+    """A command's stdout with falsify's wall times, which no two runs share, blanked."""
+    stdout = re.sub(r"time=\S+", "time=-", stdout)
+    return re.sub(r"(?m)^(\s*\d+\s+(?:True|False)\s+)\S+", r"\1-", stdout)
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("calls", CALL_SEQUENCES, ids=["check", "falsify", "usage_error"])
+    def test_each_call_gives_what_it_gives_alone(self, tmp_path, built_model, capsys, calls):
+        """One parser serves every main call of a process; no flag of one call reaches the next."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                             os.environ.get("PYTHONPATH", "")])}
+        configs = []
+        for side in ("reused", "fresh"):
+            (tmp_path / side / "out").mkdir(parents=True)
+            shutil.copy(built_model, tmp_path / side / "out")
+            configs.append(write_config(tmp_path / side))
+        for args in calls:
+            results = []
+            for cfg in configs:
+                argv = ["--config", str(cfg), *args]
+                if cfg.parent.name == "reused":
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                else:
+                    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True, text=True,
+                                          env=env, check=False)
+                    code, out, err = proc.returncode, proc.stdout, proc.stderr
+                files = {path.relative_to(cfg.parent): path.read_bytes()
+                         for path in (cfg.parent / "out").rglob("*") if path.is_file()}
+                results.append((code, without_times(out), err, files))
+            assert results[0] == results[1], args

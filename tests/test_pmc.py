@@ -11,6 +11,10 @@ chain is solved as a linear system, and the closed form of a slow
 random walk.
 """
 
+import copy
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 from oracles import (
@@ -21,6 +25,7 @@ from oracles import (
     random_mdp,
     slow_chain,
     slow_chain_sup_norm_stop,
+    subterms,
 )
 
 from cpsguard import pmc
@@ -137,6 +142,52 @@ class TestFrontEnd:
         stl_err = pytest.raises(StlSyntaxError, parse_stl, "x >= @").value
         assert isinstance(pctl_err, SpecSyntaxError) and not isinstance(pctl_err, StlSyntaxError)
         assert isinstance(stl_err, SpecSyntaxError) and not isinstance(stl_err, PctlSyntaxError)
+
+
+# between them, one of each of the nine PCTL node types
+EVERY_PCTL_NODE = [node for text in ('P>0.5 [ X !("rob=-1" & true) ]', 'P>0.5 [ G "rob=+1" ]',
+                                     'P<=0.5 [ F<=3 "rob=-1" ]', 'P<0.5 [ F "rob=-1" ]', 'P>=0.5 [ true U "rob=-1" ]')
+                   for node in subterms(parse_pctl(text))]
+
+
+class TestNodes:
+    def test_the_sample_has_every_node_type(self):
+        assert {type(node) for node in EVERY_PCTL_NODE} == {TrueF, Ap, NotF, AndF, ProbF, Next, Globally, Finally,
+                                                            UntilF}
+
+    def test_distinct_types_with_equal_fields_differ(self):
+        x = Ap("rob=-1")
+        for a, b in itertools.combinations([Next(x), Globally(x), NotF(x), Finally(x)], 2):
+            assert a != b and hash(a) != hash(b), (a, b)
+            assert {a: 1}.get(b) is None
+
+    def test_verdicts_are_cached_per_formula_type(self):
+        """check_all keys its cache by the formula: X phi must not be answered with G phi's verdicts."""
+        transitions = {(0, 0): {1: 0.3, 0: 0.7}, (1, 0): {1: 1.0}}
+        model = make_mdp(2, transitions, labels={1: -1})
+        phi = Ap("rob=-1")
+        nxt, glob = ProbF(">", 0.5, Next(phi)), ProbF(">", 0.5, Globally(phi))
+        first, second = check_all(model, nxt), check_all(model, glob)
+        assert second == check_all(make_mdp(2, transitions, labels={1: -1}), glob)
+        assert first[(0, 0)].probability == pytest.approx(0.3)
+        assert second[(0, 0)].probability == 0.0 and second[(1, 0)].probability == 1.0
+
+    def test_step_bounds_default_to_none(self):
+        assert Finally(TrueF()) == Finally(TrueF(), None) == Finally(operand=TrueF(), k=None)
+        assert UntilF(TrueF(), Ap("a")).k is None
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        for node in EVERY_PCTL_NODE:
+            for name in (*type(node).__slots__, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+
+    def test_copies_and_pickles_are_equal(self):
+        for node in EVERY_PCTL_NODE:
+            for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+                assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
 
 
 # ---------------------------------------------------------------------------

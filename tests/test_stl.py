@@ -2,11 +2,14 @@
 oracles.py (a naive pointwise recursion independent of the array-based
 production path)."""
 
+import copy
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
-from oracles import random_formula, random_stl_case, rob_oracle
+from oracles import random_formula, random_stl_case, rob_oracle, subterms
 
 from cpsguard import stl
 from cpsguard.signals import Trace
@@ -136,6 +139,66 @@ class TestFrontEnd:
         with pytest.raises(StlSyntaxError, match="is not finite") as err:
             parse_stl(text)
         assert err.value.position == position
+
+
+# between them, one of each of the thirteen STL node types
+EVERY_STL_NODE = [node for text in ("G[0,5](not (abs(-a + 2*b) >= 1) and (a < 1 or (a > 0 -> F[0,1](b <= 1))))",
+                                    "(a >= 0) U[1,4] (b <= 1)")
+                  for node in subterms(parse_stl(text))]
+
+
+class TestNodes:
+    def test_the_sample_has_every_node_type(self):
+        assert {type(node) for node in EVERY_STL_NODE} == {
+            stl.Var, stl.Const, stl.BinExpr, stl.NegExpr, stl.AbsExpr, Pred, Not, And, Or, stl.Implies,
+            Always, Eventually, Until}
+
+    def test_distinct_types_with_equal_fields_differ(self):
+        p, q, v = parse_stl("a >= 0"), parse_stl("b < 1"), stl.Var("a")
+        for group in ([And(p, q), Or(p, q), stl.Implies(p, q)], [Always(0.0, 1.0, p), Eventually(0.0, 1.0, p)],
+                      [Not(v), stl.NegExpr(v), stl.AbsExpr(v)]):
+            for a, b in itertools.combinations(group, 2):
+                assert a != b and hash(a) != hash(b), (a, b)
+                assert {a: 1}.get(b) is None
+
+    def test_equal_fields_compare_and_hash_equal(self):
+        text = "G[0,50]((d_rel < d_safe + 1.4*v_ego) -> F[0,5](d_rel > d_safe + 1.4*v_ego))"
+        f, g = parse_stl(text), parse_stl(text)
+        assert f is not g and f == g and hash(f) == hash(g) and not f != g
+        assert f != parse_stl(text.replace("1.4", "1.5")) and f != text
+
+    def test_keywords_and_positions_build_the_same_node(self):
+        p = parse_stl("a >= 0")
+        assert Always(lo=0.0, hi=2.0, operand=p) == Always(0.0, 2.0, p) == Always(0.0, hi=2.0, operand=p)
+        with pytest.raises(TypeError):
+            Always(0.0, 2.0)
+        with pytest.raises(TypeError):
+            Always(0.0, 2.0, p, lo=1.0)
+
+    @pytest.mark.parametrize("node", [Always, Eventually])
+    def test_a_malformed_interval_is_refused(self, node):
+        with pytest.raises(ValueError, match=r"malformed temporal interval \[2.0, 1.0\]"):
+            node(2.0, 1.0, parse_stl("a >= 0"))
+        with pytest.raises(ValueError, match="malformed temporal interval"):
+            Until(-1.0, 1.0, parse_stl("a >= 0"), parse_stl("a >= 0"))
+
+    def test_repr_names_every_field(self):
+        assert repr(parse_stl("G[0,1](x >= 0)")) == (
+            "Always(lo=0.0, hi=1.0, operand=Pred(left=Var(name='x'), op='>=', right=Const(value=0.0)))")
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        for node in EVERY_STL_NODE:
+            for name in (*type(node).__slots__, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(node, name)
+        assert parse_stl("a >= 0").op == ">="
+
+    def test_copies_and_pickles_are_equal(self):
+        for node in EVERY_STL_NODE:
+            for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+                assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
 
 
 # ---------------------------------------------------------------------------
