@@ -21,7 +21,7 @@ from .abstraction import (
     preciseness,
     refine,
 )
-from .controllers import MlpNet, PidController, mlp_forward, pid_act, train_bc
+from .controllers import MlpNet, PidController, mlp_forward, pid_policy, train_bc
 from .falsify import FalsificationOutcome, FalsifyConfig, hill_climb, run_baseline, trial_stats
 from .monitor import MonitorConfig, MonitoredTrace, eval_metrics, monitor_step, run_monitored
 from .plants import ClosedLoopSystem, PlantModel, SimConfig, make_plant, simulate

@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from itertools import repeat
 from types import MappingProxyType
 
@@ -77,13 +76,9 @@ class PcaTransform(Record):
         self.mean.flags.writeable = self.components.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class AbstractionConfig:
-    k: int = 3
-    c: int = 10
-    label_threshold: float = 0.0
-    variance_threshold: float = 0.0
-    bounds: tuple[tuple[float, float], ...] | None = None  # per reduced dim, set at build
+class AbstractionConfig(Record):
+    __slots__ = ("k", "c", "label_threshold", "variance_threshold", "bounds")  # bounds: per reduced dim, set at build
+    _defaults = {"k": 3, "c": 10, "label_threshold": 0.0, "variance_threshold": 0.0, "bounds": None}
 
     def __post_init__(self):
         if self.k < 1:
@@ -102,27 +97,21 @@ class StateInfo(Record):
     __slots__ = ("label", "support")  # label -1 or +1; support: member count in the construction data
 
 
-@dataclass(frozen=True)
 class TransitionTable:
     """Every transition of a model as read-only columns, one row per transition: `src`
     and `dst` are ranks into `order` (the sorted state ids); rows are sorted by (src, act, dst).
-    The choice columns are derived once; a choice is a run of rows with one (src, act)."""
+    The choice columns are derived once; a choice is a run of rows with one (src, act). `choice`
+    gives each row's choice, `choice_src` each choice's state, `first_choice` each state's first one."""
 
-    order: list[StateId]
-    src: np.ndarray
-    act: np.ndarray
-    dst: np.ndarray
-    prob: np.ndarray
-    choice: np.ndarray = field(init=False, repr=False)  # per row: its choice
-    choice_src: np.ndarray = field(init=False, repr=False)  # per choice: its state
-    first_choice: np.ndarray = field(init=False, repr=False)  # per state with a choice: its first one
+    __slots__ = ("order", "src", "act", "dst", "prob", "choice", "choice_src", "first_choice")
 
-    def __post_init__(self):
-        new_choice = _new_runs(self.src, self.act)
-        object.__setattr__(self, "choice", np.cumsum(new_choice) - 1)
-        object.__setattr__(self, "choice_src", self.src[new_choice])
-        object.__setattr__(self, "first_choice", np.flatnonzero(_new_runs(self.choice_src)))
-        for column in (self.src, self.act, self.dst, self.prob, self.choice, self.choice_src, self.first_choice):
+    def __init__(self, order: list[StateId], src: np.ndarray, act: np.ndarray, dst: np.ndarray, prob: np.ndarray):
+        self.order, self.src, self.act, self.dst, self.prob = order, src, act, dst, prob
+        new_choice = _new_runs(src, act)
+        self.choice = np.cumsum(new_choice) - 1
+        self.choice_src = src[new_choice]
+        self.first_choice = np.flatnonzero(_new_runs(self.choice_src))
+        for column in (src, act, dst, prob, self.choice, self.choice_src, self.first_choice):
             column.flags.writeable = False
 
 
@@ -426,7 +415,7 @@ def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
     states, robs, actions, starts = _stacked(pairs)
     pca = fit_pca(states, config.k)
     R = _reduce_batch(pca, states)
-    config = replace(config, bounds=_grid_bounds(R))
+    config = config.replace(bounds=_grid_bounds(R))
     return _assemble(_state_codes(config, {}, R), robs, actions, starts, pca, config, {})
 
 
@@ -487,7 +476,7 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     grid, which no state of the model could hold.
     """
     states, robs_all, actions, starts = _stacked(pairs)
-    config = model.config if config is None else replace(config, bounds=model.config.bounds)
+    config = model.config if config is None else config.replace(bounds=model.config.bounds)
     R = _reduce_batch(model.pca, states)
     codes = _state_codes(config, model.classifiers, R)
     outside = np.flatnonzero(codes // 3 - 1 == OUT_OF_BOUNDS)

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +146,7 @@ class RunConfig(stl.Record):
             return controllers.load_mlp(full)
         if section["kind"] == "pid":
             gains = {gain: float(section[gain]) for gain in ("kp", "ki", "kd") if section[gain] is not None}
-            return replace(plants.default_pid(self.plant), **gains)
+            return plants.default_pid(self.plant).replace(**gains)
         raise UsageError(f"{which}: unknown controller kind {section['kind']!r}")
 
 
@@ -190,7 +189,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         duration = section["duration"] if section["duration"] is not None else simcfg.horizon
         input_spec = plants.default_input_spec(plant, section["num_control_points"], duration, section["interpolation"])
         if section["ranges"] is not None:
-            input_spec = replace(input_spec, dims=len(section["ranges"]), ranges=section["ranges"])
+            input_spec = input_spec.replace(dims=len(section["ranges"]), ranges=section["ranges"])
     with _section("labeling_spec"):
         labeling_spec = stl.parse_stl(raw["labeling_spec"])
     with _section("abstraction"):
@@ -204,6 +203,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     with _section("falsify"):
         f = raw["falsify"]  # every key but the command-level spec, query and trials is a FalsifyConfig field
         search = {key: value for key, value in f.items() if key not in ("spec", "query", "trials")}
+        if f["trials"] < 1:
+            raise ValueError("trials must be >= 1")
         falsify_config = falsify.FalsifyConfig(stl_spec=stl.parse_stl(f["spec"]) if f["spec"] else labeling_spec,
                                                safety_query=pmc.parse_pctl(f["query"]), **search)
     return RunConfig(raw=raw, config_hash=digest, base_dir=base_dir, plant=plant, simcfg=simcfg,
@@ -213,6 +214,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _atomic_write(path: Path, data: str | bytes) -> None:
+    """Writes `data` to `path`, making its directory first: the one place an output directory is made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
         fh.write(data)
@@ -232,7 +235,6 @@ def _spawn_seeds(root: int, purpose: str, n: int) -> list[int]:
 def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
     controller = cfg.controller()
     out = cfg.output_dir / "traces"
-    out.mkdir(parents=True, exist_ok=True)
     seeds = _spawn_seeds(cfg.seed, "collect", cfg.raw["collect"]["num_traces"])
     entries = []
     failures = []
@@ -305,7 +307,6 @@ def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _write_model(cfg: RunConfig, model: abstraction.AbstractMdp) -> None:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.output_dir / "model.json", abstraction.model_to_json(model, cfg.config_hash))
     tra, lab = abstraction.tra_lab_text(model)
     _atomic_write(cfg.output_dir / "model.tra", tra)
@@ -351,7 +352,6 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     n = cfg.raw["monitor"]["num_runs"]
     seeds = _spawn_seeds(cfg.seed, "monitor", n)
     out = cfg.output_dir / "monitored"
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     total_query = total_wall = 0.0
     for i, seed in enumerate(seeds):
@@ -405,7 +405,7 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"{'trial':>5} {'success':>8} {'time[s]':>8} {'#sim':>5} {'best rob':>10}")
     for i, trial_seed in enumerate(seeds):
         try:
-            outcome = falsify.run_baseline(kind, system, model, replace(cfg.falsify_config, seed=trial_seed))
+            outcome = falsify.run_baseline(kind, system, model, cfg.falsify_config.replace(seed=trial_seed))
         except plants.SimulationBlowup as exc:
             outcomes.append(None)
             per_trial.append({"seed": trial_seed, "error": str(exc)})
@@ -427,7 +427,6 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
         "mean_sims_success": stats["mean_sims_success"],
         "per_trial": per_trial,
     }
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(cfg.output_dir / f"falsify_{algo}.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0 if None not in outcomes else 2
 

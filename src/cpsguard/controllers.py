@@ -2,9 +2,11 @@
 and a clamped PID with anti-windup.
 
 Nets use tanh hidden layers and an affine scalar output clamped to the
-plant's control range. They are immutable once built. PID controllers
-carry per-run state (integral, previous error) and must not be shared
-across concurrent simulations; the simulator copies and resets them.
+plant's control range. Both kinds of controller are immutable records,
+safe to share across runs. A run acts through a policy bound from the
+controller: `mlp_policy` binds a net's layers once, and `pid_policy`
+returns a closure that holds one run's PID state (integral, previous
+error), so each binding starts fresh.
 
 Weights persist in a flat text format: a ``dims`` line with the layer
 sizes, a ``range`` line with the output clamp, then for each layer the
@@ -14,7 +16,6 @@ weight matrix one row per line followed by the bias row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -229,18 +230,11 @@ def load_mlp(path) -> MlpNet:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass
-class PidController:
-    """Discrete PID with clamped output and clamped integral (anti-windup)."""
+class PidController(Record):
+    """Discrete PID gains with an output clamp and an integral clamp (anti-windup)."""
 
-    kp: float
-    ki: float
-    kd: float
-    out_lo: float
-    out_hi: float
-    integral_limit: float = 50.0
-    integral: float = field(default=0.0, compare=False)
-    prev_error: float | None = field(default=None, compare=False)
+    __slots__ = ("kp", "ki", "kd", "out_lo", "out_hi", "integral_limit")
+    _defaults = {"integral_limit": 50.0}
 
     def __post_init__(self):
         for g in (self.kp, self.ki, self.kd):
@@ -249,17 +243,20 @@ class PidController:
         if not self.integral_limit > 0:
             raise ValueError("integral_limit must be positive")
 
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.prev_error = None
 
-
-def pid_act(pid: PidController, error: float, dt: float) -> float:
-    """kp*e + ki*int(e) + kd*de/dt, output and integral clamped."""
+def pid_policy(pid: PidController, dt: float):
+    """One run of the PID, acting every dt seconds: error -> kp*e + ki*int(e) + kd*de/dt,
+    output and integral clamped. The closure holds the run's integral and previous error."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    pid.integral = min(max(pid.integral + error * dt, -pid.integral_limit), pid.integral_limit)
-    deriv = 0.0 if pid.prev_error is None else (error - pid.prev_error) / dt
-    pid.prev_error = error
-    out = pid.kp * error + pid.ki * pid.integral + pid.kd * deriv
-    return min(max(out, pid.out_lo), pid.out_hi)
+    kp, ki, kd, lo, hi, limit = pid.kp, pid.ki, pid.kd, pid.out_lo, pid.out_hi, pid.integral_limit
+    integral, prev_error = 0.0, None
+
+    def act(error: float) -> float:
+        nonlocal integral, prev_error
+        integral = min(max(integral + error * dt, -limit), limit)
+        deriv = 0.0 if prev_error is None else (error - prev_error) / dt
+        prev_error = error
+        out = kp * error + ki * integral + kd * deriv
+        return min(max(out, lo), hi)
+    return act

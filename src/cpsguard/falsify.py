@@ -30,7 +30,6 @@ trace bit-identically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +44,12 @@ GUIDED = "GUIDED"
 GUIDED_RAND = "GUIDED_RAND"
 
 
-@dataclass(frozen=True)
-class FalsifyConfig:
-    stl_spec: stl.StlFormula
-    safety_query: pmc.PctlFormula
-    queue_seed_count: int = 4
-    global_budget: int = 5
-    local_budget: int = 10
-    checkpoint_time: float = 5.0
-    seed: int = 0
-    step_init: float = 0.1  # initial step, fraction of each channel range
-    step_decay: float = 0.85  # on a rejected candidate
-    step_growth: float = 1.5  # on an accepted candidate
+class FalsifyConfig(stl.Record):
+    # step_init: the first step, a fraction of each range; times step_decay (growth) per rejected (accepted) candidate
+    __slots__ = ("stl_spec", "safety_query", "queue_seed_count", "global_budget", "local_budget",
+                 "checkpoint_time", "seed", "step_init", "step_decay", "step_growth")
+    _defaults = {"queue_seed_count": 4, "global_budget": 5, "local_budget": 10, "checkpoint_time": 5.0, "seed": 0,
+                 "step_init": 0.1, "step_decay": 0.85, "step_growth": 1.5}
 
     def __post_init__(self):
         if self.queue_seed_count < 1:

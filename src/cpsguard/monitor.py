@@ -12,9 +12,10 @@ set). States the model has never seen resolve per unknown_policy:
 
 The closed loop itself is `plants.simulate`; a monitored run supplies
 its per-step hook, which queries the model at period boundaries, tags
-each step with the active controller and hands that controller back.
-Both controllers start each run from a fresh copy (PID state cleared),
-and the safety controller is fresh again at every switch-in.
+each step with the active controller and hands that controller's policy
+back. The AI controller is bound once per run, so a PID keeps its state
+across a safety interlude; the safety controller is bound afresh (PID
+state cleared) at every switch-in.
 
 Query verdicts for a fixed (model, query) pair are computed for all
 states in one pass and memoized on the model, so repeated queries are
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import pmc, stl
 from .abstraction import AbstractMdp, abstract_state_of
-from .plants import PlantModel, SimConfig, _fresh_controller, simulate
+from .plants import PlantModel, SimConfig, policy, simulate
 from .signals import InputSignal, Trace
 
 SAFE = "SAFE"
@@ -96,9 +97,9 @@ def run_monitored(plant: PlantModel, ai, safe, model: AbstractMdp, config: Monit
             f"monitor period {config.period} must be a multiple of the control period {simcfg.control_period}"
         )
     run_start = time.perf_counter()
-    n_steps = simcfg.n_steps
-    ai = _fresh_controller(ai)
-    active, active_tag = ai, AI_TAG
+    n_steps, control_period = simcfg.n_steps, simcfg.control_period
+    ai_policy = policy(ai, plant, control_period)
+    active, active_tag = ai_policy, AI_TAG
     tags: list[int] = []
     queries: list[QueryRecord] = []
 
@@ -109,11 +110,10 @@ def run_monitored(plant: PlantModel, ai, safe, model: AbstractMdp, config: Monit
             queries.append(record)
             if record.verdict == UNSAFE:
                 if active_tag == AI_TAG:
-                    # fresh PID state at switch-in
-                    active = _fresh_controller(safe)
+                    active = policy(safe, plant, control_period)
                 active_tag = SAFE_TAG
             elif config.switch_back or active_tag == AI_TAG:
-                active, active_tag = ai, AI_TAG
+                active, active_tag = ai_policy, AI_TAG
         tags.append(active_tag)
         return active
 

@@ -44,21 +44,20 @@ tuples of Python floats, with the same float operations, in the same
 order, as numpy on arrays. Its kernel factory `step(p, dt)` reads the
 params once per run and returns the step (s, u, e) -> next state: the
 control and exogenous input clamped once, classical RK4, then the
-projection. `simulate` binds it, and the controller's action function
-(`controllers.mlp_policy` for a net), once per run; `observe` gives a
-controller's observation as an array. Simulations are pure functions
-of (plant, controller parameters, input, cfg), so identical inputs give
-bit-identical traces.
+projection. `simulate` binds it once per run, and `policy` binds a
+controller to a fresh run; `observe` gives a controller's observation as
+an array. Controllers are immutable, so simulations are pure functions
+of (plant, controller, input, cfg): identical inputs give bit-identical
+traces, and one controller can drive any number of runs at once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from math import exp, isfinite, sqrt
 
 import numpy as np
 
-from .controllers import MlpNet, PidController, mlp_policy, pid_act
+from .controllers import MlpNet, PidController, mlp_policy, pid_policy
 from .signals import InputSignal, InputSpec, Trace, sample
 from .stl import Record
 
@@ -71,6 +70,7 @@ class _PlantDef(Record):
         "state_names",  # integration state vector
         "channels",  # recorded trace channels
         "defaults",  # params; the initial state is the params named <state name>0
+        "divisors",  # params the kernels divide by, so `make_plant` takes only positive values
         "control",  # params bounding the control
         "exogenous",  # params bounding the exogenous channel
         "sim",  # default dt, horizon, control_period
@@ -188,11 +188,11 @@ _PLANTS = {
             # above 1.0 so the regulator holds margin beyond the d_safe channel
             "pid_headway_factor": 2.4,
         },
-        control=("accel_min", "accel_max"), exogenous=("lead_accel_min", "lead_accel_max"), sim=(0.1, 50.0, 0.1),
+        divisors=("t_gap",), control=("accel_min", "accel_max"), exogenous=("lead_accel_min", "lead_accel_max"),
         # kd stays 0: the closing-speed term in the error already
         # anticipates, and a memoryless law is what behavior cloning
         # can actually reproduce from single observations
-        pid=(1.5, 0.02, 0.0, 50.0),
+        sim=(0.1, 50.0, 0.1), pid=(1.5, 0.02, 0.0, 50.0),
         step=_acc_step, error=_acc_error,
         row=lambda p, s, e, t: (*s, s[0] - s[2], p["d_default"] + p["t_gap"] * s[3], p["v_target"]),
         observe=lambda p, s, e, t: (s[0] - s[2], s[3], s[1], p["v_target"] - s[3]),
@@ -204,7 +204,7 @@ _PLANTS = {
             "conc0": 0.80, "temp0": 302.0, "ref_start": 0.80, "ref_end": 0.45, "ramp_start": 5.0, "ramp_end": 25.0,
             "u_min": 280.0, "u_max": 330.0, "feed_min": 0.7, "feed_max": 1.3,
         },
-        control=("u_min", "u_max"), exogenous=("feed_min", "feed_max"),
+        divisors=("theta", "temp0"), control=("u_min", "u_max"), exogenous=("feed_min", "feed_max"),
         sim=(0.05, 30.0, 0.05), pid=(400.0, 60.0, 40.0, 10.0),
         step=_cstr_step, row=_cstr_row,
         observe=lambda p, s, e, t: (s[0], s[1], _conc_ref(p, t)), error=lambda p, o: o[0] - o[2],
@@ -215,7 +215,7 @@ _PLANTS = {
             "outflow_coeff": 1.0, "area": 2.0, "level0": 1.0,
             "inflow_min": 0.0, "inflow_max": 3.0, "ref_min": 0.5, "ref_max": 1.5,
         },
-        control=("inflow_min", "inflow_max"), exogenous=("ref_min", "ref_max"),
+        divisors=("area",), control=("inflow_min", "inflow_max"), exogenous=("ref_min", "ref_max"),
         sim=(0.05, 20.0, 0.05), pid=(4.0, 0.5, 0.2, 10.0),
         step=_tank_step, error=lambda p, o: o[1] - o[0],
         row=lambda p, s, e, t: (s[0], e[0]), observe=lambda p, s, e, t: (s[0], e[0]),
@@ -267,7 +267,12 @@ def make_plant(name: str, params: dict | None = None) -> PlantModel:
         if key not in p:
             raise ValueError(f"unknown {name} parameter {key!r}")
         p[key] = float(value)
+    for key in kind.divisors:
+        if not p[key] > 0:
+            raise ValueError(f"{name} parameter {key!r} must be positive, got {p[key]}")
     lo, hi = kind.control
+    if not p[lo] < p[hi]:
+        raise ValueError(f"{name} control range is empty: {lo} {p[lo]} is not below {hi} {p[hi]}")
     return PlantModel(name=name, state_names=kind.state_names, channels=kind.channels,
                       control_range=(p[lo], p[hi]), params=p)
 
@@ -307,21 +312,15 @@ class SimulationBlowup(RuntimeError):
         self.trace = trace
 
 
-def _fresh_controller(controller):
-    if isinstance(controller, PidController):
-        pid = dataclasses.replace(controller)
-        pid.reset()
-        return pid
-    return controller
-
-
-def _policy(controller, plant: PlantModel, period: float):
-    """The controller's action as a function of an observation (a tuple of floats)."""
+def policy(controller, plant: PlantModel, period: float):
+    """A fresh run of the controller, acting every `period` seconds on the plant: its action
+    as a function of an observation (a tuple of floats). A PID reads the plant's error map,
+    and its run state lives in the returned function."""
     if isinstance(controller, MlpNet):
         return mlp_policy(controller)
     if isinstance(controller, PidController):
-        error, p = _PLANTS[plant.name].error, plant.params
-        return lambda obs: pid_act(controller, error(p, obs), period)
+        act, error, p = pid_policy(controller, period), _PLANTS[plant.name].error, plant.params
+        return lambda obs: act(error(p, obs))
     raise TypeError(f"not a controller: {controller!r}")
 
 
@@ -330,15 +329,15 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     """Run the closed loop and record one trace.
 
     The controller acts every control_period seconds on the current
-    observation; its output is held between control instants. PID
-    controllers get a fresh copy with cleared state, so a shared
-    instance can be reused across runs.
+    observation; its output is held between control instants. It is
+    bound once, by `policy`, so a PID starts the run with cleared state.
 
     step_hook, when given, is called at every step i (time t) with
     (i, t, row), row being the tuple of channel values recorded for that step,
-    before the controller acts; it returns the controller to act from
-    that step on, in place of `controller`. The online monitor uses it
-    to switch controllers at its period boundaries.
+    before the controller acts; it returns the policy (observation ->
+    action, as `policy` makes them) to act from that step on. The online
+    monitor uses it to switch controllers at its period boundaries; a
+    policy it hands back again carries on from its own run state.
 
     The state steps through the plant's float kernels. A step that
     overflows or leaves a non-finite state, in an RK4 stage or after
@@ -346,7 +345,7 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     """
     if input_signal.spec.duration + 1e-9 < cfg.horizon:
         raise ValueError(f"input duration {input_signal.spec.duration} shorter than horizon {cfg.horizon}")
-    controller = _fresh_controller(controller)
+    act = policy(controller, plant, cfg.control_period)
     kind = _PLANTS[plant.name]
     p, dt, per, n_steps = plant.params, cfg.dt, cfg.steps_per_control, cfg.n_steps
     step, row_of, observe_of = kind.step(p, dt), kind.row, kind.observe
@@ -357,15 +356,13 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     def trace(n):  # the first n steps
         return Trace(dt, plant.channels, np.array(values, dtype=float).reshape(n, -1), actions, inputs[:n])
 
-    action, acting = 0.0, None
+    action = 0.0
     for i, exo in enumerate(inputs.tolist()):
         t = i * dt
         row = row_of(p, state, exo, t)
         if step_hook is not None:
-            controller = step_hook(i, t, row)
+            act = step_hook(i, t, row)
         if i % per == 0 and i < n_steps:
-            if controller is not acting:  # `is`, not id(): a freed controller's id can be reused
-                act, acting = _policy(controller, plant, cfg.control_period), controller
             action = act(observe_of(p, state, exo, t))
         values += row
         actions.append(action)

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .stl import Record
 
 PIECEWISE_CONSTANT = "pconst"
 PIECEWISE_LINEAR = "plinear"
@@ -48,15 +49,11 @@ _T_TOL = 1e-9
 _TRACE_FORMAT = "# cpsguard-trace v2"
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(Record):
     """Search-space description for exogenous input signals."""
 
-    dims: int
-    ranges: tuple[tuple[float, float], ...]
-    num_control_points: int
-    duration: float
-    interpolation: str = PIECEWISE_CONSTANT
+    __slots__ = ("dims", "ranges", "num_control_points", "duration", "interpolation")
+    _defaults = {"interpolation": PIECEWISE_CONSTANT}
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", tuple((float(lo), float(hi)) for lo, hi in self.ranges))
@@ -73,10 +70,8 @@ class InputSpec:
             raise ValueError(f"unknown interpolation {self.interpolation!r}, expected one of {_INTERPOLATIONS}")
 
 
-@dataclass(frozen=True)
-class InputSignal:
-    spec: InputSpec
-    control_values: np.ndarray  # (dims, num_control_points)
+class InputSignal(Record):
+    __slots__ = ("spec", "control_values")  # control_values: a read-only (dims, num_control_points) array
 
     def __post_init__(self):
         vals = np.array(self.control_values, dtype=float)
@@ -127,15 +122,11 @@ def random_signal(spec: InputSpec, rng: np.random.Generator) -> InputSignal:
     return InputSignal(spec, vals)
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Time-indexed record of one closed-loop run; times are i*dt."""
+class Trace(Record):
+    """Time-indexed record of one closed-loop run; times are i*dt. The arrays are read-only:
+    states (T, len(channels)), actions (T,) and inputs (T, exo_dim)."""
 
-    dt: float
-    channels: tuple[str, ...]
-    states: np.ndarray  # (T, len(channels))
-    actions: np.ndarray  # (T,)
-    inputs: np.ndarray  # (T, exo_dim)
+    __slots__ = ("dt", "channels", "states", "actions", "inputs")
 
     def __post_init__(self):
         if not self.dt > 0:

@@ -54,19 +54,18 @@ import re
 
 import numpy as np
 
-from .signals import Trace
-
 _SNAP = 1e-9
 
 
 class Record:
-    """An immutable record: the STL and PCTL syntax-tree nodes, and the value
-    types of the modules that import this one. A subclass lists its fields
-    in `__slots__`, and gets an `__init__` that takes them by position or
-    keyword (`_defaults` maps a field to its default), then calls
-    `__post_init__`, where the class has one. A record equals a record of
-    the same type with equal fields. Its hash is computed on first use and
-    kept. `_args` holds the field values in order."""
+    """An immutable record: every value type of the package, the STL and PCTL
+    syntax-tree nodes among them. A subclass lists its fields in `__slots__`,
+    and gets an `__init__` that takes them by position or keyword
+    (`_defaults` maps a field to its default), then calls `__post_init__`,
+    where the class has one; that may check the fields and normalise them
+    with `object.__setattr__`. A record equals a record of the same type
+    with equal fields. Its hash is computed on first use and kept. `_args`
+    holds the field values in order, as `__post_init__` left them."""
 
     __slots__ = ("_args", "_hash")
     _defaults: dict = {}
@@ -76,9 +75,11 @@ class Record:
         names = cls.__dict__.get("__slots__", ())
         params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in names)
         body = [f"_set_{name}(self, {name})" for name in names]
-        body.append(f"_set__args(self, ({''.join(name + ', ' for name in names)}))")
+        values = names
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
+            values = [f"self.{name}" for name in names]  # as normalised
+        body.append(f"_set__args(self, ({''.join(value + ', ' for value in values)}))")
         scope = {f"_set_{name}": getattr(cls, name).__set__ for name in (*names, "_args")}
         scope["_defaults"] = cls._defaults
         exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), scope)
@@ -107,6 +108,11 @@ class Record:
 
     def __reduce__(self):  # copy and pickle rebuild the record rather than set its slots
         return type(self), self._args
+
+    def replace(self, **changes):
+        """A record of the same type with `changes` laid over these fields, built, and so
+        checked and normalised, as a new one is."""
+        return type(self)(**dict(zip(self.__slots__, self._args), **changes))
 
 
 # ---------------------------------------------------------------------------

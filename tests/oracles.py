@@ -2,7 +2,6 @@
 acceptance suites. Everything here is written straight from the
 definitions and stays off the production code paths."""
 
-import dataclasses
 import itertools
 import math
 
@@ -22,7 +21,7 @@ from cpsguard.abstraction import (
     fit_pca,
     state_id_str,
 )
-from cpsguard.controllers import MlpNet, PidController, pid_act
+from cpsguard.controllers import MlpNet
 from cpsguard.falsify import (
     GUIDED,
     GUIDED_RAND,
@@ -268,24 +267,42 @@ def mlp_forward_oracle(net, obs):
     return min(max(out, net.out_lo), net.out_hi)
 
 
-def fresh_oracle(controller):
-    if isinstance(controller, PidController):
-        controller = dataclasses.replace(controller)
-        controller.reset()
-    return controller
+class PidOracle:
+    """One run of a PID, acting every dt seconds, written from the recursion: the integral
+    I += e*dt clamped to [-integral_limit, integral_limit], the derivative (e - e_prev)/dt
+    (0 at the first call), and u = kp*e + ki*I + kd*derivative clamped to [out_lo, out_hi]."""
+
+    def __init__(self, pid, dt):
+        self.pid, self.dt, self.integral, self.prev_error = pid, dt, 0.0, None
+
+    def __call__(self, error):
+        pid, dt = self.pid, self.dt
+        self.integral = min(max(self.integral + error * dt, -pid.integral_limit), pid.integral_limit)
+        deriv = 0.0 if self.prev_error is None else (error - self.prev_error) / dt
+        self.prev_error = error
+        return min(max(pid.kp * error + pid.ki * self.integral + pid.kd * deriv, pid.out_lo), pid.out_hi)
+
+
+def policy_oracle(controller, plant, period):
+    """A fresh run of the controller on the oracle's array observations: obs -> action."""
+    if isinstance(controller, MlpNet):
+        return lambda obs: mlp_forward_oracle(controller, obs)
+    pid = PidOracle(controller, period)
+    return lambda obs: pid(_pid_error_oracle(plant, obs))
 
 
 def simulate_oracle(plant, controller, input_signal, cfg, step_hook=None):
     """The closed loop on numpy vectors: every RK4 stage, projection,
     channel row and observation is an array, as the simulator was
     written before its float kernels. Same contract as
-    `plants.simulate`, including the step hook, except that a blow-up
-    inside an RK4 stage raises the bare FloatingPointError or
-    OverflowError instead of SimulationBlowup."""
+    `plants.simulate`, including the step hook, which returns a
+    `policy_oracle`, except that a blow-up inside an RK4 stage raises
+    the bare FloatingPointError or OverflowError instead of
+    SimulationBlowup."""
     initial = {"acc": ("x_lead0", "v_lead0", "x_ego0", "v_ego0"), "cstr": ("conc0", "temp0"),
                "watertank": ("level0",)}[plant.name]
     state = np.array([plant.params[k] for k in initial])
-    controller = fresh_oracle(controller)
+    act = policy_oracle(controller, plant, cfg.control_period)
     per, n_steps = cfg.steps_per_control, cfg.n_steps
     rows, acts, exos = [], [], []
     action = 0.0
@@ -294,13 +311,9 @@ def simulate_oracle(plant, controller, input_signal, cfg, step_hook=None):
         exo = _sample_oracle(input_signal, t)
         row = _row_oracle(plant, state, exo, t)
         if step_hook is not None:
-            controller = step_hook(i, t, row)
+            act = step_hook(i, t, row)
         if i % per == 0 and i < n_steps:
-            obs = _observe_oracle(plant, state, exo, t)
-            if isinstance(controller, MlpNet):
-                action = mlp_forward_oracle(controller, obs)
-            else:
-                action = pid_act(controller, _pid_error_oracle(plant, obs), cfg.control_period)
+            action = act(_observe_oracle(plant, state, exo, t))
         rows.append(row)
         acts.append(action)
         exos.append(exo)
@@ -586,7 +599,7 @@ def build_oracle(pairs, config):
     pairs = list(pairs)
     all_states = np.vstack([trace.states for trace, _ in pairs])
     pca = fit_pca(all_states, config.k)
-    config = dataclasses.replace(config, bounds=_grid_bounds(_reduce_batch(pca, all_states)))
+    config = config.replace(bounds=_grid_bounds(_reduce_batch(pca, all_states)))
     return assemble_oracle(pairs, pca, config, {})
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -240,7 +239,7 @@ class TestBuild:
         states = trace.states.copy()
         states[2, 0] = 1000.0
         config_hash = json.loads((tmp_path / "out" / "collect_manifest.json").read_text())["config_hash"]
-        path.write_bytes(signals.trace_bytes(dataclasses.replace(trace, states=states), config_hash, extras))
+        path.write_bytes(signals.trace_bytes(trace.replace(states=states), config_hash, extras))
         capsys.readouterr()
         assert run(["--config", cfg, "refine"]) == 2
         assert "error: trace 1: row 2 lies outside the grid of the model it refines" in capsys.readouterr().err
@@ -611,6 +610,13 @@ SECTION_DEFECTS = [
     ({"monitor": {"unknown_policy": "X"}}, "monitor", "unknown_policy must be SAFE or AI, got 'X'"),
     ({"sim": {"dt": 0}}, "sim", "dt must be positive"),
     ({"sim": {"horizon": 1e300}}, "sim", "horizon 1e+300 at dt 0.05 takes more steps than an array can hold"),
+    ({"falsify": {"trials": 0}}, "falsify", "trials must be >= 1"),
+    ({"plant": {"params": {"area": 0}}}, "plant", "watertank parameter 'area' must be positive, got 0.0"),
+    ({"plant": {"name": "acc", "params": {"t_gap": 0}}}, "plant", "acc parameter 't_gap' must be positive, got 0.0"),
+    ({"plant": {"name": "cstr", "params": {"theta": 0}}}, "plant", "cstr parameter 'theta' must be positive, got 0.0"),
+    ({"plant": {"name": "cstr", "params": {"temp0": 0}}}, "plant", "cstr parameter 'temp0' must be positive, got 0.0"),
+    ({"plant": {"params": {"inflow_min": 3, "inflow_max": 0}}}, "plant",
+     "watertank control range is empty: inflow_min 3.0 is not below inflow_max 0.0"),
 ]
 
 
@@ -682,7 +688,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", [["collect"], ["falsify", "--algo", "random"]], ids=["collect", "falsify"])
     @pytest.mark.parametrize("overrides, section, message", SECTION_DEFECTS,
-                             ids=["falsify", "input", "abstraction", "monitor", "sim", "sim_steps"])
+                             ids=["falsify", "input", "abstraction", "monitor", "sim", "sim_steps", "trials", "area",
+                                  "t_gap", "theta", "temp0", "control_range"])
     def test_a_value_its_section_refuses_exits_2_before_any_output(self, tmp_path, capsys, overrides, section,
                                                                    message, command):
         cfg = write_config(tmp_path, **overrides)
@@ -690,13 +697,19 @@ class TestUsage:
         assert capsys.readouterr() == ("", f"error: config section '{section}': {message}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_an_array_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+    def test_an_array_too_large_to_allocate_exits_2(self, tmp_path, capsys, built_model):
         # 10**18 steps: within what an array can index, but 8 EB, more than any address space,
         # so the allocation fails at once whatever the kernel's overcommit policy
         cfg = write_config(tmp_path, sim={"horizon": 5e16})
         assert run(["--config", cfg, "collect", "--num", "1"]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out" / "traces").exists()  # no output directory is made before its first file
+        (tmp_path / "out").mkdir()
+        shutil.copy(built_model, tmp_path / "out")
+        assert run(["--config", cfg, "monitor", "--runs", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "monitored").exists()
 
     def test_every_null_default_has_a_type(self):
         def null_paths(section, prefix=""):

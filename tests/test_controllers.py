@@ -14,7 +14,7 @@ from cpsguard.controllers import (
     mlp_forward,
     mlp_policy,
     perturb_weights,
-    pid_act,
+    pid_policy,
     save_mlp,
     train_bc,
 )
@@ -197,38 +197,48 @@ class TestTrainBc:
 class TestPid:
     def test_zero_error_zero_output(self):
         pid = PidController(kp=1.0, ki=0.5, kd=0.2, out_lo=-5, out_hi=5)
-        assert pid_act(pid, 0.0, 0.1) == 0.0
+        assert pid_policy(pid, 0.1)(0.0) == 0.0
 
     def test_pure_proportional(self):
         pid = PidController(kp=1.0, ki=0.0, kd=0.0, out_lo=-5, out_hi=5)
-        assert pid_act(pid, 0.5, 0.1) == pytest.approx(0.5)
+        assert pid_policy(pid, 0.1)(0.5) == pytest.approx(0.5)
 
     def test_step_response_matches_recursion(self):
         pid = PidController(kp=2.0, ki=0.1, kd=0.0, out_lo=-100, out_hi=100, integral_limit=50)
         dt = 0.5
+        act = pid_policy(pid, dt)
         integral = 0.0
         for _ in range(10):
             integral = min(max(integral + 1.0 * dt, -50), 50)
             want = 2.0 * 1.0 + 0.1 * integral
-            assert pid_act(pid, 1.0, dt) == pytest.approx(want)
+            assert act(1.0) == pytest.approx(want)
 
     def test_anti_windup_clamps_integral(self):
         pid = PidController(kp=0.0, ki=1.0, kd=0.0, out_lo=-100, out_hi=100, integral_limit=2.0)
+        act = pid_policy(pid, 1.0)
         for _ in range(100):
-            out = pid_act(pid, 10.0, 1.0)
+            out = act(10.0)
         assert out == pytest.approx(2.0)
-        assert pid.integral == 2.0
+        # with ki=1 and kp=kd=0 the output is the integral: clamped, it unwinds at once
+        assert act(-1.0) == pytest.approx(1.0)
 
     def test_output_clamped(self):
         pid = PidController(kp=10.0, ki=0.0, kd=0.0, out_lo=-1.0, out_hi=1.0)
-        assert pid_act(pid, 5.0, 0.1) == 1.0
+        assert pid_policy(pid, 0.1)(5.0) == 1.0
 
-    def test_reset_clears_state(self):
+    def test_each_policy_starts_fresh_and_the_pid_cannot_be_mutated(self):
         pid = PidController(kp=1.0, ki=1.0, kd=1.0, out_lo=-5, out_hi=5)
-        pid_act(pid, 1.0, 0.1)
-        pid.reset()
-        assert pid.integral == 0.0
-        assert pid.prev_error is None
+        used = pid_policy(pid, 0.1)
+        first = used(1.0)
+        assert used(1.0) != first  # the integral has grown and the derivative term is live
+        assert pid_policy(pid, 0.1)(1.0) == first
+        with pytest.raises(AttributeError, match="immutable"):
+            pid.kp = 2.0
+        assert not hasattr(pid, "integral") and not hasattr(pid, "prev_error")
+
+    def test_dt_must_be_positive(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pid_policy(PidController(kp=1.0, ki=0.0, kd=0.0, out_lo=-1.0, out_hi=1.0), 0.0)
 
 
 class TestPersistence:

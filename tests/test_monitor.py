@@ -139,7 +139,7 @@ class TestRunMonitored:
         assert np.all(a.controller_tags == AI_TAG)
         np.testing.assert_array_equal(a.trace.states, b.trace.states)
         np.testing.assert_array_equal(a.trace.actions, b.trace.actions)
-        assert pid.integral == 0.0 and pid.prev_error is None
+        assert pid == default_pid(plant)  # a run binds its own PID state and leaves the controller as it was
 
     def test_switch_back_disabled_is_one_way(self):
         plant, cfg, sig, ai = tank_setup()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import fresh_oracle, simulate_oracle
+from oracles import policy_oracle, simulate_oracle
 
 from cpsguard.abstraction import AbstractionConfig, build_abstraction
 from cpsguard.controllers import init_mlp, load_mlp
@@ -17,6 +17,7 @@ from cpsguard.plants import (
     default_sim_config,
     initial_state,
     make_plant,
+    policy,
     simulate,
 )
 from cpsguard.pmc import parse_pctl
@@ -160,6 +161,29 @@ class TestSimulate:
         np.testing.assert_array_equal(t1.states, t2.states)
         np.testing.assert_array_equal(t1.actions, t2.actions)
 
+    def test_one_pid_shared_by_interleaved_runs(self):
+        # runs nested in another run's step hook share its PID, yet each gets the trace of a
+        # separate instance: a run's PID state lives in its own bound policy
+        plant = make_plant("watertank")
+        cfg = default_sim_config(plant)
+        short = SimConfig(cfg.dt, 1.0, cfg.control_period)
+        spec = default_input_spec(plant, num_control_points=4, duration=cfg.horizon)
+        outer_sig, inner_sig = (random_signal(spec, np.random.default_rng(seed)) for seed in (1, 2))
+        pid = default_pid(plant)
+        outer_run, inner = policy(pid, plant, cfg.control_period), []
+
+        def hook(i, t, row):
+            if i % 40 == 0:
+                inner.append(simulate(plant, pid, inner_sig, short))
+            return outer_run
+
+        outer = simulate(plant, pid, outer_sig, cfg, hook)
+        assert len(inner) == 11
+        assert_same_run(outer, simulate(plant, default_pid(plant), outer_sig, cfg))
+        alone = simulate(plant, default_pid(plant), inner_sig, short)
+        for trace in inner:
+            assert_same_run(trace, alone)
+
     def test_input_must_cover_horizon(self):
         plant = make_plant("acc")
         with pytest.raises(ValueError, match="duration"):
@@ -190,8 +214,7 @@ class TestSimulate:
         spec = default_input_spec(plant, num_control_points=4, duration=20.0)
         sig = make_input(spec, [[0.5, 1.5, 0.5, 1.5]])
         # zero-inflow controller drains the tank toward the sqrt guard
-        pid = default_pid(plant)
-        pid.kp = pid.ki = pid.kd = 0.0
+        pid = default_pid(plant).replace(kp=0.0, ki=0.0, kd=0.0)
         tr = simulate(plant, pid, sig, cfg)
         assert np.all(tr.column("level") >= 0.0)
 
@@ -235,31 +258,55 @@ class TestSimulatorOracle:
             assert_same_run(simulate(plant, controller, sig, cfg),
                             simulate_oracle(plant, controller, sig, cfg))
 
-    def test_monitored_run_with_switching(self):
+    def monitored_run_against_oracle(self, ai, levels, bad_rows, switches):
+        """A monitored watertank run whose model labels `bad_rows` of the AI's own trace unsafe,
+        switching `switches` times, against the oracle loop replaying its controller tags: the AI
+        controller is bound once, and the safety PID afresh at each switch-in. Returns the run
+        and a replay that rebinds the AI controller at each switch-back too."""
         plant = make_plant("watertank")
         cfg = default_sim_config(plant)
         spec = default_input_spec(plant, num_control_points=4, duration=cfg.horizon)
-        sig = make_input(spec, [[1.0, 1.2, 0.8, 1.0]])
-        ai = init_mlp(2, (8,), plant.control_range, seed=5)
+        sig = make_input(spec, [levels])
         safe = default_pid(plant)
         trace = simulate(plant, ai, sig, cfg)
         robs = np.full(len(trace), 1.0)
-        robs[0] = -1.0  # the start cell is bad, so the first period runs the PID
+        robs[slice(*bad_rows)] = -1.0
         model = build_abstraction([(trace, robs)], AbstractionConfig(k=2, c=3))
         mcfg = MonitorConfig(parse_pctl('P>0.8 [ F<=10 "rob=-1" ]'), period=5.0, unknown_policy="AI")
         mt = run_monitored(plant, ai, safe, model, mcfg, sig, cfg)
         tags = mt.controller_tags
-        assert len(set(tags.tolist())) == 2  # it did switch, both ways
-        active, last = None, None
+        assert np.count_nonzero(np.diff(tags)) == switches
 
-        def replay(i, t, row):
-            nonlocal active, last
-            if tags[i] != last:
-                active = fresh_oracle(safe) if tags[i] == SAFE_TAG else ai
-                last = tags[i]
-            return active
+        def replay(rebind_ai):
+            ai_run, active, last = policy_oracle(ai, plant, cfg.control_period), None, None
 
-        assert_same_run(mt.trace, simulate_oracle(plant, ai, sig, cfg, replay))
+            def hook(i, t, row):
+                nonlocal ai_run, active, last
+                if tags[i] != last:
+                    if tags[i] == SAFE_TAG:
+                        active = policy_oracle(safe, plant, cfg.control_period)
+                    else:
+                        if rebind_ai:
+                            ai_run = policy_oracle(ai, plant, cfg.control_period)
+                        active = ai_run
+                    last = tags[i]
+                return active
+            return simulate_oracle(plant, ai, sig, cfg, hook)
+
+        assert_same_run(mt.trace, replay(rebind_ai=False))
+        return mt, replay(rebind_ai=True)
+
+    def test_monitored_run_with_switching(self):
+        # the start cell is bad, so the first period runs the PID, then the net
+        ai = init_mlp(2, (8,), make_plant("watertank").control_range, seed=5)
+        self.monitored_run_against_oracle(ai, [1.0, 1.2, 0.8, 1.0], (0, 1), switches=1)
+
+    def test_monitored_run_with_a_pid_ai_switching_both_ways(self):
+        # the AI PID runs, the safety PID takes the second period, then the AI PID carries on
+        # from its own integral and previous error, which shows in the trace
+        ai = default_pid(make_plant("watertank")).replace(kp=1.0, ki=2.0)
+        mt, rebound = self.monitored_run_against_oracle(ai, [1.0, 1.4, 0.6, 1.0], (100, 140), switches=2)
+        assert not np.array_equal(mt.trace.actions, rebound.actions)
 
 
 class TestBlowup:

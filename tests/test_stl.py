@@ -12,6 +12,9 @@ import pytest
 from oracles import random_formula, random_stl_case, rob_oracle, subterms
 
 from cpsguard import stl
+from cpsguard.abstraction import AbstractionConfig
+from cpsguard.falsify import FalsifyConfig
+from cpsguard.pmc import parse_pctl
 from cpsguard.signals import Trace
 from cpsguard.stl import (
     Always,
@@ -199,6 +202,19 @@ class TestNodes:
         for node in EVERY_STL_NODE:
             for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
                 assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+
+
+class TestRecord:
+    def test_replace_checks_and_normalises_as_a_new_record_does(self):
+        search = FalsifyConfig(parse_stl("a >= 0"), parse_pctl('P>0.5 [ F "rob=-1" ]'))
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            search.replace(global_budget=0)
+        assert search.replace(seed=3) == FalsifyConfig(search.stl_spec, search.safety_query, seed=3)
+        grid = AbstractionConfig().replace(bounds=[[0, 1]])
+        assert grid.bounds == ((0.0, 1.0),) and type(grid.bounds[0][0]) is float
+        # equality, hash and pickling read the fields as normalised
+        same = AbstractionConfig(bounds=((0.0, 1.0),))
+        assert grid == same and hash(grid) == hash(same) and pickle.loads(pickle.dumps(grid)) == same
 
 
 # ---------------------------------------------------------------------------
