@@ -40,24 +40,37 @@ state used when traces start in different cells. Models persist to
 JSON, and export to explicit-state ``.tra``/``.lab`` files for
 cross-checks with external probabilistic model checkers.
 
-A model's transitions are one `TransitionTable`, built where the model
-is made; it alone knows how rows group into choices. A model's
-mappings and arrays are read-only once built. A model file lists
-them as ``[src, act, dst, p]`` rows sorted by (src, act, dst), each p
-in [0, 1], each (src, act) row summing to 1 within 1e-9 and no row
-repeated; `load_model` takes the rows in any order.
+A model is columns: the sorted state ids (`table.order`) with their
+`label` and `support`, a `rank` dict from id to place, and one
+`TransitionTable`, which alone knows how rows group into choices. The
+`states` and `transitions` dicts are read-only views derived on first
+access, which no command needs. A model file lists the states as
+``{"id", "label", "support"}`` entries and the transitions as
+``[src, act, dst, p]`` rows, both sorted; `load_model` takes both in any
+order and refuses a file, naming it and the first offending entry, where
+an id is not ``c<cell>``, ``c<cell>+``, ``c<cell>-`` or ``init`` or is
+listed twice, a label is not the integer -1 or 1, a support is not a
+non-negative integer, an action is not an integer, a p is not a number
+in [0, 1], a (src, act) row does not sum to 1 within 1e-9, a row repeats
+or names an unlisted state, the initial state is not listed, a
+classifier's cell is not an integer or has two classifiers, or a weight,
+bias, threshold, bound or PCA entry is not a finite number of the
+model's shape.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from itertools import repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
+from .signals import Rows, json_text
 from .stl import Record
 
 OUT_OF_BOUNDS = -1
@@ -70,8 +83,8 @@ class PcaTransform(Record):
     __slots__ = ("mean", "components")  # shapes (l,) and (k, l), orthonormal rows
 
     def __post_init__(self):
-        gram = self.components @ self.components.T
-        if not np.allclose(gram, np.eye(self.components.shape[0]), atol=1e-8):
+        eye = np.eye(self.components.shape[0])
+        if not np.all(np.abs(self.components @ self.components.T - eye) <= 1e-8 + 1e-5 * eye):  # np.allclose, faster
             raise ValueError("PCA components are not orthonormal")
         self.mean.flags.writeable = self.components.flags.writeable = False
 
@@ -116,14 +129,15 @@ class TransitionTable:
 
 
 class AbstractMdp:
-    """A labeled MDP whose mappings and arrays are read-only; `label` holds each state's label
-    in `table.order`. Built by hand, it takes a `transitions` dict, checked as a model
-    file's rows are; the library's builders pass a `table`."""
+    """A labeled MDP whose mappings and arrays are read-only. `label` (-1 or +1) and `support`
+    hold each state's in `table.order`, and `rank` maps a state id to its place there. Built by
+    hand, it takes a `states` dict and a `transitions` dict, checked as a model file's rows are;
+    the library's builders pass a `table` and its `label` and `support` columns instead."""
 
-    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo],
-                 initial: StateId, transitions=None, classifiers=None, *, table: TransitionTable | None = None):
+    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo] | None,
+                 initial: StateId, transitions=None, classifiers=None, *, table: TransitionTable | None = None,
+                 label=None, support=None):
         self.pca, self.config, self.initial = pca, config, initial
-        self.states: MappingProxyType[StateId, StateInfo] = MappingProxyType(dict(states))
         self.classifiers: MappingProxyType[int, tuple[np.ndarray, float]] = MappingProxyType(dict(classifiers or {}))
         for w, _ in self.classifiers.values():
             w.flags.writeable = False
@@ -131,11 +145,21 @@ class AbstractMdp:
             order = sorted(states)
             rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
             table = _table(order, {sid: r for r, sid in enumerate(order)}, list(zip(*rows)))
+            label, support = [states[sid].label for sid in order], [states[sid].support for sid in order]
         self.table = table
-        self.label = np.array([states[sid].label for sid in table.order], dtype=np.int64)
-        self.label.flags.writeable = False
+        self.rank: MappingProxyType[StateId, int] = MappingProxyType(dict(zip(table.order, range(len(table.order)))))
+        self.label, self.support = np.array(label, dtype=np.int64), np.array(support, dtype=np.int64)
+        self.label.flags.writeable = self.support.flags.writeable = False
         self.caches: dict = {}
-        self._transitions = None
+        self._states = self._transitions = None
+
+    @property
+    def states(self) -> MappingProxyType:
+        """state id -> StateInfo: a read-only view of the columns, derived on first access."""
+        if self._states is None:
+            self._states = MappingProxyType({sid: StateInfo(label, support) for sid, label, support in
+                                             zip(self.table.order, self.label.tolist(), self.support.tolist())})
+        return self._states
 
     @property
     def transitions(self) -> MappingProxyType:
@@ -163,9 +187,10 @@ def _table(order: list[StateId], rank: dict, cols) -> TransitionTable:
             i = bad[0]
             raise ValueError(f"transition {src_ids[i]} -{act_ids[i]}-> {dst_ids[i]} with probability {prob[i]!r} {why}")
 
-    src, dst = (np.fromiter(map(rank.get, ids, repeat(-1)), np.int64, len(ids)) for ids in (src_ids, dst_ids))
+    n = len(src_ids)
+    src, dst = (np.fromiter(map(rank.get, ids, repeat(-1)), np.int64, n) for ids in (src_ids, dst_ids))
     refuse(np.flatnonzero((src < 0) | (dst < 0)), "names a state the model does not list")
-    act, p = np.array(act_ids, dtype=np.int64), np.array(prob, dtype=float)
+    act, p = np.fromiter(act_ids, np.int64, n), np.fromiter(prob, float, n)
     refuse(np.flatnonzero(~((p >= 0.0) & (p <= 1.0))), "lies outside [0, 1]")
     s0, s1, a0, a1 = src[:-1], src[1:], act[:-1], act[1:]
     perm = np.arange(len(src))
@@ -318,8 +343,13 @@ def _state_codes(config, classifiers, R: np.ndarray) -> np.ndarray:
     return _code((cells, sides))
 
 
+def _sids(codes: np.ndarray) -> list[StateId]:
+    """`_sid` of every code."""
+    return list(zip((codes // 3 - 1).tolist(), (codes % 3 - 1).tolist()))
+
+
 def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
-    return [_sid(code) for code in _state_codes(config, classifiers, R).tolist()]
+    return _sids(_state_codes(config, classifiers, R))
 
 
 def _new_runs(*keys) -> np.ndarray:
@@ -381,10 +411,7 @@ def _assemble(codes, robs, actions, starts, pca, config, classifiers) -> Abstrac
     min_rob = np.fmin.reduceat(robs[order], heads)
     min_rob[np.isnan(robs[first])] = np.nan  # a NaN first member keeps the minimum NaN
     state_codes = codes[first].tolist()
-    states = {
-        _sid(code): StateInfo(label=-1 if rob < config.label_threshold else +1, support=n)
-        for code, rob, n in zip(state_codes, min_rob.tolist(), support.tolist())
-    }
+    label = np.where(min_rob < config.label_threshold, -1, 1)  # a NaN minimum labels +1
     # count (src, act, dst) triples in sorted runs; probability = count / (src, act) total
     order = np.lexsort((dst, act, src))
     src, act, dst = src[order], act[order], dst[order]
@@ -399,15 +426,15 @@ def _assemble(codes, robs, actions, starts, pca, config, classifiers) -> Abstrac
         # Traces start in different cells: synthetic initial state with
         # uniform transitions to every observed start.
         initial = INIT_STATE
-        states[INIT_STATE] = StateInfo(label=+1, support=0)
         n, init = len(initials), _code(INIT_STATE)  # sorts first
         state_codes = [init] + state_codes
+        label, support = np.append(1, label), np.append(0, support)
         cols = [head + col for head, col in zip(([init] * n, [0] * n, initials, [1.0 / n] * n), cols)]
-    if len(states) <= 1:
+    if len(state_codes) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
-    table = _table([_sid(code) for code in state_codes], {code: r for r, code in enumerate(state_codes)}, cols)
-    return AbstractMdp(pca=pca, config=config, states=states, initial=initial,
-                       classifiers=dict(classifiers), table=table)
+    table = _table(_sids(np.array(state_codes)), {code: r for r, code in enumerate(state_codes)}, cols)
+    return AbstractMdp(pca, config, None, initial, classifiers=dict(classifiers), table=table,
+                       label=label, support=support)
 
 
 def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
@@ -427,7 +454,7 @@ def abstract_state_of(model: AbstractMdp, q: np.ndarray) -> StateId | None:
     if cell == OUT_OF_BOUNDS:
         return None
     sid = _route(model.classifiers, cell, reduced)
-    return sid if sid in model.states else None
+    return sid if sid in model.rank else None
 
 
 def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, seed: int,
@@ -512,7 +539,7 @@ def preciseness(model: AbstractMdp, pairs) -> PrecisenessReport:
         return PrecisenessReport(0.0, 0.0, 0, 0, 0)
     states, robs, _, _ = _stacked(pairs)
     codes = _state_codes(model.config, model.classifiers, _reduce_batch(model.pca, states))
-    model_codes = np.array([_code(sid) for sid in model.table.order])  # ascending, as the ids
+    model_codes = _code(np.array(model.table.order, dtype=np.int64).reshape(-1, 2).T)  # ascending, as the ids
     at = np.minimum(np.searchsorted(model_codes, codes), len(model_codes) - 1)
     known = model_codes[at] == codes
     expected = np.where(robs[known] < model.config.label_threshold, -1, 1)
@@ -532,18 +559,16 @@ def state_id_str(sid: StateId) -> str:
     return f"c{cell}" + {0: "", 1: "+", -1: "-"}[side]
 
 
+_STATE_IDS = re.compile(r"^(?:c(0|[1-9][0-9]*)([+-]?)|init)$", re.MULTILINE)  # a cell group of None: init
+_SIDES = {"": 0, "+": 1, "-": -1}
+
+
 def parse_state_id(text: str) -> StateId:
-    if text == "init":
-        return INIT_STATE
-    if not text.startswith("c"):
+    match = _STATE_IDS.fullmatch(text)
+    if match is None:
         raise ValueError(f"bad state id {text!r}")
-    body = text[1:]
-    side = 0
-    if body.endswith("+"):
-        side, body = 1, body[:-1]
-    elif body.endswith("-"):
-        side, body = -1, body[:-1]
-    return (int(body), side)
+    cell, side = match.groups()
+    return INIT_STATE if cell is None else (int(cell), _SIDES[side])
 
 
 def _rows(table: TransitionTable):
@@ -552,7 +577,8 @@ def _rows(table: TransitionTable):
 
 
 def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
-    names = [state_id_str(sid) for sid in model.table.order]
+    t = model.table
+    names = [f'"{state_id_str(sid)}"' for sid in t.order]  # as JSON: an id needs no escapes
     doc = {
         "format": "cpsguard-mdp-v1",
         "abstraction": {
@@ -562,24 +588,19 @@ def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
             "variance_threshold": model.config.variance_threshold,
             "bounds": [list(b) for b in model.config.bounds],
         },
-        "pca": {
-            "mean": [float(v) for v in model.pca.mean],
-            "components": [[float(v) for v in row] for row in model.pca.components],
-        },
+        "pca": {"mean": model.pca.mean.astype(float).tolist(),
+                "components": model.pca.components.astype(float).tolist()},
         "initial": state_id_str(model.initial),
-        "states": [
-            {"id": state_id_str(sid), "label": info.label, "support": info.support}
-            for sid, info in sorted(model.states.items())
-        ],
-        "classifiers": [
-            {"cell": cell, "w": [float(v) for v in w], "b": float(b)}
-            for cell, (w, b) in sorted(model.classifiers.items())
-        ],
-        "transitions": [[names[s], a, names[d], p] for s, a, d, p in _rows(model.table)],
+        "states": Rows(("id", "label", "support"), (names, model.label.tolist(), model.support.tolist())),
+        "classifiers": [{"cell": cell, "w": w.astype(float).tolist(), "b": float(b)}
+                        for cell, (w, b) in sorted(model.classifiers.items())],
+        # every p lies in [0, 1], where repr is the JSON text
+        "transitions": Rows(None, (list(map(names.__getitem__, t.src.tolist())), t.act.tolist(),
+                                   list(map(names.__getitem__, t.dst.tolist())), list(map(repr, t.prob.tolist())))),
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json_text(doc)
 
 
 _SECTIONS = {"abstraction": dict, "pca": dict, "initial": str, "states": list, "classifiers": list,
@@ -603,8 +624,42 @@ def load_model(path) -> AbstractMdp:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _finite(values) -> np.ndarray | None:
+    """A JSON number, or a list (of lists) of numbers, as a float array; None unless each is a
+    finite int or float (a bool or a string is not)."""
+    array = np.array(values, dtype=object)
+    if set(map(type, array.flat)) <= {int, float}:
+        array = array.astype(float)
+        if np.isfinite(array).all():
+            return array
+    return None
+
+
+def _shaped(array, shape) -> bool:
+    return array is not None and array.shape == shape
+
+
+def _numbers_at(doc, section: str, key: str, ndim: int) -> np.ndarray:
+    """`doc[section][key]` as a float array of `ndim` dimensions; a ValueError names the key otherwise."""
+    array = _finite(doc[section][key])
+    if array is None or array.ndim != ndim:
+        kind = ("a finite number", "a list of finite numbers", "a list of lists of finite numbers")[ndim]
+        raise ValueError(f"{section}.{key} is {json.dumps(doc[section][key])}, not {kind}")
+    return array
+
+
+def _columns(entries: list, keys: tuple, what: str) -> list:
+    """The `keys` columns of a list of JSON objects; a ValueError names an entry that is not one."""
+    if not set(map(type, entries)) <= {dict}:
+        i = next(i for i, entry in enumerate(entries) if type(entry) is not dict)
+        raise ValueError(f"{what} {i} is {json.dumps(entries[i])}, not an object")
+    return list(zip(*map(itemgetter(*keys), entries))) or [()] * len(keys)
+
+
 def _model_of(doc) -> AbstractMdp:
-    """The model a parsed model file holds; an error says what is wrong but not where."""
+    """The model a parsed model file holds; an error says what is wrong, naming the first
+    offending entry, but not the file. Each check runs over a whole column first, and
+    entry by entry only to name the entry that fails it."""
     if not isinstance(doc, dict) or doc.get("format") != "cpsguard-mdp-v1":
         raise ValueError("not a model file")
     for section, kind in _SECTIONS.items():
@@ -615,38 +670,73 @@ def _model_of(doc) -> AbstractMdp:
         for key in _KEYS.get(section, ()):
             if key not in doc[section]:
                 raise ValueError(f"no key {section}.{key}")
-    bad = next((i for i, r in enumerate(doc["transitions"]) if not (isinstance(r, list) and len(r) == 4)), None)
-    if bad is not None:
-        raise ValueError(f"transition row {bad} is {json.dumps(doc['transitions'][bad])}, not [src, act, dst, p]")
     a = doc["abstraction"]
-    config = AbstractionConfig(
-        k=a["k"], c=a["c"], label_threshold=a["label_threshold"],
-        variance_threshold=a["variance_threshold"],
-        bounds=tuple(tuple(b) for b in a["bounds"]),
-    )
-    if len(config.bounds) != config.k:
-        raise ValueError(f"{len(config.bounds)} grid bounds for k={config.k}")
-    mean, components = np.array(doc["pca"]["mean"]), np.array(doc["pca"]["components"])
+    for key in ("k", "c"):
+        if type(a[key]) is not int:
+            raise ValueError(f"abstraction.{key} is {json.dumps(a[key])}, not an integer")
+    _numbers_at(doc, "abstraction", "label_threshold", 0)
+    _numbers_at(doc, "abstraction", "variance_threshold", 0)
+    bounds = _numbers_at(doc, "abstraction", "bounds", 2)
+    if bounds.shape != (a["k"], 2):
+        raise ValueError(f"{len(bounds)} grid bounds for k={a['k']}")
+    config = AbstractionConfig(k=a["k"], c=a["c"], label_threshold=a["label_threshold"],
+                               variance_threshold=a["variance_threshold"], bounds=bounds.tolist())
+    mean, components = _numbers_at(doc, "pca", "mean", 1), _numbers_at(doc, "pca", "components", 2)
     if components.shape != (config.k, len(mean)):
         raise ValueError(f"PCA components have shape {components.shape}, expected {(config.k, len(mean))}")
     pca = PcaTransform(mean=mean, components=components)
-    ids = {s["id"]: parse_state_id(s["id"]) for s in doc["states"]}  # each id parsed once
-    states = {}
-    for s in doc["states"]:
-        if s["label"] not in (-1, 1):
-            raise ValueError(f"state {s['id']} has label {s['label']!r}, expected -1 or 1")
-        states[ids[s["id"]]] = StateInfo(label=s["label"], support=s["support"])
-    classifiers = {c["cell"]: (np.array(c["w"]), float(c["b"])) for c in doc["classifiers"]}
-    for cell, (w, _) in classifiers.items():
-        if w.shape != (config.k,):
-            raise ValueError(f"classifier of cell {cell} has shape {w.shape}, expected ({config.k},)")
-    order = sorted(states)
-    rank = {sid: r for r, sid in enumerate(order)}
-    table = _table(order, {text: rank[sid] for text, sid in ids.items()}, list(zip(*doc["transitions"])))
-    initial = parse_state_id(doc["initial"])
-    if initial not in states:
+
+    ids, labels, supports = _columns(doc["states"], ("id", "label", "support"), "state entry")
+    joined = "\n".join(ids) if set(map(type, ids)) <= {str} else ""
+    found = _STATE_IDS.findall(joined) if joined.count("\n") == len(ids) - 1 else ()  # an id holds no newline
+    if not (len(found) == len(ids) and set(map(type, labels)) <= {int} and set(labels) <= {-1, 1}
+            and set(map(type, supports)) <= {int} and min(supports, default=0) >= 0):
+        for i, (sid, label, support) in enumerate(zip(ids, labels, supports)):
+            if not (isinstance(sid, str) and _STATE_IDS.fullmatch(sid)):
+                raise ValueError(f"state entry {i} has id {json.dumps(sid)}, not c<cell>, c<cell>+, c<cell>- or init")
+            if type(label) is not int or label not in (-1, 1):
+                raise ValueError(f"state {sid} has label {json.dumps(label)}, expected -1 or 1")
+            if type(support) is not int or support < 0:
+                raise ValueError(f"state {sid} has support {json.dumps(support)}, expected a non-negative integer")
+    codes = _code((np.array([int(cell or -2) for cell, _ in found], dtype=np.int64),  # init: cell -2, side 0
+                   np.fromiter(map(_SIDES.__getitem__, map(itemgetter(1), found)), np.int64, len(found))))
+    perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    twice = np.flatnonzero(codes[1:] == codes[:-1])
+    if twice.size:
+        i, j = perm[twice[0]], perm[twice[0] + 1]
+        raise ValueError(f"state {ids[j]} is listed twice, as entries {i} and {j}")
+    place = np.empty(len(perm), dtype=np.int64)
+    place[perm] = np.arange(len(perm))
+    rank = dict(zip(ids, place.tolist()))  # id text -> rank in the sorted ids
+
+    cells, ws, bs = _columns(doc["classifiers"], ("cell", "w", "b"), "classifier")
+    w_all, b_all = _finite(ws), _finite(bs)
+    if not (set(map(type, cells)) <= {int} and len(set(cells)) == len(cells)
+            and _shaped(w_all, (len(cells), config.k)) and _shaped(b_all, (len(cells),))):
+        for i, (cell, w, b) in enumerate(zip(cells, ws, bs)):
+            if type(cell) is not int:
+                raise ValueError(f"classifier {i} has cell {json.dumps(cell)}, not an integer")
+            if cell in cells[:i]:
+                raise ValueError(f"cell {cell} has two classifiers")
+            if not (_shaped(_finite(w), (config.k,)) and _shaped(_finite(b), ())):
+                raise ValueError(f"classifier of cell {cell} has w {json.dumps(w)} and b {json.dumps(b)}, "
+                                 f"expected {config.k} finite numbers and one")
+
+    rows = doc["transitions"]
+    cols = list(zip(*rows)) if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4} else None
+    if cols is None or cols and not (set(map(type, cols[1])) <= {int} and set(map(type, cols[3])) <= {int, float}):
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == 4 and type(row[1]) is int and type(row[3]) in (int, float)):
+                raise ValueError(f"transition row {i} is {json.dumps(row)}, not [src, act, dst, p] "
+                                 "with an integer act and a number p")
+    order = _sids(codes)
+    r = rank.get(doc["initial"])
+    if r is None:
         raise ValueError(f"initial state {doc['initial']} is not a listed state")
-    return AbstractMdp(pca=pca, config=config, states=states, initial=initial, classifiers=classifiers, table=table)
+    return AbstractMdp(pca, config, None, order[r], classifiers=dict(zip(cells, zip(w_all, b_all.tolist()))),
+                       table=_table(order, rank, cols), label=np.array(labels, dtype=np.int64)[perm],
+                       support=np.array(supports, dtype=np.int64)[perm])
 
 
 def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:

@@ -256,7 +256,7 @@ def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
         "traces": entries,
         "failures": failures,
     }
-    _atomic_write(cfg.output_dir / "collect_manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _atomic_write(cfg.output_dir / "collect_manifest.json", signals.json_text(manifest))
     print(f"collected {len(entries)} traces ({len(failures)} failures) -> {out}")
     return 0 if not failures else 2
 
@@ -280,7 +280,7 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
     pairs = _load_trace_pairs(cfg)
     model = abstraction.build_abstraction(pairs, cfg.abstraction_config)
     _write_model(cfg, model)
-    print(f"model: {len(model.states)} states, {model.num_transitions()} transitions")
+    print(f"model: {len(model.label)} states, {model.num_transitions()} transitions")
     return 0
 
 
@@ -296,11 +296,11 @@ def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"abstraction schema mismatch: model was built with k={model.config.k}, "
             f"c={model.config.c}, config asks for k={acfg.k}, c={acfg.c}"
         )
-    before = len(model.states)
+    before = len(model.label)
     refined = abstraction.refine(model, pairs, acfg)
     _write_model(cfg, refined)
     print(
-        f"refined: {before} -> {len(refined.states)} states, "
+        f"refined: {before} -> {len(refined.label)} states, "
         f"{refined.num_transitions()} transitions, {len(refined.classifiers)} split cells"
     )
     return 0
@@ -332,7 +332,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
             return 3 if args.assert_holds else 0
     elif args.state:
         sid = abstraction.parse_state_id(args.state)
-        if sid not in model.states:
+        if sid not in model.rank:
             raise ValueError(f"state {args.state!r} not in the model")
     else:
         sid = model.initial
@@ -383,7 +383,7 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     overhead = total_query / total_wall if total_wall > 0 else 0.0
     metrics = {"config_hash": cfg.config_hash, "runs": rows,
                "mean_safety_frac": mean_safety, "mean_perf_frac": mean_perf}
-    _atomic_write(cfg.output_dir / "monitor_metrics.json", json.dumps(metrics, sort_keys=True, indent=1) + "\n")
+    _atomic_write(cfg.output_dir / "monitor_metrics.json", signals.json_text(metrics))
     print(f"monitored {n} runs ({n - len(done)} failed): safety_frac={_fmt_opt(mean_safety, 4, 'n/a')} "
           f"perf_frac={_fmt_opt(mean_perf, 4, 'n/a')} overhead_ratio={overhead:.4%}")
     return 0 if len(done) == n else 2
@@ -427,7 +427,7 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
         "mean_sims_success": stats["mean_sims_success"],
         "per_trial": per_trial,
     }
-    _atomic_write(cfg.output_dir / f"falsify_{algo}.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _atomic_write(cfg.output_dir / f"falsify_{algo}.json", signals.json_text(doc))
     return 0 if None not in outcomes else 2
 
 
@@ -446,10 +446,9 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     model_path = out / "model.json"
     if model_path.exists():
         model = abstraction.load_model(model_path)
-        labels = [info.label for info in model.states.values()]
         sections.append(
             "## Model\n\n"
-            f"{len(model.states)} states ({labels.count(-1)} labeled rob=-1), "
+            f"{len(model.label)} states ({int(np.sum(model.label == -1))} labeled rob=-1), "
             f"{model.num_transitions()} transitions, {len(model.classifiers)} split cells."
         )
     metrics_path = out / "monitor_metrics.json"

@@ -44,8 +44,6 @@ Unbounded always goes through the dual: Pmax[G phi] = 1 - Pmin[F !phi]
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from .abstraction import AbstractMdp, StateId, TransitionTable, _new_runs
@@ -409,7 +407,7 @@ def reach_prob(model: AbstractMdp, target: set[StateId], k: int | None = None,
     """Extremal probability, per state, of reaching the target set
     (within k steps when bounded)."""
     order = model.table.order
-    unknown = set(target) - set(model.states)
+    unknown = [sid for sid in target if sid not in model.rank]
     if unknown:
         raise ValueError(f"target states not in the model: {sorted(unknown)}")
     mask = np.array([sid in target for sid in order], dtype=bool)
@@ -423,10 +421,10 @@ def reach_prob(model: AbstractMdp, target: set[StateId], k: int | None = None,
 def check(model: AbstractMdp, state: StateId, formula: PctlFormula,
           semantics: str = "MAX") -> Verdict:
     """Evaluate a PCTL state formula at one state of the model."""
-    if state not in model.states:
+    r = model.rank.get(state)
+    if r is None:
         raise ValueError(f"state {state!r} is not in the model")
     sat, probs, error_bound = _answers(model, formula, semantics)
-    r = bisect_left(model.table.order, state)
     return Verdict(holds=sat[r], probability=probs[r], semantics=semantics, error_bound=error_bound)
 
 

@@ -30,12 +30,24 @@ that is not one non-empty 2-D ``<f8`` array, is truncated, is followed
 by more bytes or differs in width from the column row. Input signals
 are not persisted: a run is reproduced from its seed. All values are
 immutable after construction and safe to share across concurrent runs.
+
+Every JSON file the package writes is `json_text`: the bytes of
+``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` with the bulk
+encoded in json's C encoder, which cannot indent. A container of
+scalars is one C call with the separator of its depth; a list of such
+rows is one C call, then one ``str.replace`` indents the row boundaries
+(an encoded string holds no raw newline). `Rows` lets a caller that
+knows its rows' shape pass columns of values already encoded.
 """
 
 from __future__ import annotations
 
+import functools
 import io
+import json
 import math
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -233,3 +245,73 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
     trace = Trace(dt=dt, channels=tuple(names[1:act_col]), states=data[:, 1:act_col],
                   actions=data[:, act_col], inputs=data[:, exo_cols])
     return trace, {names[j]: data[:, j] for j in range(act_col + 1, len(names)) if j not in exo_cols}
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+
+class Rows(Record):
+    """A list for `json_text` given as columns (at least one), each value a JSON text or an
+    int (not a bool): a row is an object with the names in `keys`, or an array when `keys` is None."""
+
+    __slots__ = ("keys", "columns")
+
+
+_CONTAINERS = (list, tuple, dict)
+_NESTED = (*_CONTAINERS, Rows)  # what a flat container or row holds none of
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1) + "\n"``, byte for byte, for a
+    document of dicts with string keys, lists, tuples, `Rows` and scalars."""
+    return _indented(doc, 0) + "\n"
+
+
+@functools.cache
+def _one_line(separator: str):
+    """The one-line JSON of a value: sorted keys, `separator` between items, in C where json has it."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", separator,
+                            True, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _indented(value, level: int) -> str:
+    """The text of a value whose first line is indented by `level` spaces."""
+    if not isinstance(value, _NESTED) or not value:  # a scalar or an empty container: one line
+        return _one_line(",")(value)
+    inner, end = "\n" + " " * (level + 1), "\n" + " " * level
+    if isinstance(value, Rows):
+        return _rows_text(value, inner, end)
+    kinds = set(map(type, value.values() if isinstance(value, dict) else value))
+    if not any(issubclass(kind, _NESTED) for kind in kinds):
+        text = _one_line("," + inner)(value)
+        return text[0] + inner + text[1:-1] + end + text[-1]
+    first = value[0] if len(kinds) == 1 and not isinstance(value, dict) and all(value) else None
+    if isinstance(first, _CONTAINERS) and not any(isinstance(v, _NESTED) for v in (
+            first.values() if isinstance(first, dict) else first)):
+        row = inner + " "
+        text = _one_line("," + row)(value)
+        if text.count("[") + text.count("{") == len(value) + 1:  # no row nests a container, nor a string a bracket
+            open_, close = text[1], text[-2]
+            text = text.replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
+            return text[0] + inner + open_ + row + text[2:-2] + inner + close + end + text[-1]
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(key)}: {_indented(v, level + 1)}" for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + end + "}"
+    return "[" + inner + ("," + inner).join([_indented(v, level + 1) for v in value]) + end + "]"
+
+
+def _rows_text(rows: Rows, inner: str, end: str) -> str:
+    columns, row = rows.columns, inner + " "
+    if not len(columns[0]):
+        return "[]"
+    fields, brackets = ["%s"] * len(columns), "[]"
+    if rows.keys is not None:
+        keys, columns = zip(*sorted(zip(rows.keys, columns)))
+        fields, brackets = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys], "{}"
+    text = brackets[0] + row + ("," + row).join(fields) + inner + brackets[1]  # one row, to fill with %
+    values = tuple(chain.from_iterable(zip(*columns)))
+    return "[" + inner + ("," + inner).join([text] * len(columns[0])) % values + end + "]"

@@ -407,6 +407,34 @@ def writer_oracle(model):
     return rows, f"{len(order)} {n_choices} {len(tra)}\n" + "\n".join(tra) + ("\n" if tra else "")
 
 
+def model_doc_oracle(model, config_hash=None):
+    """The model file's document, built from the dict views as the writer built it
+    before models were columns: `json.dumps(doc, sort_keys=True, indent=1)` wrote it."""
+    doc = {
+        "format": "cpsguard-mdp-v1",
+        "abstraction": {
+            "k": model.config.k,
+            "c": model.config.c,
+            "label_threshold": model.config.label_threshold,
+            "variance_threshold": model.config.variance_threshold,
+            "bounds": [list(b) for b in model.config.bounds],
+        },
+        "pca": {
+            "mean": [float(v) for v in model.pca.mean],
+            "components": [[float(v) for v in row] for row in model.pca.components],
+        },
+        "initial": state_id_str(model.initial),
+        "states": [{"id": state_id_str(sid), "label": info.label, "support": info.support}
+                   for sid, info in sorted(model.states.items())],
+        "classifiers": [{"cell": cell, "w": [float(v) for v in w], "b": float(b)}
+                        for cell, (w, b) in sorted(model.classifiers.items())],
+        "transitions": writer_oracle(model)[0],
+    }
+    if config_hash is not None:
+        doc["config_hash"] = config_hash
+    return doc
+
+
 def oracle_bounded_reach(model, target, k, semantics):
     """Memoized top-down recursion over (state, steps-left)."""
     trans = model.transitions

@@ -8,6 +8,7 @@ from oracles import (
     build_oracle,
     indexed_oracle,
     make_mdp,
+    model_doc_oracle,
     random_mdp,
     refine_oracle,
     separable_cell_pairs,
@@ -546,6 +547,34 @@ class TestSerialization:
         m2 = refine(build_abstraction(pairs, AbstractionConfig(k=2, c=4)), pairs)
         assert model_to_json(m1) == model_to_json(m2)
 
+    def test_bad_state_ids_are_refused(self):
+        for text in ("c-1", "c01", "c5+-", "c", "init+", "x5", "c5 ", "c1\nc2"):
+            with pytest.raises(ValueError, match="bad state id"):
+                parse_state_id(text)
+
+    def test_model_file_is_json_dumps_of_its_document(self):
+        """The writer against json's indenting encoder on the document the dict views give:
+        random MDPs, slow chains, a refined model and one with the synthetic init state."""
+        pairs = separable_cell_pairs()
+        refined = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
+        assert refined.classifiers
+        starts = build_abstraction([(trace_1d([0.0, 10.0]), np.ones(2)), (trace_1d([10.0, 0.0]), -np.ones(2))],
+                                   AbstractionConfig(k=1, c=2))
+        assert starts.initial == INIT_STATE and not starts.classifiers
+        for model in (*table_models(), refined, starts):
+            for config_hash in (None, "0123abcd"):
+                want = json.dumps(model_doc_oracle(model, config_hash), sort_keys=True, indent=1) + "\n"
+                assert model_to_json(model, config_hash) == want
+
+    def test_closed_loop_model_files_are_json_dumps(self, closed_loop, tmp_path):
+        pairs, _, cfg = closed_loop
+        built = build_abstraction(pairs, cfg)
+        for model in (built, refine(built, pairs)):
+            text = model_to_json(model, "h")
+            assert text == json.dumps(model_doc_oracle(model, "h"), sort_keys=True, indent=1) + "\n"
+            (tmp_path / "m.json").write_text(text)
+            assert model_to_json(load_model(tmp_path / "m.json"), "h") == text
+
     def test_pca_orthonormal_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         tr = trace_nd(rng.normal(size=(50, 4)))
@@ -651,6 +680,7 @@ class TestTransitionTable:
                 continue
             doc = json.loads(model_to_json(model))
             rng.shuffle(doc["transitions"])
+            rng.shuffle(doc["states"])
             (tmp_path / "shuffled.json").write_text(json.dumps(doc))
             loaded = load_model(tmp_path / "shuffled.json")
             for column in ("src", "act", "dst", "prob"):
@@ -680,6 +710,30 @@ class TestTransitionTable:
         with pytest.raises(ValueError, match="read-only"):
             model.table.prob[0] = 0.25
 
+    def test_loading_and_checking_leave_the_states_view_unbuilt(self, tmp_path):
+        pairs = separable_cell_pairs()
+        model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
+        (tmp_path / "m.json").write_text(model_to_json(model))
+        model = load_model(tmp_path / "m.json")
+        for text in QUERIES:
+            check_all(model, parse_pctl(text))
+        known = [abstract_state_of(model, row) for row in pairs[0][0].states]
+        assert None not in known
+        model_to_json(model)
+        tra_lab_text(model)
+        assert model._states is None
+        view = model.states
+        assert list(view) == model.table.order
+        assert [info.label for info in view.values()] == model.label.tolist()
+        assert [info.support for info in view.values()] == model.support.tolist()
+        assert model.states is view
+        with pytest.raises(TypeError):
+            view[known[0]] = view[known[0]]
+        with pytest.raises(AttributeError):
+            model.states = {}
+        with pytest.raises(ValueError, match="read-only"):
+            model.support[0] = 0
+
     def test_a_model_is_read_only(self, tmp_path):
         pairs = separable_cell_pairs()
         model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
@@ -697,17 +751,47 @@ class TestTransitionTable:
             assert model.label.tolist() == [model.states[sid].label for sid in model.table.order]
 
     @pytest.mark.parametrize("defect,message", [
-        (lambda rows: rows[0].__setitem__(3, float("nan")), r"c1 -0-> c0 with probability nan lies outside \[0, 1\]"),
-        (lambda rows: rows[0].__setitem__(3, -0.5), "lies outside"),
-        (lambda rows: rows[1].__setitem__(3, 1.5), "lies outside"),
-        (lambda rows: rows.append(list(rows[0])), "c1 -0-> c0 with probability 0.5 is listed twice"),
-        (lambda rows: rows.insert(0, list(rows[2])), "is listed twice"),
-        (lambda rows: rows[0].__setitem__(3, 0.75), "transitions of c1 under action 0 sum to 1.25"),
-        (lambda rows: rows[0].__setitem__(2, "c99"), "c1 -0-> c99 .* names a state the model does not list"),
+        (lambda doc: doc["transitions"][0].__setitem__(3, float("nan")),
+         r"c1 -0-> c0 with probability nan lies outside \[0, 1\]"),
+        (lambda doc: doc["transitions"][0].__setitem__(3, -0.5), "lies outside"),
+        (lambda doc: doc["transitions"][1].__setitem__(3, 1.5), "lies outside"),
+        (lambda doc: doc["transitions"].append(list(doc["transitions"][0])),
+         "c1 -0-> c0 with probability 0.5 is listed twice"),
+        (lambda doc: doc["transitions"].insert(0, list(doc["transitions"][2])), "is listed twice"),
+        (lambda doc: doc["transitions"][0].__setitem__(3, 0.75), "transitions of c1 under action 0 sum to 1.25"),
+        (lambda doc: doc["transitions"][0].__setitem__(2, "c99"),
+         "c1 -0-> c99 .* names a state the model does not list"),
+        # the entries a model file names: a state listed twice would silently replace the first
+        (lambda doc: doc["states"].append(dict(doc["states"][1], label=-1)),
+         "state c1 is listed twice, as entries 1 and 4"),
+        (lambda doc: doc["states"][2].__setitem__("id", "c02"), r'state entry 2 has id "c02", not c<cell>'),
+        (lambda doc: doc["states"][2].__setitem__("id", 2), "state entry 2 has id 2, not c<cell>"),
+        (lambda doc: doc["states"][0].__setitem__("label", True), "state c0 has label true, expected -1 or 1"),
+        (lambda doc: doc["states"][0].__setitem__("label", 1.0), "state c0 has label 1.0, expected -1 or 1"),
+        (lambda doc: doc["states"][2].__setitem__("support", "many"), 'state c2 has support "many", expected a'),
+        (lambda doc: doc["states"][2].__setitem__("support", -5), "state c2 has support -5, expected a non-negative"),
+        (lambda doc: doc["transitions"][0].__setitem__(1, 0.5),
+         r'transition row 0 is \["c1", 0.5, "c0", 0.5\], not \[src, act, dst, p\] with an integer act'),
+        (lambda doc: doc["transitions"][1].__setitem__(1, True), r'transition row 1 is \["c1", true, "c2", 0.5\]'),
+        (lambda doc: doc["transitions"][2].__setitem__(3, True),
+         r'transition row 2 is \["c2", 0, "c1", true\], not .* and a number p'),
+        (lambda doc: doc["classifiers"].append({"cell": 0, "w": ["1.5"], "b": 0.0}),
+         r'classifier of cell 0 has w \["1.5"\] and b 0.0, expected 1 finite numbers and one'),
+        (lambda doc: doc["classifiers"].append({"cell": 0, "w": [float("nan")], "b": 0.0}),
+         r"classifier of cell 0 has w \[NaN\]"),
+        (lambda doc: doc["classifiers"].append({"cell": 0, "w": [1.0], "b": "1.5"}),
+         r'classifier of cell 0 has w \[1.0\] and b "1.5"'),
+        (lambda doc: doc["classifiers"].extend([{"cell": 1, "w": [1.0], "b": 0.0}] * 2), "cell 1 has two classifiers"),
+        (lambda doc: doc["classifiers"].append({"cell": 1.0, "w": [1.0], "b": 0.0}),
+         "classifier 0 has cell 1.0, not an integer"),
+        (lambda doc: doc["pca"].__setitem__("mean", [float("nan")]),
+         r"pca.mean is \[NaN\], not a list of finite numbers"),
+        (lambda doc: doc["abstraction"]["bounds"][0].__setitem__(1, "1"),
+         r'abstraction.bounds is \[\[0.0, "1"\]\], not a list of lists'),
     ])
     def test_bad_rows_are_refused_naming_the_file(self, tmp_path, defect, message):
         doc = json.loads(model_to_json(slow_chain(3)))
-        defect(doc["transitions"])
+        defect(doc)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message) as err:

@@ -448,14 +448,16 @@ class TestTransitionView:
         cfg, _ = TestCheck().build_model(tmp_path)
         path = tmp_path / "out" / "model.json"
         doc = json.loads(path.read_text())
-        doc["transitions"].reverse()  # a hand-edited row order takes the sorting path too
+        doc["transitions"].reverse()  # a hand-edited row and state order takes the sorting paths too
+        doc["states"].reverse()
         (tmp_path / "rev").mkdir()
         (tmp_path / "rev" / "model.json").write_text(json.dumps(doc))
 
         def refuse(model):
-            raise AssertionError("the dict view of the transitions was built")
+            raise AssertionError("a dict view of the model was built")
 
         monkeypatch.setattr(abstraction.AbstractMdp, "transitions", property(refuse))
+        monkeypatch.setattr(abstraction.AbstractMdp, "states", property(refuse))
         for out in ("out", "rev"):
             for query in ('P>0.8 [ F<=10 "rob=-1" ]', 'P>0.5 [ "rob=+1" U "rob=-1" ]', 'P>0.5 [ G "rob=+1" ]'):
                 for sem in ("MAX", "MIN"):
