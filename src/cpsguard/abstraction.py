@@ -48,8 +48,9 @@ access, which no command needs. A model file lists the states as
 ``{"id", "label", "support"}`` entries and the transitions as
 ``[src, act, dst, p]`` rows, both sorted; `load_model` takes both in any
 order and refuses a file, naming it and the first offending entry, where
-an id is not ``c<cell>``, ``c<cell>+``, ``c<cell>-`` or ``init`` or is
-listed twice, a label is not the integer -1 or 1, a support is not a
+a state or classifier is not an object or a row not a 4-list, an id is
+not ``c<cell>``, ``c<cell>+``, ``c<cell>-`` or ``init`` or is listed
+twice, a label is not the integer -1 or 1, a support is not a
 non-negative integer, an action is not an integer, a p is not a number
 in [0, 1], a (src, act) row does not sum to 1 within 1e-9, a row repeats
 or names an unlisted state, the initial state is not listed, a
@@ -65,12 +66,11 @@ import math
 import re
 import warnings
 from itertools import repeat
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
-from .signals import Rows, json_text
+from .signals import json_text
 from .stl import Record
 
 OUT_OF_BOUNDS = -1
@@ -132,21 +132,27 @@ class AbstractMdp:
     """A labeled MDP whose mappings and arrays are read-only. `label` (-1 or +1) and `support`
     hold each state's in `table.order`, and `rank` maps a state id to its place there. Built by
     hand, it takes a `states` dict and a `transitions` dict, checked as a model file's rows are;
-    the library's builders pass a `table` and its `label` and `support` columns instead."""
+    the library's builders and `load_model` make it of its columns with `_of`."""
 
-    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo] | None,
-                 initial: StateId, transitions=None, classifiers=None, *, table: TransitionTable | None = None,
-                 label=None, support=None):
-        self.pca, self.config, self.initial = pca, config, initial
-        self.classifiers: MappingProxyType[int, tuple[np.ndarray, float]] = MappingProxyType(dict(classifiers or {}))
+    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo],
+                 initial: StateId, transitions=None, classifiers=None):
+        order = sorted(states)
+        rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
+        table = _table(order, dict(zip(order, range(len(order)))), list(zip(*rows)))
+        self._set(pca, config, initial, classifiers or {}, table,
+                  [states[sid].label for sid in order], [states[sid].support for sid in order])
+
+    @classmethod
+    def _of(cls, pca, config, initial, classifiers, table: TransitionTable, label, support) -> AbstractMdp:
+        model = cls.__new__(cls)
+        model._set(pca, config, initial, classifiers, table, label, support)
+        return model
+
+    def _set(self, pca, config, initial, classifiers, table, label, support):
+        self.pca, self.config, self.initial, self.table = pca, config, initial, table
+        self.classifiers: MappingProxyType[int, tuple[np.ndarray, float]] = MappingProxyType(dict(classifiers))
         for w, _ in self.classifiers.values():
             w.flags.writeable = False
-        if table is None:
-            order = sorted(states)
-            rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
-            table = _table(order, {sid: r for r, sid in enumerate(order)}, list(zip(*rows)))
-            label, support = [states[sid].label for sid in order], [states[sid].support for sid in order]
-        self.table = table
         self.rank: MappingProxyType[StateId, int] = MappingProxyType(dict(zip(table.order, range(len(table.order)))))
         self.label, self.support = np.array(label, dtype=np.int64), np.array(support, dtype=np.int64)
         self.label.flags.writeable = self.support.flags.writeable = False
@@ -433,8 +439,7 @@ def _assemble(codes, robs, actions, starts, pca, config, classifiers) -> Abstrac
     if len(state_codes) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
     table = _table(_sids(np.array(state_codes)), {code: r for r, code in enumerate(state_codes)}, cols)
-    return AbstractMdp(pca, config, None, initial, classifiers=dict(classifiers), table=table,
-                       label=label, support=support)
+    return AbstractMdp._of(pca, config, initial, classifiers, table, label, support)
 
 
 def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
@@ -553,20 +558,26 @@ def preciseness(model: AbstractMdp, pairs) -> PrecisenessReport:
 
 
 def state_id_str(sid: StateId) -> str:
-    if sid == INIT_STATE:
-        return "init"
-    cell, side = sid
-    return f"c{cell}" + {0: "", 1: "+", -1: "-"}[side]
+    return "init" if sid == INIT_STATE else f"c{sid[0]}{_SIDE_TEXT[sid[1]]}"
 
 
-_STATE_IDS = re.compile(r"^(?:c(0|[1-9][0-9]*)([+-]?)|init)$", re.MULTILINE)  # a cell group of None: init
+_STATE_IDS = re.compile(r"c(0|[1-9][0-9]*)([+-]?)|init")  # init matches no group
 _SIDES = {"": 0, "+": 1, "-": -1}
+_SIDE_TEXT = {side: text for text, side in _SIDES.items()}
 
 
 def parse_state_id(text: str) -> StateId:
-    match = _STATE_IDS.fullmatch(text)
-    if match is None:
+    sid = _state_id_of(text)
+    if sid is None:
         raise ValueError(f"bad state id {text!r}")
+    return sid
+
+
+def _state_id_of(text) -> StateId | None:
+    """The state id a text names, or None for any other value."""
+    match = _STATE_IDS.fullmatch(text) if type(text) is str else None
+    if match is None:
+        return None
     cell, side = match.groups()
     return INIT_STATE if cell is None else (int(cell), _SIDES[side])
 
@@ -578,7 +589,7 @@ def _rows(table: TransitionTable):
 
 def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
     t = model.table
-    names = [f'"{state_id_str(sid)}"' for sid in t.order]  # as JSON: an id needs no escapes
+    names = np.array(list(map(state_id_str, t.order)), dtype=object)
     doc = {
         "format": "cpsguard-mdp-v1",
         "abstraction": {
@@ -591,18 +602,18 @@ def model_to_json(model: AbstractMdp, config_hash: str | None = None) -> str:
         "pca": {"mean": model.pca.mean.astype(float).tolist(),
                 "components": model.pca.components.astype(float).tolist()},
         "initial": state_id_str(model.initial),
-        "states": Rows(("id", "label", "support"), (names, model.label.tolist(), model.support.tolist())),
+        "states": [{"id": sid, "label": label, "support": support} for sid, label, support in
+                   zip(names.tolist(), model.label.tolist(), model.support.tolist())],
         "classifiers": [{"cell": cell, "w": w.astype(float).tolist(), "b": float(b)}
                         for cell, (w, b) in sorted(model.classifiers.items())],
-        # every p lies in [0, 1], where repr is the JSON text
-        "transitions": Rows(None, (list(map(names.__getitem__, t.src.tolist())), t.act.tolist(),
-                                   list(map(names.__getitem__, t.dst.tolist())), list(map(repr, t.prob.tolist())))),
+        "transitions": list(zip(names[t.src].tolist(), t.act.tolist(), names[t.dst].tolist(), t.prob.tolist())),
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
     return json_text(doc)
 
 
+_NUMBER = {int, float}
 _SECTIONS = {"abstraction": dict, "pca": dict, "initial": str, "states": list, "classifiers": list,
              "transitions": list}
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
@@ -624,42 +635,25 @@ def load_model(path) -> AbstractMdp:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _finite(values) -> np.ndarray | None:
-    """A JSON number, or a list (of lists) of numbers, as a float array; None unless each is a
-    finite int or float (a bool or a string is not)."""
-    array = np.array(values, dtype=object)
-    if set(map(type, array.flat)) <= {int, float}:
-        array = array.astype(float)
-        if np.isfinite(array).all():
-            return array
-    return None
-
-
-def _shaped(array, shape) -> bool:
-    return array is not None and array.shape == shape
-
-
 def _numbers_at(doc, section: str, key: str, ndim: int) -> np.ndarray:
-    """`doc[section][key]` as a float array of `ndim` dimensions; a ValueError names the key otherwise."""
-    array = _finite(doc[section][key])
-    if array is None or array.ndim != ndim:
+    """`doc[section][key]` as a float array of `ndim` dimensions; a ValueError names the key unless
+    each entry is a finite int or float (a bool or a string is not)."""
+    array = np.array(doc[section][key], dtype=object)
+    if not (array.ndim == ndim and set(map(type, array.flat)) <= _NUMBER and np.isfinite(array.astype(float)).all()):
         kind = ("a finite number", "a list of finite numbers", "a list of lists of finite numbers")[ndim]
         raise ValueError(f"{section}.{key} is {json.dumps(doc[section][key])}, not {kind}")
-    return array
+    return array.astype(float)
 
 
-def _columns(entries: list, keys: tuple, what: str) -> list:
-    """The `keys` columns of a list of JSON objects; a ValueError names an entry that is not one."""
-    if not set(map(type, entries)) <= {dict}:
-        i = next(i for i, entry in enumerate(entries) if type(entry) is not dict)
-        raise ValueError(f"{what} {i} is {json.dumps(entries[i])}, not an object")
-    return list(zip(*map(itemgetter(*keys), entries))) or [()] * len(keys)
+def _refuse_outside(values, key, allowed: set, message) -> None:
+    """Raise ValueError(message(i)) for the first i whose `key(value)` is not in `allowed`."""
+    if not set(map(key, values)) <= allowed:
+        raise ValueError(message(next(i for i, v in enumerate(values) if key(v) not in allowed)))
 
 
 def _model_of(doc) -> AbstractMdp:
     """The model a parsed model file holds; an error says what is wrong, naming the first
-    offending entry, but not the file. Each check runs over a whole column first, and
-    entry by entry only to name the entry that fails it."""
+    offending entry, but not the file."""
     if not isinstance(doc, dict) or doc.get("format") != "cpsguard-mdp-v1":
         raise ValueError("not a model file")
     for section, kind in _SECTIONS.items():
@@ -678,7 +672,7 @@ def _model_of(doc) -> AbstractMdp:
     _numbers_at(doc, "abstraction", "variance_threshold", 0)
     bounds = _numbers_at(doc, "abstraction", "bounds", 2)
     if bounds.shape != (a["k"], 2):
-        raise ValueError(f"{len(bounds)} grid bounds for k={a['k']}")
+        raise ValueError(f"abstraction.bounds has shape {bounds.shape}, expected ({a['k']}, 2)")
     config = AbstractionConfig(k=a["k"], c=a["c"], label_threshold=a["label_threshold"],
                                variance_threshold=a["variance_threshold"], bounds=bounds.tolist())
     mean, components = _numbers_at(doc, "pca", "mean", 1), _numbers_at(doc, "pca", "components", 2)
@@ -686,20 +680,23 @@ def _model_of(doc) -> AbstractMdp:
         raise ValueError(f"PCA components have shape {components.shape}, expected {(config.k, len(mean))}")
     pca = PcaTransform(mean=mean, components=components)
 
-    ids, labels, supports = _columns(doc["states"], ("id", "label", "support"), "state entry")
-    joined = "\n".join(ids) if set(map(type, ids)) <= {str} else ""
-    found = _STATE_IDS.findall(joined) if joined.count("\n") == len(ids) - 1 else ()  # an id holds no newline
-    if not (len(found) == len(ids) and set(map(type, labels)) <= {int} and set(labels) <= {-1, 1}
-            and set(map(type, supports)) <= {int} and min(supports, default=0) >= 0):
-        for i, (sid, label, support) in enumerate(zip(ids, labels, supports)):
-            if not (isinstance(sid, str) and _STATE_IDS.fullmatch(sid)):
-                raise ValueError(f"state entry {i} has id {json.dumps(sid)}, not c<cell>, c<cell>+, c<cell>- or init")
-            if type(label) is not int or label not in (-1, 1):
-                raise ValueError(f"state {sid} has label {json.dumps(label)}, expected -1 or 1")
-            if type(support) is not int or support < 0:
-                raise ValueError(f"state {sid} has support {json.dumps(support)}, expected a non-negative integer")
-    codes = _code((np.array([int(cell or -2) for cell, _ in found], dtype=np.int64),  # init: cell -2, side 0
-                   np.fromiter(map(_SIDES.__getitem__, map(itemgetter(1), found)), np.int64, len(found))))
+    ids, codes, labels, supports = [], [], [], []
+    for i, entry in enumerate(doc["states"]):
+        if type(entry) is not dict:
+            raise ValueError(f"state entry {i} is {json.dumps(entry)}, not an object")
+        sid, label, support = entry["id"], entry["label"], entry["support"]
+        state = _state_id_of(sid)
+        if state is None:
+            raise ValueError(f"state entry {i} has id {json.dumps(sid)}, not c<cell>, c<cell>+, c<cell>- or init")
+        if type(label) is not int or label not in (-1, 1):
+            raise ValueError(f"state {sid} has label {json.dumps(label)}, expected -1 or 1")
+        if type(support) is not int or support < 0:
+            raise ValueError(f"state {sid} has support {json.dumps(support)}, expected a non-negative integer")
+        ids.append(sid)
+        codes.append(_code(state))
+        labels.append(label)
+        supports.append(support)
+    codes = np.array(codes, dtype=np.int64)
     perm = np.argsort(codes, kind="stable")
     codes = codes[perm]
     twice = np.flatnonzero(codes[1:] == codes[:-1])
@@ -710,33 +707,35 @@ def _model_of(doc) -> AbstractMdp:
     place[perm] = np.arange(len(perm))
     rank = dict(zip(ids, place.tolist()))  # id text -> rank in the sorted ids
 
-    cells, ws, bs = _columns(doc["classifiers"], ("cell", "w", "b"), "classifier")
-    w_all, b_all = _finite(ws), _finite(bs)
-    if not (set(map(type, cells)) <= {int} and len(set(cells)) == len(cells)
-            and _shaped(w_all, (len(cells), config.k)) and _shaped(b_all, (len(cells),))):
-        for i, (cell, w, b) in enumerate(zip(cells, ws, bs)):
-            if type(cell) is not int:
-                raise ValueError(f"classifier {i} has cell {json.dumps(cell)}, not an integer")
-            if cell in cells[:i]:
-                raise ValueError(f"cell {cell} has two classifiers")
-            if not (_shaped(_finite(w), (config.k,)) and _shaped(_finite(b), ())):
-                raise ValueError(f"classifier of cell {cell} has w {json.dumps(w)} and b {json.dumps(b)}, "
-                                 f"expected {config.k} finite numbers and one")
+    classifiers = {}
+    for i, entry in enumerate(doc["classifiers"]):
+        if type(entry) is not dict:
+            raise ValueError(f"classifier {i} is {json.dumps(entry)}, not an object")
+        cell, w, b = entry["cell"], entry["w"], entry["b"]
+        if type(cell) is not int:
+            raise ValueError(f"classifier {i} has cell {json.dumps(cell)}, not an integer")
+        if cell in classifiers:
+            raise ValueError(f"cell {cell} has two classifiers")
+        if not (type(w) is list and len(w) == config.k and set(map(type, [*w, b])) <= _NUMBER
+                and all(map(math.isfinite, [*w, b]))):
+            raise ValueError(f"classifier of cell {cell} has w {json.dumps(w)} and b {json.dumps(b)}, "
+                             f"expected {config.k} finite numbers and one")
+        classifiers[cell] = (np.array(w, dtype=float), float(b))
 
     rows = doc["transitions"]
-    cols = list(zip(*rows)) if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4} else None
-    if cols is None or cols and not (set(map(type, cols[1])) <= {int} and set(map(type, cols[3])) <= {int, float}):
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 4 and type(row[1]) is int and type(row[3]) in (int, float)):
-                raise ValueError(f"transition row {i} is {json.dumps(row)}, not [src, act, dst, p] "
-                                 "with an integer act and a number p")
+    bad_row = lambda i: (f"transition row {i} is {json.dumps(rows[i])}, not [src, act, dst, p] "
+                         "with an integer act and a number p")
+    _refuse_outside(rows, type, {list}, bad_row)
+    _refuse_outside(rows, len, {4}, bad_row)
+    cols = list(zip(*rows)) or [()] * 4
+    _refuse_outside(cols[1], type, {int}, bad_row)
+    _refuse_outside(cols[3], type, _NUMBER, bad_row)
     order = _sids(codes)
     r = rank.get(doc["initial"])
     if r is None:
         raise ValueError(f"initial state {doc['initial']} is not a listed state")
-    return AbstractMdp(pca, config, None, order[r], classifiers=dict(zip(cells, zip(w_all, b_all.tolist()))),
-                       table=_table(order, rank, cols), label=np.array(labels, dtype=np.int64)[perm],
-                       support=np.array(supports, dtype=np.int64)[perm])
+    return AbstractMdp._of(pca, config, order[r], classifiers, _table(order, rank, cols),
+                           np.array(labels, dtype=np.int64)[perm], np.array(supports, dtype=np.int64)[perm])
 
 
 def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:

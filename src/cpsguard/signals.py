@@ -34,10 +34,13 @@ immutable after construction and safe to share across concurrent runs.
 Every JSON file the package writes is `json_text`: the bytes of
 ``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` with the bulk
 encoded in json's C encoder, which cannot indent. A container of
-scalars is one C call with the separator of its depth; a list of such
-rows is one C call, then one ``str.replace`` indents the row boundaries
-(an encoded string holds no raw newline). `Rows` lets a caller that
-knows its rows' shape pass columns of values already encoded.
+scalars is one C call with the separator of its depth. A list of rows
+(objects or lists holding scalars, and perhaps flat containers of the
+other bracket kind, as a classifier's weight list) is one C call, then
+``str.replace`` indents the boundaries of rows and of nested items: an
+encoded string holds no raw newline, and bracket counts send a list
+down the per-item path where a bracket in a string could pass for one
+of its structure's.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import functools
 import io
 import json
 import math
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -251,20 +253,12 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
 # JSON files
 
 
-class Rows(Record):
-    """A list for `json_text` given as columns (at least one), each value a JSON text or an
-    int (not a bool): a row is an object with the names in `keys`, or an array when `keys` is None."""
-
-    __slots__ = ("keys", "columns")
-
-
 _CONTAINERS = (list, tuple, dict)
-_NESTED = (*_CONTAINERS, Rows)  # what a flat container or row holds none of
 
 
 def json_text(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=1) + "\n"``, byte for byte, for a
-    document of dicts with string keys, lists, tuples, `Rows` and scalars."""
+    document of dicts with string keys, lists, tuples and scalars."""
     return _indented(doc, 0) + "\n"
 
 
@@ -280,38 +274,49 @@ def _one_line(separator: str):
 
 def _indented(value, level: int) -> str:
     """The text of a value whose first line is indented by `level` spaces."""
-    if not isinstance(value, _NESTED) or not value:  # a scalar or an empty container: one line
+    if not isinstance(value, _CONTAINERS) or not value:  # a scalar or an empty container: one line
         return _one_line(",")(value)
     inner, end = "\n" + " " * (level + 1), "\n" + " " * level
-    if isinstance(value, Rows):
-        return _rows_text(value, inner, end)
-    kinds = set(map(type, value.values() if isinstance(value, dict) else value))
-    if not any(issubclass(kind, _NESTED) for kind in kinds):
+    if _flat(value):
         text = _one_line("," + inner)(value)
         return text[0] + inner + text[1:-1] + end + text[-1]
-    first = value[0] if len(kinds) == 1 and not isinstance(value, dict) and all(value) else None
-    if isinstance(first, _CONTAINERS) and not any(isinstance(v, _NESTED) for v in (
-            first.values() if isinstance(first, dict) else first)):
-        row = inner + " "
-        text = _one_line("," + row)(value)
-        if text.count("[") + text.count("{") == len(value) + 1:  # no row nests a container, nor a string a bracket
-            open_, close = text[1], text[-2]
-            text = text.replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
-            return text[0] + inner + open_ + row + text[2:-2] + inner + close + end + text[-1]
+    kinds = set(map(type, value)) if isinstance(value, list | tuple) and all(value) else ()
+    text = _rows_text(value, inner, end) if len(kinds) == 1 and issubclass(kinds.pop(), _CONTAINERS) else None
+    if text is not None:
+        return text
     if isinstance(value, dict):
         parts = [f"{encode_basestring_ascii(key)}: {_indented(v, level + 1)}" for key, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(parts) + end + "}"
     return "[" + inner + ("," + inner).join([_indented(v, level + 1) for v in value]) + end + "]"
 
 
-def _rows_text(rows: Rows, inner: str, end: str) -> str:
-    columns, row = rows.columns, inner + " "
-    if not len(columns[0]):
-        return "[]"
-    fields, brackets = ["%s"] * len(columns), "[]"
-    if rows.keys is not None:
-        keys, columns = zip(*sorted(zip(rows.keys, columns)))
-        fields, brackets = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys], "{}"
-    text = brackets[0] + row + ("," + row).join(fields) + inner + brackets[1]  # one row, to fill with %
-    values = tuple(chain.from_iterable(zip(*columns)))
-    return "[" + inner + ("," + inner).join([text] * len(columns[0])) % values + end + "]"
+def _flat(value) -> bool:
+    """Whether a container holds no container."""
+    items = value.values() if isinstance(value, dict) else value
+    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
+
+
+def _rows_text(rows, inner: str, end: str) -> str | None:
+    """The text of a list of rows of one container type that hold scalars and flat containers
+    bracketed unlike the rows (a list in an object, an object in a list), written as one
+    C call and a `str.replace` at the boundaries of rows and of nested items; None where a
+    bracket in a string could pass for a structural one, a row nests a container of its
+    own kind, or a nested container nests."""
+    brackets, kind = ("[]", (list, tuple)) if isinstance(rows[0], dict) else ("{}", dict)
+    for v in rows[0].values() if isinstance(rows[0], dict) else rows[0]:  # the first row, before encoding all
+        if isinstance(v, _CONTAINERS) and not (isinstance(v, kind) and _flat(v)):
+            return None
+    row = inner + " "
+    text = _one_line("," + row)(rows)
+    open_, close = text[1], text[-2]
+    head, *tails = text[1:-1].split(brackets[0])
+    if (text.count(open_) != len(rows) + (open_ == "[") or any(tail.count(brackets[1]) != 1 for tail in tails)
+            or tails and len(tails) != sum(isinstance(v, kind) for r in rows for v in (
+                r.values() if open_ == "{" else r))):
+        return None
+    for i, tail in enumerate(tails):
+        items, rest = tail.split(brackets[1])
+        tails[i] = (row + " " + items.replace("," + row, "," + row + " ") + row if items else "") + brackets[1] + rest
+    text = brackets[0].join([head, *tails])
+    text = text.replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
+    return "[" + inner + open_ + row + text[1:-1] + inner + close + end + "]"

@@ -788,6 +788,20 @@ class TestTransitionTable:
          r"pca.mean is \[NaN\], not a list of finite numbers"),
         (lambda doc: doc["abstraction"]["bounds"][0].__setitem__(1, "1"),
          r'abstraction.bounds is \[\[0.0, "1"\]\], not a list of lists'),
+        (lambda doc: doc["abstraction"]["bounds"][0].append(2.0),
+         r"abstraction.bounds has shape \(1, 3\), expected \(1, 2\)"),
+        (lambda doc: doc["states"].__setitem__(1, ["c1", 1, 3]), r'state entry 1 is \["c1", 1, 3\], not an object'),
+        (lambda doc: doc["transitions"].__setitem__(1, "c1 0 c2 1"), 'transition row 1 is "c1 0 c2 1", not'),
+        (lambda doc: doc["transitions"].__setitem__(1, 5), "transition row 1 is 5, not"),
+        (lambda doc: doc["states"][1].__setitem__("label", 0), "state c1 has label 0, expected -1 or 1"),
+        (lambda doc: doc["states"][1].__setitem__("support", 2.5), "state c1 has support 2.5, expected a non-negative"),
+        (lambda doc: doc["states"][1].__setitem__("support", True), "state c1 has support true, expected a"),
+        (lambda doc: doc["transitions"][1].pop(), r'transition row 1 is \["c1", 0, "c2"\], not'),
+        (lambda doc: doc["classifiers"].append({"cell": 0, "w": [1.0, 2.0], "b": 0.0}),
+         r"classifier of cell 0 has w \[1.0, 2.0\] and b 0.0, expected 1 finite"),
+        (lambda doc: doc["classifiers"].append({"cell": 0, "w": [1.0], "b": float("inf")}),
+         "classifier of cell 0 has w .* and b Infinity"),
+        (lambda doc: doc["classifiers"].append([0, [1.0], 0.0]), r"classifier 0 is \[0, \[1.0\], 0.0\], not an object"),
     ])
     def test_bad_rows_are_refused_naming_the_file(self, tmp_path, defect, message):
         doc = json.loads(model_to_json(slow_chain(3)))

@@ -6,7 +6,6 @@ import pytest
 
 from cpsguard.signals import (
     InputSpec,
-    Rows,
     Trace,
     json_text,
     load_trace,
@@ -253,13 +252,13 @@ def random_doc(rng, depth=3):
             return scalar()
         if roll == 1:
             return flat("list" if rng.integers(2) else "dict")
-        if roll == 2:  # a table: rows of one kind, some of which may nest
+        if roll == 2:  # a table: rows of one kind, some holding a flat container of the other kind or nesting
             kind = "list" if rng.integers(2) else "dict"
             rows = [flat(kind) for _ in range(int(rng.integers(1, 6)))]
-            if rng.integers(3) == 0:
-                row = rows[int(rng.integers(len(rows)))]
-                nested = value(level + 1)
-                row.append(nested) if kind == "list" else row.__setitem__("nested", nested)
+            for row in rows:
+                if rng.integers(3) == 0:
+                    nested = flat("dict" if kind == "list" else "list") if rng.integers(3) else value(level + 1)
+                    row.append(nested) if kind == "list" else row.__setitem__("nested", nested)
             return rows
         if roll == 3:
             return [value(level + 1) for _ in range(int(rng.integers(0, 4)))]
@@ -298,13 +297,15 @@ class TestJsonText:
         for doc in docs:
             assert json_text(doc) == dumps(doc)
 
-    def test_rows_write_as_their_lists(self):
-        names, acts, probs = ['"c1"', '"c2"', '"init"'], [0, -3, 12], [repr(0.5), repr(1 / 3), repr(1.0)]
-        rows = Rows(None, (names, acts, probs))
-        plain = [[json.loads(n), a, float(p)] for n, a, p in zip(names, acts, probs)]
-        assert json_text({"t": rows, "z": 1}) == dumps({"t": plain, "z": 1})
-        assert json_text([rows]) == dumps([plain])
-        keyed = Rows(("support", "id", "100%"), (acts, names, probs))
-        objects = [{"support": a, "id": json.loads(n), "100%": float(p)} for n, a, p in zip(names, acts, probs)]
-        assert json_text({"s": keyed}) == dumps({"s": objects})
-        assert json_text({"s": Rows(("id",), ([],))}) == dumps({"s": []})
+    def test_rows_holding_flat_containers_match_json_dumps(self):
+        classifiers = [{"cell": cell, "w": [0.5 * cell, -1.0, 1e-17], "b": 0.25} for cell in range(4)]
+        docs = [
+            {"classifiers": classifiers, "z": 1}, [classifiers],
+            [{"w": [], "b": 1}, {"w": [2], "b": [], "c": [3, 4]}],
+            [[1, {"a": 1, "b": [2]}]], [[1, {"a": 1}], [{}], [2, {"b": "x"}]],
+            [{"w": [[1]]}], [{"w": [1], "s": "]"}], [{"w": [1], "z": "]"}], [{"w": ["]"]}], [{"w": [1], "s": "["}],
+            [{"s": "a[", "t": "b]"}], [{"s": "a[", "t": "b]", "w": [2]}], [[{"a": "}"}, "}"]], [[{"a": 1}, "{"]],
+            [{"w": ["x,\n  y"], "s": "{"}], [["{", {"a": "}"}]], [{"w": ({"a": 1},)}], [{"w": (1, 2)}],
+        ]
+        for doc in docs:
+            assert json_text(doc) == dumps(doc)
