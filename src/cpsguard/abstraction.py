@@ -298,16 +298,10 @@ def abstract_action(sigma: float) -> int:
 
 def _grid_bounds(R: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Data min/max per reduced dim, widened by 1% (unit width if degenerate)."""
-    bounds = []
-    for j in range(R.shape[1]):
-        lo, hi = float(R[:, j].min()), float(R[:, j].max())
-        width = hi - lo
-        if width <= 0.0:
-            lo, hi = lo - 1.0, hi + 1.0
-        else:
-            lo, hi = lo - 0.01 * width, hi + 0.01 * width
-        bounds.append((lo, hi))
-    return tuple(bounds)
+    lo, hi = R.min(axis=0), R.max(axis=0)
+    width = hi - lo
+    pad = np.where(width <= 0.0, 1.0, 0.01 * width)
+    return tuple(zip((lo - pad).tolist(), (hi + pad).tolist()))
 
 
 def _route(classifiers, cell: int, reduced: np.ndarray) -> StateId:
@@ -361,8 +355,11 @@ def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
 def _new_runs(*keys) -> np.ndarray:
     """True where a row of the sorted key columns differs from the one
     before, and at row 0."""
-    changed = np.any([key[1:] != key[:-1] for key in keys], axis=0)
-    return np.append(True, changed)[: len(keys[0])]
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
 
 
 def _abstract_actions(sigma) -> np.ndarray:

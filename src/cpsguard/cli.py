@@ -261,14 +261,29 @@ def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if not failures else 2
 
 
+def _read_json(path: Path, *lists: str) -> dict:
+    """The JSON object in a file that a command reads back, each key of `lists` holding a list;
+    a ValueError naming the file otherwise."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in lists:
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"{path}: {key!r} must be a JSON list")
+    return doc
+
+
 def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
     manifest_path = cfg.output_dir / "collect_manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no collected traces: {manifest_path} missing (run collect first)")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     pairs = []
-    for entry in manifest["traces"]:
+    for entry in _read_json(manifest_path, "traces")["traces"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+            raise ValueError(f"{manifest_path}: each entry of 'traces' must be an object with a string 'file'")
         trace, extras = signals.load_trace(cfg.output_dir / entry["file"])
         if "rob" not in extras:
             raise ValueError(f"{entry['file']}: missing rob column")
@@ -440,8 +455,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     sections = []
     manifest = out / "collect_manifest.json"
     if manifest.exists():
-        with open(manifest) as fh:
-            doc = json.load(fh)
+        doc = _read_json(manifest, "traces", "failures")
         sections.append(f"## Traces\n\n{len(doc['traces'])} collected, {len(doc['failures'])} failed.")
     model_path = out / "model.json"
     if model_path.exists():
@@ -453,8 +467,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     metrics_path = out / "monitor_metrics.json"
     if metrics_path.exists():
-        with open(metrics_path) as fh:
-            doc = json.load(fh)
+        doc = _read_json(metrics_path, "runs")
         sections.append(
             "## Monitoring\n\n"
             f"mean safety fraction {_fmt_opt(doc['mean_safety_frac'], 4, 'n/a')}, "
@@ -462,8 +475,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     fals_lines = []
     for path in sorted(out.glob("falsify_*.json")):
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         fals_lines.append(f"| {doc['algo']} | {doc['fsr']}/{doc['trials']} | {_fmt_opt(doc['mean_sims_success'])} |")
     if fals_lines:
         sections.append("## Falsification\n\n| algorithm | FSR | #sim |\n|---|---|---|\n" + "\n".join(fals_lines))

@@ -36,7 +36,7 @@ import numpy as np
 from . import pmc, stl
 from .abstraction import AbstractMdp, abstract_state_of
 from .plants import ClosedLoopSystem
-from .signals import InputSignal, InputSpec, make_input, random_signal, time_index
+from .signals import InputSignal, make_input, random_signal, time_index
 
 RANDOM = "RANDOM"
 OPT_ONLY = "OPT_ONLY"
@@ -62,29 +62,6 @@ class FalsificationOutcome(stl.Record):
     __slots__ = ("success", "falsifying_input", "robustness_history", "simulations", "wall_time")
 
 
-class _AdaptiveStep:
-    """Per-coordinate Gaussian perturbation with multiplicative step control."""
-
-    def __init__(self, spec: InputSpec, init: float, decay: float, growth: float):
-        self.lo = np.array([r[0] for r in spec.ranges])[:, None]
-        self.hi = np.array([r[1] for r in spec.ranges])[:, None]
-        self.width = self.hi - self.lo
-        self.frac = init
-        self.decay = decay
-        self.growth = growth
-
-    def propose(self, base: InputSignal, rng: np.random.Generator) -> InputSignal:
-        noise = rng.standard_normal(base.control_values.shape)
-        vals = np.clip(base.control_values + self.frac * self.width * noise, self.lo, self.hi)
-        return make_input(base.spec, vals)
-
-    def accepted(self):
-        self.frac = min(self.frac * self.growth, 1.0)
-
-    def rejected(self):
-        self.frac = max(self.frac * self.decay, 1e-9)
-
-
 def hill_climb(objective, start: InputSignal, budget: int, rng: np.random.Generator, *,
                step_init: float = 0.1, step_decay: float = 0.85, step_growth: float = 1.5,
                stop_below: float | None = None):
@@ -96,19 +73,23 @@ def hill_climb(objective, start: InputSignal, budget: int, rng: np.random.Genera
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    step = _AdaptiveStep(start.spec, step_init, step_decay, step_growth)
+    bounds = np.array(start.spec.ranges)  # (dims, 2): lo, hi per channel
+    width = bounds[:, 1:] - bounds[:, :1]
+    frac = step_init  # the Gaussian step, a fraction of each range
     best = start
     best_val = objective(start)
     evals = 1
     while evals < budget and not (stop_below is not None and best_val < stop_below):
-        candidate = step.propose(best, rng)
+        noise = rng.standard_normal(best.control_values.shape)
+        candidate = make_input(best.spec, np.clip(best.control_values + frac * width * noise,
+                                                  bounds[:, :1], bounds[:, 1:]))
         val = objective(candidate)
         evals += 1
         if val < best_val:
             best, best_val = candidate, val
-            step.accepted()
+            frac = min(frac * step_growth, 1.0)
         else:
-            step.rejected()
+            frac = max(frac * step_decay, 1e-9)
     return best, best_val, evals
 
 

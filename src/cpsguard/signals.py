@@ -34,13 +34,14 @@ immutable after construction and safe to share across concurrent runs.
 Every JSON file the package writes is `json_text`: the bytes of
 ``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` with the bulk
 encoded in json's C encoder, which cannot indent. A container of
-scalars is one C call with the separator of its depth. A list of rows
-(objects or lists holding scalars, and perhaps flat containers of the
-other bracket kind, as a classifier's weight list) is one C call, then
-``str.replace`` indents the boundaries of rows and of nested items: an
-encoded string holds no raw newline, and bracket counts send a list
-down the per-item path where a bracket in a string could pass for one
-of its structure's.
+scalars is one C call with the separator of its depth. So is a list of
+non-empty rows of one container type that hold scalars, then
+``str.replace`` indents the row boundaries: an encoded string holds no
+raw newline, so in rows of scalars a close bracket, the separator and
+an open bracket meet only between rows. One bracket count, the list's
+own bracket and one per row, sends every other list down the per-item
+path: rows that nest a container (a classifier's weight list, a
+monitored run's queries) and rows whose strings hold a bracket.
 """
 
 from __future__ import annotations
@@ -297,26 +298,15 @@ def _flat(value) -> bool:
 
 
 def _rows_text(rows, inner: str, end: str) -> str | None:
-    """The text of a list of rows of one container type that hold scalars and flat containers
-    bracketed unlike the rows (a list in an object, an object in a list), written as one
-    C call and a `str.replace` at the boundaries of rows and of nested items; None where a
-    bracket in a string could pass for a structural one, a row nests a container of its
-    own kind, or a nested container nests."""
-    brackets, kind = ("[]", (list, tuple)) if isinstance(rows[0], dict) else ("{}", dict)
-    for v in rows[0].values() if isinstance(rows[0], dict) else rows[0]:  # the first row, before encoding all
-        if isinstance(v, _CONTAINERS) and not (isinstance(v, kind) and _flat(v)):
-            return None
+    """The text of a list of rows of one container type that hold scalars, written as one C
+    call and a `str.replace` at the row boundaries; None where a row nests a container or a
+    bracket in a string could pass for a row's."""
+    if not _flat(rows[0]):  # the first row, before encoding all
+        return None
     row = inner + " "
     text = _one_line("," + row)(rows)
-    open_, close = text[1], text[-2]
-    head, *tails = text[1:-1].split(brackets[0])
-    if (text.count(open_) != len(rows) + (open_ == "[") or any(tail.count(brackets[1]) != 1 for tail in tails)
-            or tails and len(tails) != sum(isinstance(v, kind) for r in rows for v in (
-                r.values() if open_ == "{" else r))):
+    if text.count("[") + text.count("{") != len(rows) + 1:
         return None
-    for i, tail in enumerate(tails):
-        items, rest = tail.split(brackets[1])
-        tails[i] = (row + " " + items.replace("," + row, "," + row + " ") + row if items else "") + brackets[1] + rest
-    text = brackets[0].join([head, *tails])
-    text = text.replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
-    return "[" + inner + open_ + row + text[1:-1] + inner + close + end + "]"
+    open_, close = text[1], text[-2]
+    text = text[2:-2].replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
+    return "[" + inner + open_ + row + text + inner + close + end + "]"

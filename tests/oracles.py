@@ -16,7 +16,6 @@ from cpsguard.abstraction import (
     PcaTransform,
     StateInfo,
     _cells_batch,
-    _grid_bounds,
     _reduce_batch,
     fit_pca,
     state_id_str,
@@ -28,12 +27,11 @@ from cpsguard.falsify import (
     OPT_ONLY,
     RANDOM,
     FalsificationOutcome,
-    _AdaptiveStep,
     _unsafe_flag,
     hill_climb,
 )
 from cpsguard.plants import SimulationBlowup
-from cpsguard.signals import PIECEWISE_CONSTANT, Trace, random_signal
+from cpsguard.signals import PIECEWISE_CONSTANT, Trace, make_input, random_signal
 
 # ---------------------------------------------------------------------------
 # STL: naive recursive robustness
@@ -623,11 +621,30 @@ def assemble_oracle(pairs, pca, config, classifiers):
                        transitions=transitions, classifiers=dict(classifiers))
 
 
+def grid_bounds_oracle(R):
+    """Each reduced dim's data min/max, widened by 1% of its width, or by 1 where it is degenerate."""
+    bounds = []
+    for j in range(R.shape[1]):
+        lo, hi = float(R[:, j].min()), float(R[:, j].max())
+        width = hi - lo
+        if width <= 0.0:
+            lo, hi = lo - 1.0, hi + 1.0
+        else:
+            lo, hi = lo - 0.01 * width, hi + 0.01 * width
+        bounds.append((lo, hi))
+    return tuple(bounds)
+
+
+def new_runs_oracle(*keys):
+    """Per row: whether it is row 0 or any key column differs from the row before."""
+    return [i == 0 or any(key[i] != key[i - 1] for key in keys) for i in range(len(keys[0]))]
+
+
 def build_oracle(pairs, config):
     pairs = list(pairs)
     all_states = np.vstack([trace.states for trace, _ in pairs])
     pca = fit_pca(all_states, config.k)
-    config = config.replace(bounds=_grid_bounds(_reduce_batch(pca, all_states)))
+    config = config.replace(bounds=grid_bounds_oracle(_reduce_batch(pca, all_states)))
     return assemble_oracle(pairs, pca, config, {})
 
 
@@ -732,8 +749,10 @@ def _guided_oracle(system, model, cfg, use_model, event_log):
     for _ in range(cfg.queue_seed_count):
         enqueue(random_signal(system.input_spec, rng))
     history = []
+    lo = np.array([r[0] for r in system.input_spec.ranges])[:, None]
+    hi = np.array([r[1] for r in system.input_spec.ranges])[:, None]
     for _ in range(cfg.global_budget):
-        step = _AdaptiveStep(system.input_spec, cfg.step_init, cfg.step_decay, cfg.step_growth)
+        frac = cfg.step_init
         incumbent, incumbent_rob = None, math.inf
         for i in range(cfg.local_budget):
             if i == 0:
@@ -744,16 +763,18 @@ def _guided_oracle(system, model, cfg, use_model, event_log):
                 else:
                     candidate = random_signal(system.input_spec, rng)
             else:
-                candidate = step.propose(incumbent, rng)
+                noise = rng.standard_normal(incumbent.control_values.shape)
+                candidate = make_input(incumbent.spec,
+                                       np.clip(incumbent.control_values + frac * (hi - lo) * noise, lo, hi))
             trace = system.run(candidate)
             rob = stl.robustness(trace, cfg.stl_spec, 0.0)
             history.append(rob)
             if rob < incumbent_rob:
                 incumbent, incumbent_rob = candidate, rob
                 if i > 0:
-                    step.accepted()
+                    frac = min(frac * cfg.step_growth, 1.0)
             elif i > 0:
-                step.rejected()
+                frac = max(frac * cfg.step_decay, 1e-9)
             if rob < 0.0:
                 return FalsificationOutcome(True, candidate, history, len(history), 0.0)
             if use_model:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from oracles import (
     build_oracle,
+    grid_bounds_oracle,
     indexed_oracle,
     make_mdp,
     model_doc_oracle,
+    new_runs_oracle,
     random_mdp,
     refine_oracle,
     separable_cell_pairs,
@@ -24,6 +26,8 @@ from cpsguard.abstraction import (
     OUT_OF_BOUNDS,
     AbstractionConfig,
     PrecisenessReport,
+    _grid_bounds,
+    _new_runs,
     _reduce_batch,
     _state_ids,
     _train_linear_svm,
@@ -495,6 +499,24 @@ class TestAbstractionOracles:
                 else:
                     assert scalar == sid
         assert unknown  # the stretched trace leaves the grid
+
+
+    def test_grid_bounds_match_per_dim_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            R = rng.normal(size=(int(rng.integers(1, 30)), int(rng.integers(1, 4)))) * 10.0 ** rng.integers(-8, 8)
+            if rng.integers(2):
+                R[:, 0] = R[0, 0]  # a degenerate dim
+            if rng.integers(3) == 0:
+                R[:, -1] = rng.choice([0.0, -0.0], size=len(R))
+            assert repr(_grid_bounds(R)) == repr(grid_bounds_oracle(R))
+
+    def test_new_runs_match_per_row_loop(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 3, 40, 200):
+            a, b = np.sort(rng.integers(0, 5, n)), rng.integers(0, 2, n)
+            for keys in ((a,), (a, b), (b, a, b)):
+                assert _new_runs(*keys).tolist() == new_runs_oracle(*keys)
 
 
 class TestPreciseness:

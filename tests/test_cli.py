@@ -549,6 +549,34 @@ class TestReport:
         assert run(["--config", cfg, "report"]) == 2
 
 
+# (command, the file it reads back, its text, what the error says after the file name)
+READ_BACK_DEFECTS = [
+    ("build", "collect_manifest.json", '{"traces": 5}', ": 'traces' must be a JSON list"),
+    ("refine", "collect_manifest.json", '{"traces": 5}', ": 'traces' must be a JSON list"),
+    ("build", "collect_manifest.json", '{"traces": [{"file": 3}]}',
+     ": each entry of 'traces' must be an object with a string 'file'"),
+    ("build", "collect_manifest.json", '{"traces": [5]}',
+     ": each entry of 'traces' must be an object with a string 'file'"),
+    ("build", "collect_manifest.json", "not json", ": Expecting value: line 1 column 1 (char 0)"),
+    ("report", "collect_manifest.json", "[1]", ": expected a JSON object"),
+    ("report", "collect_manifest.json", '{"traces": [], "failures": 0}', ": 'failures' must be a JSON list"),
+    ("report", "monitor_metrics.json", '{"runs": 3, "mean_safety_frac": 1.0, "mean_perf_frac": 1.0}',
+     ": 'runs' must be a JSON list"),
+    ("report", "falsify_random.json", '"random"', ": expected a JSON object"),
+]
+
+
+class TestReadBack:
+    @pytest.mark.parametrize("command, name, text, message", READ_BACK_DEFECTS)
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, command, name, text, message):
+        cfg = write_config(tmp_path)
+        path = tmp_path / "out" / name
+        path.parent.mkdir()
+        path.write_text(text)
+        assert run(["--config", cfg, command]) == 2
+        assert f"error: {path}{message}" in capsys.readouterr().err
+
+
 # (overrides, the dotted path the error names, what a value there takes; None for an unknown key)
 CONFIG_DEFECTS = [
     ({"monitor": {"perod": 1.0}}, "monitor.perod", None),
