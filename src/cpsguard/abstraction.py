@@ -32,7 +32,9 @@ linear SVM (Pegasos subgradient descent, lambda=0.01, 200 epochs,
 seeded by cell id) is trained in reduced space and attached to the
 cell, splitting it into a + and a - sub-state; the whole MDP is then
 rebuilt with the extended state map. One hyperplane per cell; repeated
-passes only affect cells not yet split.
+passes only affect cells not yet split. Each SVM sees only its cell's
+members, so `_run_jobs` trains them on every CPU the process may use,
+with the bytes of the serial loop.
 
 State ids are (cell, side) pairs, serialized as ``c<cell>``,
 ``c<cell>+``, ``c<cell>-``, and ``init`` for the synthetic initial
@@ -63,7 +65,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import warnings
 from itertools import repeat
 from types import MappingProxyType
@@ -459,8 +464,17 @@ def abstract_state_of(model: AbstractMdp, q: np.ndarray) -> StateId | None:
     return sid if sid in model.rank else None
 
 
+_EPOCHS, _BATCH = 200, 64  # refine's Pegasos runs
+
+
+def _fit_cell(job):
+    """Refine's SVM for one (cell, its members' reduced rows, their classes) job."""
+    cell, X, y = job
+    return _train_linear_svm(X, y, lam=0.01, epochs=_EPOCHS, seed=cell & 0x7FFFFFFF)
+
+
 def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, seed: int,
-                      batch: int = 64):
+                      batch: int = _BATCH):
     """Pegasos-style subgradient descent (mini-batch variant) for a
     soft-margin linear separator.
 
@@ -494,6 +508,88 @@ def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, see
     return w, float(b)
 
 
+# Below this total cost (SVM mini-batches, simulation steps: some 10-25 us each) jobs run serially:
+# a fork costs the parent 3-5 ms, and its copy-on-write faults about 3 ms more in the next command.
+_FORK_MIN_COST = 4_000
+
+
+def _run_jobs(fn, jobs: list, costs: list) -> list:
+    """[fn(job) for job in jobs], run on every CPU this process may use when the jobs cost
+    enough: one bin of jobs per CPU, filled largest first; the parent runs the first bin and a
+    forked child each other one, sending its results back pickled through a pipe. Every job
+    is independent and seeded by itself, so the results are those of the serial loop; so are
+    the error raised (that of the lowest failing job) and the warnings (reissued in job order).
+    A forked child starts with the caller's state, where a spawned one would import numpy and
+    cpsguard again (about 0.1 s) and need its job function and jobs pickled."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or len(jobs) < 2 or sum(costs) < _FORK_MIN_COST:
+        return [fn(job) for job in jobs]
+    n = min(cpus, len(jobs))
+    bins, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(jobs)), key=costs.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        bins[lightest].append(i)
+        loads[lightest] += costs[i]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for indices in bins[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child never returns into the caller's stack
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(_run_bin(fn, jobs, indices)))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        outcomes = [_run_bin(fn, jobs, bins[0])]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                outcomes.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError("a worker process ended without sending its results") from None
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)  # harmless to one that has sent its results
+            os.waitpid(pid, 0)
+    failure = min((failure for _, _, failure in outcomes if failure), key=lambda f: f[0], default=None)
+    for i, message in sorted((item for _, caught, _ in outcomes for item in caught), key=lambda item: item[0]):
+        if failure is None or i <= failure[0]:
+            warnings.warn(message, stacklevel=2)
+    if failure:
+        raise failure[1]
+    results = {i: result for done, _, _ in outcomes for i, result in done.items()}
+    return [results[i] for i in range(len(jobs))]
+
+
+def _run_bin(fn, jobs: list, indices: list):
+    """Runs the jobs at `indices` in index order up to the first that raises: their results
+    by index, each warning they raised as (index, warning), and (index, exception) or None."""
+    results, caught, failure = {}, [], None
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for i in sorted(indices):
+            try:
+                results[i] = fn(jobs[i])
+            except Exception as exc:
+                failure = (i, exc)
+            caught += [(i, w.message) for w in seen]
+            seen.clear()
+            if failure:
+                break
+    return results, caught, failure
+
+
 def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -> AbstractMdp:
     """One refinement pass over a model built from the same traces.
 
@@ -514,7 +610,7 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
         raise ValueError(f"trace {n}: row {outside[0] - starts[n]} lies outside the grid of the model it refines")
     # members of each state in trace order: the SVM's permutation applies to it
     order, heads = _groups(codes)
-    classifiers = dict(model.classifiers)
+    jobs = []  # (cell, its members' reduced rows, their classes)
     for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
         cell, side = _sid(code)
         if side != 0:
@@ -522,8 +618,11 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
         robs = robs_all[members]
         variance = float(np.mean((robs - robs.mean()) ** 2))
         if variance > config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
-            y = np.where(robs >= 0.0, 1.0, -1.0)
-            classifiers[cell] = _train_linear_svm(R[members], y, lam=0.01, epochs=200, seed=cell & 0x7FFFFFFF)
+            jobs.append((cell, R[members], np.where(robs >= 0.0, 1.0, -1.0)))
+    costs = [_EPOCHS * (math.ceil(len(y) / _BATCH) + 1) for _, _, y in jobs]  # + 1: each epoch's permutation
+    fits = _run_jobs(_fit_cell, jobs, costs)
+    classifiers = dict(model.classifiers)
+    classifiers.update((cell, fit) for (cell, _, _), fit in zip(jobs, fits))
     return _assemble(_state_codes(config, classifiers, R), robs_all, actions, starts, model.pca, config, classifiers)
 
 

@@ -7,7 +7,8 @@ checked, when the config loads. Every output file embeds a short hash of
 the resolved config, all writes are atomic (temp file + rename), and all
 randomness flows from the root seed through per-trace / per-trial spawned
 streams, so a command with a fixed seed produces byte-identical outputs
-across runs (wall-clock timings are printed, never persisted).
+across runs, whatever the number of CPUs `collect` and `refine` run on
+(wall-clock timings are printed, never persisted).
 
 Exit codes: 0 ok, 1 usage error, 2 runtime failure, 3 property violated
 (check with --assert-holds).
@@ -233,23 +234,12 @@ def _spawn_seeds(root: int, purpose: str, n: int) -> list[int]:
 
 
 def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
-    controller = cfg.controller()
     out = cfg.output_dir / "traces"
     seeds = _spawn_seeds(cfg.seed, "collect", cfg.raw["collect"]["num_traces"])
-    entries = []
-    failures = []
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        signal = signals.random_signal(cfg.input_spec, rng)
-        try:
-            trace = plants.simulate(cfg.plant, controller, signal, cfg.simcfg)
-        except plants.SimulationBlowup as exc:
-            failures.append({"index": i, "seed": seed, "error": str(exc)})
-            continue
-        robs = stl.labeling_robustness(trace, cfg.labeling_spec)
-        name = f"trace_{i:04d}.trace"
-        _atomic_write(out / name, signals.trace_bytes(trace, cfg.config_hash, {"rob": robs}))
-        entries.append({"file": f"traces/{name}", "seed": seed})
+    collect_one = functools.partial(_collect_one, cfg, cfg.controller(), out)
+    done = abstraction._run_jobs(collect_one, list(enumerate(seeds)), [cfg.simcfg.n_steps] * len(seeds))
+    entries = [entry for entry, failure in done if entry]
+    failures = [failure for entry, failure in done if failure]
     manifest = {
         "config_hash": cfg.config_hash,
         "labeling_spec": cfg.raw["labeling_spec"],
@@ -261,18 +251,38 @@ def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if not failures else 2
 
 
-def _read_json(path: Path, *lists: str) -> dict:
-    """The JSON object in a file that a command reads back, each key of `lists` holding a list;
-    a ValueError naming the file otherwise."""
+def _collect_one(cfg: RunConfig, controller, out: Path, job: tuple[int, int]) -> tuple[dict | None, dict | None]:
+    """Simulates, labels and writes the trace of one (index, seed) job of `collect`: its
+    manifest entry, or its failure when the run blew up."""
+    i, seed = job
+    signal = signals.random_signal(cfg.input_spec, np.random.default_rng(seed))
+    try:
+        trace = plants.simulate(cfg.plant, controller, signal, cfg.simcfg)
+    except plants.SimulationBlowup as exc:
+        return None, {"index": i, "seed": seed, "error": str(exc)}
+    robs = stl.labeling_robustness(trace, cfg.labeling_spec)
+    name = f"trace_{i:04d}.trace"
+    _atomic_write(out / name, signals.trace_bytes(trace, cfg.config_hash, {"rob": robs}))
+    return {"file": f"traces/{name}", "seed": seed}, None
+
+
+_READ_KINDS = {list: "a JSON list", str: "a string", int: "an integer", float: "a finite number or null"}
+
+
+def _read_json(path: Path, **kinds: type) -> dict:
+    """The JSON object in a file that a command reads back, each key of `kinds` holding a value
+    of its kind (`float` takes any finite number or null); a ValueError naming the file otherwise."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for key in lists:
-        if not isinstance(doc.get(key), list):
-            raise ValueError(f"{path}: {key!r} must be a JSON list")
+    for key, kind in kinds.items():
+        value = doc.get(key)
+        fits = key in doc and (value is None or _finite(value)) if kind is float else type(value) is kind
+        if not fits:
+            raise ValueError(f"{path}: {key!r} must be {_READ_KINDS[kind]}")
     return doc
 
 
@@ -281,7 +291,7 @@ def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no collected traces: {manifest_path} missing (run collect first)")
     pairs = []
-    for entry in _read_json(manifest_path, "traces")["traces"]:
+    for entry in _read_json(manifest_path, traces=list)["traces"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ValueError(f"{manifest_path}: each entry of 'traces' must be an object with a string 'file'")
         trace, extras = signals.load_trace(cfg.output_dir / entry["file"])
@@ -455,7 +465,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     sections = []
     manifest = out / "collect_manifest.json"
     if manifest.exists():
-        doc = _read_json(manifest, "traces", "failures")
+        doc = _read_json(manifest, traces=list, failures=list)
         sections.append(f"## Traces\n\n{len(doc['traces'])} collected, {len(doc['failures'])} failed.")
     model_path = out / "model.json"
     if model_path.exists():
@@ -467,7 +477,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     metrics_path = out / "monitor_metrics.json"
     if metrics_path.exists():
-        doc = _read_json(metrics_path, "runs")
+        doc = _read_json(metrics_path, runs=list, mean_safety_frac=float, mean_perf_frac=float)
         sections.append(
             "## Monitoring\n\n"
             f"mean safety fraction {_fmt_opt(doc['mean_safety_frac'], 4, 'n/a')}, "
@@ -475,7 +485,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     fals_lines = []
     for path in sorted(out.glob("falsify_*.json")):
-        doc = _read_json(path)
+        doc = _read_json(path, algo=str, fsr=int, trials=int, mean_sims_success=float)
         fals_lines.append(f"| {doc['algo']} | {doc['fsr']}/{doc['trials']} | {_fmt_opt(doc['mean_sims_success'])} |")
     if fals_lines:
         sections.append("## Falsification\n\n| algorithm | FSR | #sim |\n|---|---|---|\n" + "\n".join(fals_lines))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from oracles import (
     writer_oracle,
 )
 
-from cpsguard import stl
+from cpsguard import abstraction, stl
 from cpsguard.abstraction import (
     INIT_STATE,
     OUT_OF_BOUNDS,
@@ -29,6 +32,7 @@ from cpsguard.abstraction import (
     _grid_bounds,
     _new_runs,
     _reduce_batch,
+    _run_jobs,
     _state_ids,
     _train_linear_svm,
     abstract_action,
@@ -841,3 +845,135 @@ class TestTransitionTable:
             make_mdp(2, {(0, 0): {5: 1.0}})
         with pytest.raises(ValueError, match="lies outside"):
             make_mdp(2, {(0, 0): {0: 1.5, 1: -0.5}})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """`forks(cpus)` puts `_run_jobs` on its fork path with `cpus` bins and returns the list
+    that counts its forks."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    def force(cpus=3):
+        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+    return force
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def square_or_fail(job):
+    if job in (3, 6):
+        raise ValueError(f"job {job} failed")
+    return np.full(2, float(job)) ** 2
+
+
+class Stop(BaseException):
+    pass
+
+
+class TestRunJobs:
+    def test_results_in_job_order(self, forks):
+        jobs = list(range(40))
+        serial = [np.sqrt(np.arange(j + 1.0)) for j in jobs]
+        calls = forks(6)  # more bins than this machine may have CPUs
+        got = _run_jobs(lambda j: np.sqrt(np.arange(j + 1.0)), jobs, [j % 7 for j in jobs])
+        assert len(calls) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial)) and len(got) == len(serial)
+        assert no_children_left()
+
+    def test_serial_below_the_threshold_or_on_one_cpu(self, forks, monkeypatch):
+        calls = forks(1)
+        assert _run_jobs(lambda j: j + 1, [1, 2, 3], [10**9] * 3) == [2, 3, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 100)
+        assert _run_jobs(lambda j: j + 1, [1, 2, 3], [33, 33, 33]) == [2, 3, 4]
+        assert calls == []
+
+    def test_lowest_failing_job_raises_as_in_the_serial_loop(self, forks):
+        # largest first, job 3 lands in the last child and job 6 in the parent's bin
+        jobs, costs = list(range(8)), [8, 7, 6, 5, 4, 3, 2, 1]
+        with pytest.raises(ValueError) as serial:
+            [square_or_fail(j) for j in jobs]
+        calls = forks(3)
+        with pytest.raises(type(serial.value), match=f"^{serial.value}$"):
+            _run_jobs(square_or_fail, jobs, costs)
+        # a bin runs its jobs in index order: on two CPUs the child's bin is jobs 3 and 1, both failing
+        forks(2)
+        with pytest.raises(ValueError, match="^job 3 failed$"):
+            _run_jobs(square_or_fail, [0, 3, 1, 6], [1, 1, 9, 9])
+        assert len(calls) == 3 and no_children_left()
+
+    def test_failure_in_the_parents_bin_reaps_the_children(self, forks):
+        calls = forks(2)
+        with pytest.raises(ValueError, match="^job 6 failed$"):
+            _run_jobs(square_or_fail, [6, 1, 2], [9, 1, 1])
+        assert len(calls) == 1 and no_children_left()
+
+    def test_interrupted_parent_kills_its_children(self, forks):
+        parent = os.getpid()
+
+        def stop_or_sleep(job):
+            if os.getpid() == parent:
+                raise Stop
+            time.sleep(60)
+
+        calls = forks(3)
+        start = time.perf_counter()
+        with pytest.raises(Stop):
+            _run_jobs(stop_or_sleep, [0, 1, 2], [1, 1, 1])
+        assert time.perf_counter() - start < 30
+        assert len(calls) == 2 and no_children_left()
+
+    def test_child_that_dies_is_an_error(self, forks):
+        parent = os.getpid()
+        forks(2)
+        with pytest.raises(RuntimeError, match="worker process ended without sending its results"):
+            _run_jobs(lambda job: job if os.getpid() == parent else os._exit(3), [0, 1], [2, 1])
+        assert no_children_left()
+
+    def test_warnings_are_reissued_in_job_order(self, forks):
+        def warn(job):
+            warnings.warn(f"job {job}")
+            return square_or_fail(job)
+
+        def messages(jobs, costs):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    _run_jobs(warn, jobs, costs)
+                except ValueError:
+                    pass
+            return [str(w.message) for w in seen if w.category is UserWarning]  # not fork's own warnings
+
+        serial = messages(list(range(8)), [0] * 8)
+        assert serial == [f"job {j}" for j in range(4)]  # up to the failing job 3
+        forks(3)
+        assert messages(list(range(8)), [8, 7, 6, 5, 4, 3, 2, 1]) == serial
+        assert messages([0, 1, 2], [1, 5, 1]) == ["job 0", "job 1", "job 2"]
+
+    def test_refine_on_the_fork_path_fits_what_the_serial_loop_fits(self, forks):
+        # three mixed cells of two members; the middle one's rows reduce to 0, so its SVM degenerates
+        pairs = [(trace_1d([-3.0, -2.5, 0.0, 0.0, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))]
+        model = build_abstraction(pairs, AbstractionConfig(k=1, c=3))
+        with pytest.warns(UserWarning, match="class-mean"):
+            serial = refine(model, pairs)
+        calls = forks(2)
+        with pytest.warns(UserWarning) as seen:
+            forked = refine(model, pairs)
+        assert len(calls) == 1
+        assert [str(w.message) for w in seen if w.category is UserWarning] == \
+            ["SVM training degenerated; using the class-mean hyperplane"]
+        assert len(forked.classifiers) == 3
+        assert model_to_json(forked) == model_to_json(serial)
+        assert no_children_left()

@@ -130,6 +130,56 @@ class TestCollect:
         assert str(tmp_path / "net.txt") in err and "range" in err
 
 
+UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_unsafe.txt"
+# (config overrides, collect's exit code); the last is the CSTR blow-up of test_blowup_in_rk4_stage_is_contained
+PIPELINES = {
+    "acc_mlp": ({"plant": {"name": "acc", "params": {}}, "sim": {"dt": 0.1, "horizon": 50.0, "control_period": 0.1},
+                 "controller": {"kind": "mlp", "path": str(UNSAFE_MLP)}, "collect": {"num_traces": 8},
+                 "labeling_spec": "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)", "abstraction": {"k": 3, "c": 10}}, 0),
+    "cstr_pid": ({"plant": {"name": "cstr", "params": {}}, "sim": {"dt": 0.05, "horizon": 30.0, "control_period": 0.05},
+                  "labeling_spec": "G[0,25]((abs(error) <= 0.3) U[0,5] (abs(error) <= 0.15))",
+                  "collect": {"num_traces": 8}, "abstraction": {"k": 2, "c": 20}}, 0),
+    "cstr_blowup": ({"seed": 1, "plant": {"name": "cstr", "params": {}}, "input": {"num_control_points": 6},
+                     "sim": {"dt": 0.5, "horizon": 30.0, "control_period": 0.5}, "collect": {"num_traces": 6},
+                     "labeling_spec": "G[0,25](abs(error) <= 0.3)", "abstraction": {"k": 3, "c": 10}}, 2),
+}
+
+
+class TestWorkerProcesses:
+    """collect's traces and refine's SVMs run on forked workers once their cost reaches
+    `abstraction._FORK_MIN_COST`; every output byte is that of the serial loop."""
+
+    def pipeline(self, tmp_path, monkeypatch, overrides, collect_rc, cpus):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 0)
+        tmp_path.mkdir()
+        cfg = write_config(tmp_path, **overrides)
+        assert run(["--config", cfg, "collect"]) == collect_rc
+        assert run(["--config", cfg, "build"]) == 0
+        assert run(["--config", cfg, "refine"]) == 0
+        out = tmp_path / "out"
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}, len(forks)
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_forked_pipeline_writes_the_serial_bytes(self, tmp_path, monkeypatch, name):
+        overrides, collect_rc = PIPELINES[name]
+        serial, no_forks = self.pipeline(tmp_path / "serial", monkeypatch, overrides, collect_rc, cpus=1)
+        forked, forks = self.pipeline(tmp_path / "forked", monkeypatch, overrides, collect_rc, cpus=3)
+        assert no_forks == 0 and forks >= 3  # collect's two children, and refine's
+        assert list(forked) == list(serial)
+        for path, data in serial.items():
+            assert forked[path] == data, path
+        assert {"collect_manifest.json", "model.json", "model.tra", "model.lab"} <= {str(p) for p in serial}
+        manifest = json.loads(serial[Path("collect_manifest.json")])
+        if collect_rc:
+            assert len(manifest["traces"]) == 5 and len(manifest["failures"]) == 1
+            assert manifest["failures"][0]["error"].startswith("cstr: state diverged at t=")
+        assert len(json.loads(serial[Path("model.json")])["classifiers"]) >= 2
+
+
 class TestBlowupContained:
     """The CSTR set-up of `test_blowup_in_rk4_stage_is_contained`: some
     monitored runs and falsification trials diverge too."""
@@ -563,6 +613,25 @@ READ_BACK_DEFECTS = [
     ("report", "monitor_metrics.json", '{"runs": 3, "mean_safety_frac": 1.0, "mean_perf_frac": 1.0}',
      ": 'runs' must be a JSON list"),
     ("report", "falsify_random.json", '"random"', ": expected a JSON object"),
+    ("report", "monitor_metrics.json", '{"runs": [], "mean_perf_frac": 1.0}',
+     ": 'mean_safety_frac' must be a finite number or null"),
+    ("report", "monitor_metrics.json", '{"runs": [], "mean_safety_frac": "x", "mean_perf_frac": 1.0}',
+     ": 'mean_safety_frac' must be a finite number or null"),
+    ("report", "monitor_metrics.json", '{"runs": [], "mean_safety_frac": 1.0, "mean_perf_frac": [1]}',
+     ": 'mean_perf_frac' must be a finite number or null"),
+    ("report", "falsify_random.json", '{"fsr": 1, "trials": 2, "mean_sims_success": 1.5}',
+     ": 'algo' must be a string"),
+    ("report", "falsify_random.json", '{"algo": 3, "fsr": 1, "trials": 2, "mean_sims_success": 1.5}',
+     ": 'algo' must be a string"),
+    ("report", "falsify_random.json", '{"algo": "random", "fsr": "1", "trials": 2, "mean_sims_success": 1.5}',
+     ": 'fsr' must be an integer"),
+    ("report", "falsify_random.json", '{"algo": "random", "fsr": 1, "mean_sims_success": null}',
+     ": 'trials' must be an integer"),
+    ("report", "falsify_random.json", '{"algo": "random", "fsr": 1, "trials": true, "mean_sims_success": null}',
+     ": 'trials' must be an integer"),
+    ("report", "falsify_random.json", '{"algo": "random", "fsr": 1, "trials": 2}', ": 'mean_sims_success' must be a"),
+    ("report", "falsify_random.json", '{"algo": "random", "fsr": 1, "trials": 2, "mean_sims_success": "x"}',
+     ": 'mean_sims_success' must be a finite number or null"),
 ]
 
 
