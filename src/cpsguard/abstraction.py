@@ -25,16 +25,16 @@ The one-row query `abstract_state_of` stays scalar: the monitor asks it
 about one state at a time, and one row through the batch path costs five
 to six times as much.
 
-Refinement re-examines each state: members are split by robustness sign
-and, when the population variance of member robustness exceeds the
-variance threshold and both sign classes are nonempty, a soft-margin
-linear SVM (Pegasos subgradient descent, lambda=0.01, 200 epochs,
-seeded by cell id) is trained in reduced space and attached to the
-cell, splitting it into a + and a - sub-state; the whole MDP is then
-rebuilt with the extended state map. One hyperplane per cell; repeated
-passes only affect cells not yet split. Each SVM sees only its cell's
-members, so `_run_jobs` trains them on every CPU the process may use,
-with the bytes of the serial loop.
+Refinement splits each unsplit state whose members' robustness has a
+population variance above the variance threshold and falls on both sides
+of the label threshold into a + and a - sub-state, by a hyperplane in
+reduced space, then rebuilds the MDP with the extended state map. The
+hyperplane is a linear SVM (squared hinge loss, L2-regularized, bias
+not) solved to its optimum by a finite Newton method, with a negative
+member's loss weighted x100, since one negative member labels a
+sub-state -1; its offset then leaves no negative member on the + side
+where a positive member outscores them all. Repeated passes only affect
+cells not yet split. Refinement uses no randomness.
 
 State ids are (cell, side) pairs, serialized as ``c<cell>``,
 ``c<cell>+``, ``c<cell>-``, and ``init`` for the synthetic initial
@@ -65,10 +65,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
 import re
-import signal
 import warnings
 from itertools import repeat
 from types import MappingProxyType
@@ -464,139 +461,83 @@ def abstract_state_of(model: AbstractMdp, q: np.ndarray) -> StateId | None:
     return sid if sid in model.rank else None
 
 
-_EPOCHS, _BATCH = 200, 64  # refine's Pegasos runs
+_LAMBDA, _NEG_COST = 0.01, 100.0  # refine's SVM: the regularizer's weight; a negative member's cost, a positive one's 1
+_MAX_STEPS = 100  # Newton steps; the cells of a 2000-trace ACC model take 6-19
 
 
-def _fit_cell(job):
-    """Refine's SVM for one (cell, its members' reduced rows, their classes) job."""
-    cell, X, y = job
-    return _train_linear_svm(X, y, lam=0.01, epochs=_EPOCHS, seed=cell & 0x7FFFFFFF)
-
-
-def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, epochs: int, seed: int,
-                      batch: int = _BATCH):
-    """Pegasos-style subgradient descent (mini-batch variant) for a
-    soft-margin linear separator.
-
-    Falls back to the class-mean hyperplane (with a warning) when the
-    result degenerates.
-    """
-    rng = np.random.default_rng(seed)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(len(X))
-        Xp, yp = X[order], y[order]
-        for start in range(0, len(X), batch):
-            Xi, yi = Xp[start : start + batch], yp[start : start + batch]
-            t += 1
-            eta = 1.0 / (lam * t)
-            viol = yi * (Xi @ w + b) < 1.0
-            w *= 1.0 - eta * lam
-            yv = yi[viol]
-            if yv.size:
-                scale = eta / len(yi)
-                w += scale * (yv @ Xi[viol])
-                b += scale * float(np.add.reduce(yv))
+def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, neg_cost: float):
+    """The (w, b) minimizing lam/2 |w|^2 + (1/n) sum_i c_i max(0, 1 - y_i (w.x_i + b))^2, c_i 1 where y_i is +1
+    and `neg_cost` where it is -1, by the finite Newton method (Keerthi & DeCoste, JMLR 2005): a step solves
+    the quadratic of the active set (the members of margin below 1) and searches the line to its solution;
+    the first solution that keeps its own active set is the optimum. A degenerate w falls back, with a
+    warning, to the class-mean hyperplane."""
+    n, k = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])  # z = (w, b) acts on rows (x, 1)
+    weight = (2.0 / n) * np.where(y > 0, 1.0, neg_cost)
+    ridge = np.diag(np.append(np.full(k, lam), 0.0))  # b is not regularized
+    z, margin = np.zeros(k + 1), np.zeros(n)
+    for _ in range(_MAX_STEPS):
+        active = margin < 1.0
+        if active.any():
+            A = Xa[active]
+            Aw = A.T * weight[active]
+            target = np.linalg.solve(ridge + Aw @ A, Aw @ y[active])
+        else:  # every margin reached 1 (within rounding) short of the optimum: descend as the regularizer does
+            target = np.append(np.zeros(k), z[k])
+        target_margin = y * (Xa @ target)
+        if np.array_equal(target_margin < 1.0, active):
+            z = target
+            break
+        t = _line_search(margin, target_margin - margin, weight, z[:k], target[:k] - z[:k], lam)
+        z = z + t * (target - z)
+        margin = y * (Xa @ z)
+    w, b = z[:k], float(z[k])
     if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
         warnings.warn("SVM training degenerated; using the class-mean hyperplane", stacklevel=2)
         mean_pos = X[y > 0].mean(axis=0)
         mean_neg = X[y < 0].mean(axis=0)
         w = mean_pos - mean_neg
         b = -float(w @ (mean_pos + mean_neg) / 2.0)
-    return w, float(b)
+    return w, b
 
 
-# Below this total cost (SVM mini-batches, simulation steps: some 10-25 us each) jobs run serially:
-# a fork costs the parent 3-5 ms, and its copy-on-write faults about 3 ms more in the next command.
-_FORK_MIN_COST = 4_000
+def _line_search(margin, slope, weight, w, dw, lam) -> float:
+    """The t > 0 minimizing lam/2 |w + t dw|^2 + sum_i weight_i / 2 max(0, 1 - margin_i - t slope_i)^2: where its
+    derivative, piecewise linear and nondecreasing, reaches zero. A piece ends where a member's margin crosses 1."""
+    live = np.where(slope < 0.0, margin <= 1.0, margin < 1.0)  # members in the loss just after t = 0
+    gain, curve = weight * slope * (margin - 1.0), weight * slope * slope  # each one's share of the derivative
+    crossing = np.flatnonzero((slope > 0.0) & live | (slope < 0.0) & ~live)  # leaves, or joins, the loss
+    at = (1.0 - margin[crossing]) / slope[crossing]  # where each crosses, all after t = 0
+    order = np.argsort(at, kind="stable")
+    at, crossing = at[order], crossing[order]
+    sign = np.where(slope[crossing] < 0.0, 1.0, -1.0)
+    offset = lam * float(w @ dw) + float(gain[live].sum()) + np.cumsum(np.append(0.0, sign * gain[crossing]))
+    rate = lam * float(dw @ dw) + float(curve[live].sum()) + np.cumsum(np.append(0.0, sign * curve[crossing]))
+    piece = int(np.searchsorted(offset[:-1] + rate[:-1] * at >= 0.0, True))  # the first with a root by its end
+    return float(-offset[piece] / rate[piece])
 
 
-def _run_jobs(fn, jobs: list, costs: list) -> list:
-    """[fn(job) for job in jobs], run on every CPU this process may use when the jobs cost
-    enough: one bin of jobs per CPU, filled largest first; the parent runs the first bin and a
-    forked child each other one, sending its results back pickled through a pipe. Every job
-    is independent and seeded by itself, so the results are those of the serial loop; so are
-    the error raised (that of the lowest failing job) and the warnings (reissued in job order).
-    A forked child starts with the caller's state, where a spawned one would import numpy and
-    cpsguard again (about 0.1 s) and need its job function and jobs pickled."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or len(jobs) < 2 or sum(costs) < _FORK_MIN_COST:
-        return [fn(job) for job in jobs]
-    n = min(cpus, len(jobs))
-    bins, loads = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(jobs)), key=costs.__getitem__, reverse=True):
-        lightest = loads.index(min(loads))
-        bins[lightest].append(i)
-        loads[lightest] += costs[i]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for indices in bins[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:  # the child never returns into the caller's stack
-                try:
-                    os.close(read)
-                    with open(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(_run_bin(fn, jobs, indices)))
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, read))
-        outcomes = [_run_bin(fn, jobs, bins[0])]
-        for _, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                outcomes.append(pickle.loads(data))
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError("a worker process ended without sending its results") from None
-    finally:
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)  # harmless to one that has sent its results
-            os.waitpid(pid, 0)
-    failure = min((failure for _, _, failure in outcomes if failure), key=lambda f: f[0], default=None)
-    for i, message in sorted((item for _, caught, _ in outcomes for item in caught), key=lambda item: item[0]):
-        if failure is None or i <= failure[0]:
-            warnings.warn(message, stacklevel=2)
-    if failure:
-        raise failure[1]
-    results = {i: result for done, _, _ in outcomes for i, result in done.items()}
-    return [results[i] for i in range(len(jobs))]
-
-
-def _run_bin(fn, jobs: list, indices: list):
-    """Runs the jobs at `indices` in index order up to the first that raises: their results
-    by index, each warning they raised as (index, warning), and (index, exception) or None."""
-    results, caught, failure = {}, [], None
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        for i in sorted(indices):
-            try:
-                results[i] = fn(jobs[i])
-            except Exception as exc:
-                failure = (i, exc)
-            caught += [(i, w.message) for w in seen]
-            seen.clear()
-            if failure:
-                break
-    return results, caught, failure
+def _split(X: np.ndarray, y: np.ndarray):
+    """Refine's hyperplane for one cell's members X of classes y: the SVM, b then moved midway between the
+    highest-scoring negative member and the lowest positive one above it, if any, so that the + side then
+    holds positive members alone."""
+    w, b = _train_linear_svm(X, y, _LAMBDA, _NEG_COST)
+    scores = X @ w
+    top_negative = scores[y < 0].max()
+    above = scores[(y > 0) & (scores > top_negative)]
+    if above.size:
+        b = -float(top_negative + above.min()) / 2.0
+    return w, b
 
 
 def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -> AbstractMdp:
     """One refinement pass over a model built from the same traces.
 
     States whose member robustness variance exceeds the threshold and
-    that contain both signs get a linear separator; everything is then
-    recounted under the extended state map. Call again for further
-    passes (already-split cells keep their single hyperplane). A
+    whose members fall on both sides of the label threshold get a
+    hyperplane (`_split`); everything is then recounted under the
+    extended state map. Call again for further passes (already-split
+    cells keep their single hyperplane). A
     ValueError names the trace and row of a state outside the model's
     grid, which no state of the model could hold.
     """
@@ -608,21 +549,17 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
     if outside.size:
         n = np.searchsorted(starts, outside[0], "right") - 1
         raise ValueError(f"trace {n}: row {outside[0] - starts[n]} lies outside the grid of the model it refines")
-    # members of each state in trace order: the SVM's permutation applies to it
     order, heads = _groups(codes)
-    jobs = []  # (cell, its members' reduced rows, their classes)
+    classifiers = dict(model.classifiers)
     for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
         cell, side = _sid(code)
         if side != 0:
             continue  # one hyperplane per cell
         robs = robs_all[members]
         variance = float(np.mean((robs - robs.mean()) ** 2))
-        if variance > config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
-            jobs.append((cell, R[members], np.where(robs >= 0.0, 1.0, -1.0)))
-    costs = [_EPOCHS * (math.ceil(len(y) / _BATCH) + 1) for _, _, y in jobs]  # + 1: each epoch's permutation
-    fits = _run_jobs(_fit_cell, jobs, costs)
-    classifiers = dict(model.classifiers)
-    classifiers.update((cell, fit) for (cell, _, _), fit in zip(jobs, fits))
+        positive = robs >= config.label_threshold  # the members `_assemble` does not label -1
+        if variance > config.variance_threshold and positive.any() and not positive.all():
+            classifiers[cell] = _split(R[members], np.where(positive, 1.0, -1.0))
     return _assemble(_state_codes(config, classifiers, R), robs_all, actions, starts, model.pca, config, classifiers)
 
 

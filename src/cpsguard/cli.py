@@ -7,7 +7,7 @@ checked, when the config loads. Every output file embeds a short hash of
 the resolved config, all writes are atomic (temp file + rename), and all
 randomness flows from the root seed through per-trace / per-trial spawned
 streams, so a command with a fixed seed produces byte-identical outputs
-across runs, whatever the number of CPUs `collect` and `refine` run on
+across runs, whatever the number of CPUs `collect` runs on
 (wall-clock timings are printed, never persisted).
 
 Exit codes: 0 ok, 1 usage error, 2 runtime failure, 3 property violated
@@ -22,9 +22,12 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from signal import SIGKILL
 
 import numpy as np
 
@@ -237,7 +240,7 @@ def cmd_collect(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = cfg.output_dir / "traces"
     seeds = _spawn_seeds(cfg.seed, "collect", cfg.raw["collect"]["num_traces"])
     collect_one = functools.partial(_collect_one, cfg, cfg.controller(), out)
-    done = abstraction._run_jobs(collect_one, list(enumerate(seeds)), [cfg.simcfg.n_steps] * len(seeds))
+    done = _run_jobs(collect_one, list(enumerate(seeds)), cfg.simcfg.n_steps)
     entries = [entry for entry, failure in done if entry]
     failures = [failure for entry, failure in done if failure]
     manifest = {
@@ -264,6 +267,105 @@ def _collect_one(cfg: RunConfig, controller, out: Path, job: tuple[int, int]) ->
     name = f"trace_{i:04d}.trace"
     _atomic_write(out / name, signals.trace_bytes(trace, cfg.config_hash, {"rob": robs}))
     return {"file": f"traces/{name}", "seed": seed}, None
+
+
+# Below this total cost (simulation steps: some 10-25 us each) jobs run serially: a fork
+# costs the parent 3-5 ms, and its copy-on-write faults about 3 ms more in the next command.
+_FORK_MIN_COST = 4_000
+
+
+def _run_jobs(fn, jobs: list, cost: int) -> list:
+    """[fn(job) for job in jobs], run on every CPU this process may use (its affinity, capped by
+    its cgroup's CPU quota) when the jobs, each costing `cost`, cost enough: one run of
+    consecutive jobs per CPU, the parent running the first and a forked child each other one,
+    which sends its outcome back pickled through a pipe. Every job is seeded by itself, so the
+    results, the error raised (the lowest failing job's) and the warnings (reissued in job
+    order) are those of the serial loop. A forked child starts with the caller's state, where
+    a spawned one would import numpy and cpsguard again (about 0.1 s)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, _cgroup_cpu_quota() or cpus, len(jobs))
+    if n < 2 or len(jobs) * cost < _FORK_MIN_COST:
+        return [fn(job) for job in jobs]
+    bins = [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n] for i in range(n)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for part in bins[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child never returns into the caller's stack
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_run_bin(fn, part), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        outcomes = [_run_bin(fn, bins[0])]
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    outcomes.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError("a worker process ended without sending its results") from None
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, SIGKILL)  # harmless to one that has sent its results
+            os.waitpid(pid, 0)
+    results = []  # the bins in job order, so the first failure met is the lowest failing job's
+    for done, caught, failure in outcomes:
+        results += done
+        for message in caught:
+            warnings.warn(message, stacklevel=2)
+        if failure:
+            raise failure
+    return results
+
+
+def _run_bin(fn, jobs: list):
+    """Runs the jobs up to the first that raises: their results, the warnings they raised,
+    and the exception or None."""
+    results, failure = [], None
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for job in jobs:
+            try:
+                results.append(fn(job))
+            except Exception as exc:
+                failure = exc
+                break
+    return results, [w.message for w in seen], failure
+
+
+def _cgroup_cpu_quota() -> int | None:
+    """ceil(quota / period) of the CPU quota of this process's own cgroup: its `cpu.max` (v2),
+    else its `cpu.cfs_quota_us` and `cpu.cfs_period_us` (v1). None where no quota is set or
+    the files cannot be read."""
+    paths = {}  # controller ("" for v2) -> this process's cgroup under it
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        _, controllers, path = line.split(":", 2)
+        paths.update(dict.fromkeys(controllers.split(","), path.rstrip("/")))
+    limit = ("" in paths and _read_text(f"/sys/fs/cgroup{paths['']}/cpu.max") or "").split()  # "max 100000"
+    if not limit and "cpu" in paths:
+        limit = [_read_text(f"/sys/fs/cgroup/cpu{paths['cpu']}/cpu.cfs_{key}_us") for key in ("quota", "period")]
+    try:
+        quota, period = map(int, limit)
+    except (TypeError, ValueError):  # no file, or "max"
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None  # v1 writes -1 for no quota
+
+
+def _read_text(path: str) -> str | None:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError):
+        return None
 
 
 _READ_KINDS = {list: "a JSON list", str: "a string", int: "an integer", float: "a finite number or null"}

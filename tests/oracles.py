@@ -17,6 +17,7 @@ from cpsguard.abstraction import (
     StateInfo,
     _cells_batch,
     _reduce_batch,
+    _split,
     fit_pca,
     state_id_str,
 )
@@ -569,7 +570,7 @@ def separable_cell_pairs(n_cluster=100, margin=0.2, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# abstraction: per-row state mapping, dict counting and the plain Pegasos loop
+# abstraction: per-row state mapping, dict counting and the SVM by enumeration
 
 
 def _route_oracle(classifiers, cell, reduced):
@@ -648,35 +649,51 @@ def build_oracle(pairs, config):
     return assemble_oracle(pairs, pca, config, {})
 
 
-def train_linear_svm_oracle(X, y, lam, epochs, seed, batch=64):
-    """Mini-batch Pegasos indexing each batch out of X and y."""
-    rng = np.random.default_rng(seed)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(X.shape[0])
-        for start in range(0, X.shape[0], batch):
-            idx = order[start : start + batch]
-            t += 1
-            eta = 1.0 / (lam * t)
-            margins = y[idx] * (X[idx] @ w + b)
-            viol = margins < 1.0
-            w *= 1.0 - eta * lam
-            if np.any(viol):
-                scale = eta / len(idx)
-                w += scale * (y[idx][viol] @ X[idx][viol])
-                b += scale * float(np.sum(y[idx][viol]))
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
-        mean_pos = X[y > 0].mean(axis=0)
-        mean_neg = X[y < 0].mean(axis=0)
-        w = mean_pos - mean_neg
-        b = -float(w @ (mean_pos + mean_neg) / 2.0)
-    return w, float(b)
+def svm_objective(X, y, w, b, lam, neg_cost):
+    """lam/2 |w|^2 + (1/n) sum_i c_i max(0, 1 - y_i (w.x_i + b))^2, c_i 1 for a positive member
+    and `neg_cost` for a negative one, summed member by member."""
+    loss = 0.0
+    for x, label in zip(X, y):
+        slack = max(0.0, 1.0 - label * (float(np.dot(w, x)) + b))
+        loss += (1.0 if label > 0 else neg_cost) * slack * slack
+    return lam / 2.0 * float(np.dot(w, w)) + loss / len(y)
+
+
+def svm_active_set_solution(X, y, active, lam, neg_cost):
+    """The (w, b) where the objective's gradient vanishes if exactly the `active` members
+    have margin below 1: the normal equations of their squared errors, w regularized."""
+    n, k = X.shape
+    H, r = np.zeros((k + 1, k + 1)), np.zeros(k + 1)
+    H[:k, :k] = lam * np.eye(k)
+    for i in np.flatnonzero(active):
+        x = np.append(X[i], 1.0)
+        c = 2.0 / n * (1.0 if y[i] > 0 else neg_cost)
+        H += c * np.outer(x, x)
+        r += c * y[i] * x
+    z = np.linalg.solve(H, r)
+    return z[:k], float(z[k])
+
+
+def svm_brute_force(X, y, lam, neg_cost):
+    """The SVM optimum by enumeration: among every nonempty active set whose solution puts
+    exactly those members below margin 1 (within 1e-9), the one of least objective."""
+    best = None
+    for size in range(1, len(y) + 1):
+        for members in itertools.combinations(range(len(y)), size):
+            active = np.zeros(len(y), dtype=bool)
+            active[list(members)] = True
+            w, b = svm_active_set_solution(X, y, active, lam, neg_cost)
+            margin = y * (X @ w + b)
+            if np.all(margin[active] < 1.0 + 1e-9) and np.all(margin[~active] >= 1.0 - 1e-9):
+                f = svm_objective(X, y, w, b, lam, neg_cost)
+                if best is None or f < best[0]:
+                    best = (f, w, b)
+    return best[1], best[2]
 
 
 def refine_oracle(model, pairs):
-    """One refinement pass, members gathered row by row per state."""
+    """One refinement pass, members gathered row by row per state, each mixed one split by
+    the library's `_split`."""
     members_x, members_r = {}, {}
     for trace, robs in pairs:
         R = _reduce_batch(model.pca, trace.states)
@@ -691,10 +708,9 @@ def refine_oracle(model, pairs):
             continue
         robs = np.array(members_r[sid])
         variance = float(np.mean((robs - robs.mean()) ** 2))
-        if variance > model.config.variance_threshold and np.any(robs >= 0.0) and np.any(robs < 0.0):
-            y = np.where(robs >= 0.0, 1.0, -1.0)
-            classifiers[cell] = train_linear_svm_oracle(np.array(members_x[sid]), y, lam=0.01, epochs=200,
-                                                        seed=cell & 0x7FFFFFFF)
+        positive = robs >= model.config.label_threshold
+        if variance > model.config.variance_threshold and np.any(positive) and not np.all(positive):
+            classifiers[cell] = _split(np.array(members_x[sid]), np.where(positive, 1.0, -1.0))
     return assemble_oracle(pairs, model.pca, model.config, classifiers)
 
 

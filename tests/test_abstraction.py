@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +16,9 @@ from oracles import (
     separable_cell_pairs,
     slow_chain,
     state_ids_oracle,
-    train_linear_svm_oracle,
+    svm_active_set_solution,
+    svm_brute_force,
+    svm_objective,
     writer_oracle,
 )
 
@@ -27,12 +26,14 @@ from cpsguard import abstraction, stl
 from cpsguard.abstraction import (
     INIT_STATE,
     OUT_OF_BOUNDS,
+    _LAMBDA,
+    _NEG_COST,
     AbstractionConfig,
     PrecisenessReport,
     _grid_bounds,
     _new_runs,
     _reduce_batch,
-    _run_jobs,
+    _split,
     _state_ids,
     _train_linear_svm,
     abstract_action,
@@ -329,6 +330,18 @@ class TestRefine:
             sid = abstract_state_of(refined, row)
             assert refined.states[sid].label == (1 if rob >= 0 else -1)
 
+    def test_split_classes_follow_the_label_threshold(self):
+        # every member is positive, but the clusters fall on both sides of the label threshold 0.5
+        trace, robs = separable_cell_pairs()[0]
+        pairs = [(trace, robs + 0.75)]
+        assert np.all(pairs[0][1] > 0.0)
+        model = build_abstraction(pairs, AbstractionConfig(k=1, c=2, label_threshold=0.5))
+        refined = refine(model, pairs)
+        assert len(refined.classifiers) == 1
+        for row, rob in zip(trace.states, pairs[0][1]):
+            assert refined.states[abstract_state_of(refined, row)].label == (1 if rob >= 0.5 else -1)
+        assert_same_model(refined, refine_oracle(model, pairs))
+
     def test_refinement_never_decreases_states(self):
         rng = np.random.default_rng(8)
         tr = trace_nd(rng.normal(size=(80, 3)))
@@ -413,30 +426,102 @@ def assert_same_model(model, expected):
         assert np.array_equal(w, expected.classifiers[cell][0]) and b == expected.classifiers[cell][1]
 
 
+def svm_cell(n, pos_share):
+    """A cell of n members in 3-D, on scales 3, 1 and 0.2, the positive ones shifted along x."""
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 3)) * [3.0, 1.0, 0.2]
+    y = np.where(rng.random(n) < pos_share, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    X[y > 0, 0] += 0.5
+    return X, y
+
+
 class TestAbstractionOracles:
-    """The array counting, routing and Pegasos loop against the per-row
-    dict counting and the indexed Pegasos loop of oracles.py."""
+    """The array counting and routing against the per-row dict counting of oracles.py, and
+    the Newton SVM against its optimality conditions and an enumeration of active sets."""
+
+    def test_svm_matches_brute_force_on_small_cells(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            X = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-1, 1, k)
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[:2] = [1.0, -1.0]
+            X[y > 0, 0] += 3.0 * (trial % 3)  # overlapping, touching and separable classes
+            for neg_cost in (1.0, _NEG_COST):
+                w, b = _train_linear_svm(X, y, _LAMBDA, neg_cost)
+                w_ref, b_ref = svm_brute_force(X, y, _LAMBDA, neg_cost)
+                z, z_ref = np.append(w, b), np.append(w_ref, b_ref)
+                assert np.max(np.abs(z - z_ref)) <= 1e-9 * max(1.0, np.max(np.abs(z_ref))), (trial, neg_cost)
 
     @pytest.mark.parametrize("n", [5, 63, 64, 65, 388])
     @pytest.mark.parametrize("pos_share", [0.5, 0.1])
-    def test_svm_bit_identical(self, n, pos_share):
-        rng = np.random.default_rng(n)
-        X = rng.normal(size=(n, 3)) * [3.0, 1.0, 0.2]
-        y = np.where(rng.random(n) < pos_share, 1.0, -1.0)
-        y[:2] = [1.0, -1.0]
-        X[y > 0, 0] += 0.5
-        for seed in (0, 17):
-            w, b = _train_linear_svm(X, y, lam=0.01, epochs=20, seed=seed)
-            w_ref, b_ref = train_linear_svm_oracle(X, y, lam=0.01, epochs=20, seed=seed)
-            assert np.array_equal(w, w_ref) and b == b_ref
+    def test_svm_is_optimal(self, n, pos_share):
+        X, y = svm_cell(n, pos_share)
+        w, b = _train_linear_svm(X, y, _LAMBDA, _NEG_COST)
+        margin = y * (X @ w + b)
+        active = margin < 1.0
+        # the gradient vanishes, relative to the terms that cancel in it
+        cost = np.where(y > 0, 1.0, _NEG_COST)
+        pulls = (2.0 / n * cost * (1.0 - margin) * y * active)[:, None] * np.hstack([X, np.ones((n, 1))])
+        gradient = np.append(_LAMBDA * w, 0.0) - pulls.sum(axis=0)
+        scale = np.linalg.norm(np.append(_LAMBDA * np.abs(w), 0.0) + np.abs(pulls).sum(axis=0))
+        assert np.linalg.norm(gradient) <= 1e-8 * scale
+        # the active set is stable: its own solution is the answer and keeps it
+        w_set, b_set = svm_active_set_solution(X, y, active, _LAMBDA, _NEG_COST)
+        assert np.array_equal(y * (X @ w_set + b_set) < 1.0, active)
+        assert np.max(np.abs(np.append(w_set - w, b_set - b))) <= 1e-9 * max(1.0, np.max(np.abs(w)), abs(b))
+        # no perturbed point has a lower objective
+        rng = np.random.default_rng(n + 1)
+        best = svm_objective(X, y, w, b, _LAMBDA, _NEG_COST)
+        for direction in np.vstack([np.eye(4), rng.normal(size=(4, 4))]):
+            for step in (1e-2, -1e-2, 1e-4, -1e-4):
+                z = np.append(w, b) + step * direction
+                assert svm_objective(X, y, z[:3], z[3], _LAMBDA, _NEG_COST) >= best
+
+    def test_svm_step_that_lands_with_every_margin_at_least_1(self, monkeypatch):
+        # a separable cell whose line search stops where the last members leave the loss, so
+        # that no active set is left to solve
+        X, y = np.array([[2.9, 1.7], [-0.9, 2.1], [5.0, -0.4], [3.0, 1.0]]), np.array([1.0, -1.0, 1.0, 1.0])
+        searched_from = []
+        search = abstraction._line_search
+        monkeypatch.setattr(abstraction, "_line_search", lambda margin, *rest: searched_from.append(margin.min()) or
+                            search(margin, *rest))
+        w, b = _train_linear_svm(X, y, _LAMBDA, _NEG_COST)
+        assert max(searched_from) >= 1.0
+        w_ref, b_ref = svm_brute_force(X, y, _LAMBDA, _NEG_COST)
+        assert np.max(np.abs(np.append(w - w_ref, b - b_ref))) <= 1e-9 * max(1.0, np.max(np.abs(w_ref)))
+
+    def test_split_leaves_no_negative_member_on_the_plus_side(self):
+        rng = np.random.default_rng(12)
+        cases = {True: 0, False: 0}  # whether some positive member outscores every negative one
+        for trial in range(200):
+            n = int(rng.integers(2, 120))
+            X = rng.normal(size=(n, 3))
+            y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+            y[:2] = [1.0, -1.0]
+            X[y > 0, 0] += rng.uniform(-1.0, 4.0)
+            w, b = _split(X, y)
+            w_fit, b_fit = _train_linear_svm(X, y, _LAMBDA, _NEG_COST)
+            assert np.array_equal(w, w_fit)
+            scores = X @ w
+            top_negative = scores[y < 0].max()
+            pure = bool(np.any(scores[y > 0] > top_negative))
+            cases[pure] += 1
+            if pure:
+                plus = scores + b >= 0.0
+                assert not np.any(plus & (y < 0))
+                assert np.all(plus[(y > 0) & (scores > top_negative)])
+            else:
+                assert b == b_fit
+        assert min(cases.values()) >= 10
 
     def test_svm_class_mean_fallback(self):
         X = np.zeros((70, 2))
         y = np.where(np.arange(70) % 3 == 0, 1.0, -1.0)
         with pytest.warns(UserWarning, match="class-mean"):
-            w, b = _train_linear_svm(X, y, lam=0.01, epochs=3, seed=1)
-        w_ref, b_ref = train_linear_svm_oracle(X, y, lam=0.01, epochs=3, seed=1)
-        assert np.array_equal(w, w_ref) and b == b_ref
+            w, b = _train_linear_svm(X, y, _LAMBDA, _NEG_COST)
+        assert np.array_equal(w, np.zeros(2)) and b == 0.0  # the hyperplane between two equal class means
 
     def test_nan_robustness_labels_match(self):
         # as the running minimum did: a NaN first member keeps a state's
@@ -845,135 +930,3 @@ class TestTransitionTable:
             make_mdp(2, {(0, 0): {5: 1.0}})
         with pytest.raises(ValueError, match="lies outside"):
             make_mdp(2, {(0, 0): {0: 1.5, 1: -0.5}})
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """`forks(cpus)` puts `_run_jobs` on its fork path with `cpus` bins and returns the list
-    that counts its forks."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return real_fork()
-
-    def force(cpus=3):
-        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return calls
-    return force
-
-
-def no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-def square_or_fail(job):
-    if job in (3, 6):
-        raise ValueError(f"job {job} failed")
-    return np.full(2, float(job)) ** 2
-
-
-class Stop(BaseException):
-    pass
-
-
-class TestRunJobs:
-    def test_results_in_job_order(self, forks):
-        jobs = list(range(40))
-        serial = [np.sqrt(np.arange(j + 1.0)) for j in jobs]
-        calls = forks(6)  # more bins than this machine may have CPUs
-        got = _run_jobs(lambda j: np.sqrt(np.arange(j + 1.0)), jobs, [j % 7 for j in jobs])
-        assert len(calls) == 5
-        assert all(np.array_equal(a, b) for a, b in zip(got, serial)) and len(got) == len(serial)
-        assert no_children_left()
-
-    def test_serial_below_the_threshold_or_on_one_cpu(self, forks, monkeypatch):
-        calls = forks(1)
-        assert _run_jobs(lambda j: j + 1, [1, 2, 3], [10**9] * 3) == [2, 3, 4]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 100)
-        assert _run_jobs(lambda j: j + 1, [1, 2, 3], [33, 33, 33]) == [2, 3, 4]
-        assert calls == []
-
-    def test_lowest_failing_job_raises_as_in_the_serial_loop(self, forks):
-        # largest first, job 3 lands in the last child and job 6 in the parent's bin
-        jobs, costs = list(range(8)), [8, 7, 6, 5, 4, 3, 2, 1]
-        with pytest.raises(ValueError) as serial:
-            [square_or_fail(j) for j in jobs]
-        calls = forks(3)
-        with pytest.raises(type(serial.value), match=f"^{serial.value}$"):
-            _run_jobs(square_or_fail, jobs, costs)
-        # a bin runs its jobs in index order: on two CPUs the child's bin is jobs 3 and 1, both failing
-        forks(2)
-        with pytest.raises(ValueError, match="^job 3 failed$"):
-            _run_jobs(square_or_fail, [0, 3, 1, 6], [1, 1, 9, 9])
-        assert len(calls) == 3 and no_children_left()
-
-    def test_failure_in_the_parents_bin_reaps_the_children(self, forks):
-        calls = forks(2)
-        with pytest.raises(ValueError, match="^job 6 failed$"):
-            _run_jobs(square_or_fail, [6, 1, 2], [9, 1, 1])
-        assert len(calls) == 1 and no_children_left()
-
-    def test_interrupted_parent_kills_its_children(self, forks):
-        parent = os.getpid()
-
-        def stop_or_sleep(job):
-            if os.getpid() == parent:
-                raise Stop
-            time.sleep(60)
-
-        calls = forks(3)
-        start = time.perf_counter()
-        with pytest.raises(Stop):
-            _run_jobs(stop_or_sleep, [0, 1, 2], [1, 1, 1])
-        assert time.perf_counter() - start < 30
-        assert len(calls) == 2 and no_children_left()
-
-    def test_child_that_dies_is_an_error(self, forks):
-        parent = os.getpid()
-        forks(2)
-        with pytest.raises(RuntimeError, match="worker process ended without sending its results"):
-            _run_jobs(lambda job: job if os.getpid() == parent else os._exit(3), [0, 1], [2, 1])
-        assert no_children_left()
-
-    def test_warnings_are_reissued_in_job_order(self, forks):
-        def warn(job):
-            warnings.warn(f"job {job}")
-            return square_or_fail(job)
-
-        def messages(jobs, costs):
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                try:
-                    _run_jobs(warn, jobs, costs)
-                except ValueError:
-                    pass
-            return [str(w.message) for w in seen if w.category is UserWarning]  # not fork's own warnings
-
-        serial = messages(list(range(8)), [0] * 8)
-        assert serial == [f"job {j}" for j in range(4)]  # up to the failing job 3
-        forks(3)
-        assert messages(list(range(8)), [8, 7, 6, 5, 4, 3, 2, 1]) == serial
-        assert messages([0, 1, 2], [1, 5, 1]) == ["job 0", "job 1", "job 2"]
-
-    def test_refine_on_the_fork_path_fits_what_the_serial_loop_fits(self, forks):
-        # three mixed cells of two members; the middle one's rows reduce to 0, so its SVM degenerates
-        pairs = [(trace_1d([-3.0, -2.5, 0.0, 0.0, 2.5, 3.0]), np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))]
-        model = build_abstraction(pairs, AbstractionConfig(k=1, c=3))
-        with pytest.warns(UserWarning, match="class-mean"):
-            serial = refine(model, pairs)
-        calls = forks(2)
-        with pytest.warns(UserWarning) as seen:
-            forked = refine(model, pairs)
-        assert len(calls) == 1
-        assert [str(w.message) for w in seen if w.category is UserWarning] == \
-            ["SVM training degenerated; using the class-mean hyperplane"]
-        assert len(forked.classifiers) == 3
-        assert model_to_json(forked) == model_to_json(serial)
-        assert no_children_left()

@@ -5,6 +5,8 @@ import re
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,16 +147,167 @@ PIPELINES = {
 }
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """`forks(cpus)` puts `_run_jobs` on its fork path with `cpus` bins, whatever the cgroup
+    of this process allows, and returns the list that counts its forks."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    def force(cpus=3):
+        monkeypatch.setattr(cli, "_FORK_MIN_COST", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(cli, "_cgroup_cpu_quota", lambda: None)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+    return force
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def square_or_fail(job):
+    if job in (3, 6):
+        raise ValueError(f"job {job} failed")
+    return np.full(2, float(job)) ** 2
+
+
+class Stop(BaseException):
+    pass
+
+
+class TestRunJobs:
+    def test_results_in_job_order(self, forks):
+        jobs = list(range(40))
+        serial = [np.sqrt(np.arange(j + 1.0)) for j in jobs]
+        calls = forks(6)  # more bins than this machine may have CPUs
+        got = cli._run_jobs(lambda j: np.sqrt(np.arange(j + 1.0)), jobs, 1)
+        assert len(calls) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got, serial)) and len(got) == len(serial)
+        assert no_children_left()
+
+    def test_serial_below_the_threshold_or_on_one_cpu(self, forks, monkeypatch):
+        calls = forks(1)
+        assert cli._run_jobs(lambda j: j + 1, [1, 2, 3], 10**9) == [2, 3, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_FORK_MIN_COST", 100)
+        assert cli._run_jobs(lambda j: j + 1, [1, 2, 3], 33) == [2, 3, 4]
+        assert calls == []
+
+    def test_lowest_failing_job_raises_as_in_the_serial_loop(self, forks):
+        # three bins of two: the first child's second job fails, and the second child's first
+        jobs = [0, 1, 2, 3, 6, 5]
+        with pytest.raises(ValueError) as serial:
+            [square_or_fail(j) for j in jobs]
+        calls = forks(3)
+        with pytest.raises(type(serial.value), match=f"^{serial.value}$"):
+            cli._run_jobs(square_or_fail, jobs, 1)
+        assert str(serial.value) == "job 3 failed"
+        assert len(calls) == 2 and no_children_left()
+
+    def test_failure_in_the_parents_bin_reaps_the_children(self, forks):
+        calls = forks(2)
+        with pytest.raises(ValueError, match="^job 6 failed$"):
+            cli._run_jobs(square_or_fail, [6, 1, 2], 1)
+        assert len(calls) == 1 and no_children_left()
+
+    def test_interrupted_parent_kills_its_children(self, forks):
+        parent = os.getpid()
+
+        def stop_or_sleep(job):
+            if os.getpid() == parent:
+                raise Stop
+            time.sleep(60)
+
+        calls = forks(3)
+        start = time.perf_counter()
+        with pytest.raises(Stop):
+            cli._run_jobs(stop_or_sleep, [0, 1, 2], 1)
+        assert time.perf_counter() - start < 30
+        assert len(calls) == 2 and no_children_left()
+
+    def test_child_that_dies_is_an_error(self, forks):
+        parent = os.getpid()
+        forks(2)
+        with pytest.raises(RuntimeError, match="worker process ended without sending its results"):
+            cli._run_jobs(lambda job: job if os.getpid() == parent else os._exit(3), [0, 1], 1)
+        assert no_children_left()
+
+    def test_warnings_are_reissued_in_job_order(self, forks):
+        def warn(job):
+            warnings.warn(f"job {job}")
+            return square_or_fail(job)
+
+        def messages(jobs, cost):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    cli._run_jobs(warn, jobs, cost)
+                except ValueError:
+                    pass
+            return [str(w.message) for w in seen if w.category is UserWarning]  # not fork's own warnings
+
+        serial = messages(list(range(8)), 0)
+        assert serial == [f"job {j}" for j in range(4)]  # up to the failing job 3
+        forks(3)
+        assert messages(list(range(8)), 1) == serial
+        assert messages([0, 1, 2], 1) == ["job 0", "job 1", "job 2"]
+
+
+class TestCgroupQuota:
+    """collect's workers are capped by the CPU quota of the process's cgroup, read through a
+    stand-in for the files."""
+
+    @pytest.mark.parametrize("files, quota", [
+        ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/cpu.max": "150000 100000\n"}, 2),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "200000 100000\n"}, 2),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "50000 100000\n"}, 1),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "max 100000\n"}, None),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "a lot\n"}, None),
+        ({"/proc/self/cgroup": "0::/\n"}, None),
+        ({}, None),
+        ({"/proc/self/cgroup": "4:cpu,cpuacct:/box\n0::/\n", "/sys/fs/cgroup/cpu/box/cpu.cfs_quota_us": "300000\n",
+          "/sys/fs/cgroup/cpu/box/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"/proc/self/cgroup": "1:cpu:/\n0::/\n", "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n",
+          "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"/proc/self/cgroup": "1:cpu:/\n", "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "100000\n"}, None),
+    ])
+    def test_quota_of_the_own_cgroup(self, monkeypatch, files, quota):
+        monkeypatch.setattr(cli, "_read_text", files.get)
+        assert cli._cgroup_cpu_quota() == quota
+
+    @pytest.mark.parametrize("cpus, limit, forks", [(4, "200000 100000", 1), (2, "800000 100000", 1),
+                                                    (3, "max 100000", 2)])
+    def test_quota_caps_the_workers(self, monkeypatch, cpus, limit, forks):
+        files = {"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": limit}
+        monkeypatch.setattr(cli, "_read_text", files.get)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(cli, "_FORK_MIN_COST", 0)
+        calls = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+        assert cli._run_jobs(lambda j: j * j, list(range(8)), 1) == [j * j for j in range(8)]
+        assert len(calls) == forks and no_children_left()
+
+
 class TestWorkerProcesses:
-    """collect's traces and refine's SVMs run on forked workers once their cost reaches
-    `abstraction._FORK_MIN_COST`; every output byte is that of the serial loop."""
+    """collect's traces run on forked workers once their cost reaches `cli._FORK_MIN_COST`, and
+    refine runs serially; every output byte is that of the serial loop."""
 
     def pipeline(self, tmp_path, monkeypatch, overrides, collect_rc, cpus):
         forks = []
         real_fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(abstraction, "_FORK_MIN_COST", 0)
+        monkeypatch.setattr(cli, "_cgroup_cpu_quota", lambda: None)
+        monkeypatch.setattr(cli, "_FORK_MIN_COST", 0)
         tmp_path.mkdir()
         cfg = write_config(tmp_path, **overrides)
         assert run(["--config", cfg, "collect"]) == collect_rc
@@ -168,7 +321,7 @@ class TestWorkerProcesses:
         overrides, collect_rc = PIPELINES[name]
         serial, no_forks = self.pipeline(tmp_path / "serial", monkeypatch, overrides, collect_rc, cpus=1)
         forked, forks = self.pipeline(tmp_path / "forked", monkeypatch, overrides, collect_rc, cpus=3)
-        assert no_forks == 0 and forks >= 3  # collect's two children, and refine's
+        assert no_forks == 0 and forks == 2  # collect's two children; refine forks none
         assert list(forked) == list(serial)
         for path, data in serial.items():
             assert forked[path] == data, path
