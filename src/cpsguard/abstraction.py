@@ -20,7 +20,7 @@ like any never-observed cell: `abstract_state_of` returns None
 `build_abstraction`, `refine` and `preciseness` stack the rows of their
 traces once per call and map them in one batch (`_reduce_batch`, then
 `_state_codes`); a transition is a row and the next row of the same
-trace, and `refine` re-codes its reduced rows after adding hyperplanes.
+trace, and `refine` re-codes only the rows of the cells it splits.
 The one-row query `abstract_state_of` stays scalar: the monitor asks it
 about one state at a time, and one row through the batch path costs five
 to six times as much.
@@ -330,19 +330,24 @@ def _state_codes(config, classifiers, R: np.ndarray) -> np.ndarray:
     """The `_code` of the state of every row of reduced states."""
     cells = _cells_batch(config, R)
     sides = np.zeros(len(cells), dtype=np.int64)
-    for cell in set(cells.tolist()).intersection(classifiers):
-        w, b = classifiers[cell]
+    for cell in set(cells.tolist()).intersection(classifiers) if classifiers else ():
         rows = np.flatnonzero(cells == cell)
-        Rc = R[rows]
-        margin = Rc @ w + b
-        side = np.where(margin >= 0.0, 1, -1)
-        # The batch dot product may round differently from `_route`'s, so
-        # a row within rounding of the hyperplane takes `_route`'s side.
-        near = np.abs(margin) <= 1e-12 * (np.abs(Rc) @ np.abs(w) + abs(b))
-        for i in np.flatnonzero(near).tolist():
-            side[i] = _route(classifiers, cell, R[rows[i]])[1]
-        sides[rows] = side
+        sides[rows] = _sides(classifiers, cell, R, rows)
     return _code((cells, sides))
+
+
+def _sides(classifiers, cell: int, R: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The side, 1 or -1, of each of the `rows` of R, all in `cell`, under the cell's hyperplane."""
+    w, b = classifiers[cell]
+    Rc = R[rows]
+    margin = Rc @ w + b
+    side = np.where(margin >= 0.0, 1, -1)
+    # The batch dot product may round differently from `_route`'s, so
+    # a row within rounding of the hyperplane takes `_route`'s side.
+    near = np.abs(margin) <= 1e-12 * (np.abs(Rc) @ np.abs(w) + abs(b))
+    for i in np.flatnonzero(near).tolist():
+        side[i] = _route(classifiers, cell, R[rows[i]])[1]
+    return side
 
 
 def _sids(codes: np.ndarray) -> list[StateId]:
@@ -560,7 +565,8 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
         positive = robs >= config.label_threshold  # the members `_assemble` does not label -1
         if variance > config.variance_threshold and positive.any() and not positive.all():
             classifiers[cell] = _split(R[members], np.where(positive, 1.0, -1.0))
-    return _assemble(_state_codes(config, classifiers, R), robs_all, actions, starts, model.pca, config, classifiers)
+            codes[members] = _code((cell, _sides(classifiers, cell, R, members)))  # the cell's rows, ascending
+    return _assemble(codes, robs_all, actions, starts, model.pca, config, classifiers)
 
 
 class PrecisenessReport(Record):

@@ -7,8 +7,10 @@ checked, when the config loads. Every output file embeds a short hash of
 the resolved config, all writes are atomic (temp file + rename), and all
 randomness flows from the root seed through per-trace / per-trial spawned
 streams, so a command with a fixed seed produces byte-identical outputs
-across runs, whatever the number of CPUs `collect` runs on
-(wall-clock timings are printed, never persisted).
+across runs, whatever the number of CPUs `collect`, `monitor` and
+`falsify` run on. Wall-clock timings are printed, never persisted:
+monitor's overhead ratio and falsify's per-trial times come from the
+clocks of the workers that ran them.
 
 Exit codes: 0 ok, 1 usage error, 2 runtime failure, 3 property violated
 (check with --assert-holds).
@@ -281,10 +283,14 @@ def _run_jobs(fn, jobs: list, cost: int) -> list:
     which sends its outcome back pickled through a pipe. Every job is seeded by itself, so the
     results, the error raised (the lowest failing job's) and the warnings (reissued in job
     order) are those of the serial loop. A forked child starts with the caller's state, where
-    a spawned one would import numpy and cpsguard again (about 0.1 s)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(cpus, _cgroup_cpu_quota() or cpus, len(jobs))
-    if n < 2 or len(jobs) * cost < _FORK_MIN_COST:
+    a spawned one would import numpy and cpsguard again (about 0.1 s), and ends in `os._exit`,
+    flushing none of it: the caller's buffered output is written once, and a job prints nothing
+    (the caller prints from the results)."""
+    n = 1
+    if len(jobs) > 1 and len(jobs) * cost >= _FORK_MIN_COST:  # only work that may fork reads the quota (80 us)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        n = min(cpus, _cgroup_cpu_quota() or cpus, len(jobs))
+    if n < 2:
         return [fn(job) for job in jobs]
     bins = [jobs[len(jobs) * i // n:len(jobs) * (i + 1) // n] for i in range(n)]
     children = []  # (pid, read end of its pipe)
@@ -478,35 +484,13 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = abstraction.load_model(cfg.output_dir / "model.json")
     n = cfg.raw["monitor"]["num_runs"]
     seeds = _spawn_seeds(cfg.seed, "monitor", n)
-    out = cfg.output_dir / "monitored"
-    rows = []
-    total_query = total_wall = 0.0
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        signal = signals.random_signal(cfg.input_spec, rng)
-        try:
-            mt = monitor.run_monitored(cfg.plant, ai, safe, model, cfg.monitor_config, signal, cfg.simcfg)
-        except plants.SimulationBlowup as exc:
-            rows.append({"seed": seed, "error": str(exc)})
-            continue
-        safety_frac, perf_frac = monitor.eval_metrics(mt.trace, cfg.safety_metric, cfg.performance_metric)
-        total_query += mt.query_time
-        total_wall += mt.wall_time
-        rows.append({
-            "seed": seed,
-            "safety_frac": safety_frac,
-            "perf_frac": perf_frac,
-            "switched_steps": int(np.sum(mt.controller_tags == monitor.SAFE_TAG)),
-            "queries": [
-                {"t": q.t, "verdict": q.verdict, "unknown": q.raw_unknown, "probability": q.probability}
-                for q in mt.queries
-            ],
-        })
-        _atomic_write(out / f"monitored_{i:04d}.trace",
-                      signals.trace_bytes(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
+    monitor_one = functools.partial(_monitor_one, cfg, ai, safe, model)
+    runs = _run_jobs(monitor_one, list(enumerate(seeds)), cfg.simcfg.n_steps)
+    rows = [row for row, _, _ in runs]
     done = [r for r in rows if "error" not in r]
     mean_safety = math.fsum(r["safety_frac"] for r in done) / len(done) if done else None  # as statistics.fmean
     mean_perf = math.fsum(r["perf_frac"] for r in done) / len(done) if done else None
+    total_query, total_wall = sum(run[1] for run in runs), sum(run[2] for run in runs)
     overhead = total_query / total_wall if total_wall > 0 else 0.0
     metrics = {"config_hash": cfg.config_hash, "runs": rows,
                "mean_safety_frac": mean_safety, "mean_perf_frac": mean_perf}
@@ -514,6 +498,32 @@ def cmd_monitor(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"monitored {n} runs ({n - len(done)} failed): safety_frac={_fmt_opt(mean_safety, 4, 'n/a')} "
           f"perf_frac={_fmt_opt(mean_perf, 4, 'n/a')} overhead_ratio={overhead:.4%}")
     return 0 if len(done) == n else 2
+
+
+def _monitor_one(cfg: RunConfig, ai, safe, model, job: tuple[int, int]) -> tuple[dict, float, float]:
+    """Runs, scores and writes the monitored trace of one (index, seed) job of `monitor`: its
+    row of `monitor_metrics.json` with the run's query and wall times, or its error row and
+    zero times when the run blew up."""
+    i, seed = job
+    signal = signals.random_signal(cfg.input_spec, np.random.default_rng(seed))
+    try:
+        mt = monitor.run_monitored(cfg.plant, ai, safe, model, cfg.monitor_config, signal, cfg.simcfg)
+    except plants.SimulationBlowup as exc:
+        return {"seed": seed, "error": str(exc)}, 0.0, 0.0
+    safety_frac, perf_frac = monitor.eval_metrics(mt.trace, cfg.safety_metric, cfg.performance_metric)
+    _atomic_write(cfg.output_dir / "monitored" / f"monitored_{i:04d}.trace",
+                  signals.trace_bytes(mt.trace, cfg.config_hash, {"controller": mt.controller_tags}))
+    row = {
+        "seed": seed,
+        "safety_frac": safety_frac,
+        "perf_frac": perf_frac,
+        "switched_steps": int(np.sum(mt.controller_tags == monitor.SAFE_TAG)),
+        "queries": [
+            {"t": q.t, "verdict": q.verdict, "unknown": q.raw_unknown, "probability": q.probability}
+            for q in mt.queries
+        ],
+    }
+    return row, mt.query_time, mt.wall_time
 
 
 def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -527,16 +537,17 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = None
     if kind == falsify.GUIDED:
         model = abstraction.load_model(cfg.output_dir / "model.json")
+    fcfg = cfg.falsify_config
     seeds = _spawn_seeds(cfg.seed, f"falsify-{algo}", cfg.raw["falsify"]["trials"])
+    falsify_one = functools.partial(_falsify_one, kind, system, model, fcfg)
+    results = _run_jobs(falsify_one, seeds, fcfg.global_budget * fcfg.local_budget * cfg.simcfg.n_steps)
     outcomes, per_trial = [], []
     print(f"{'trial':>5} {'success':>8} {'time[s]':>8} {'#sim':>5} {'best rob':>10}")
-    for i, trial_seed in enumerate(seeds):
-        try:
-            outcome = falsify.run_baseline(kind, system, model, cfg.falsify_config.replace(seed=trial_seed))
-        except plants.SimulationBlowup as exc:
+    for i, (trial_seed, outcome) in enumerate(zip(seeds, results)):
+        if isinstance(outcome, str):  # the trial blew up
             outcomes.append(None)
-            per_trial.append({"seed": trial_seed, "error": str(exc)})
-            print(f"{i:>5} error: {exc}")
+            per_trial.append({"seed": trial_seed, "error": outcome})
+            print(f"{i:>5} error: {outcome}")
             continue
         outcomes.append(outcome)
         best = min(outcome.robustness_history)  # every trial simulates at least once
@@ -556,6 +567,15 @@ def cmd_falsify(cfg: RunConfig, args: argparse.Namespace) -> int:
     }
     _atomic_write(cfg.output_dir / f"falsify_{algo}.json", signals.json_text(doc))
     return 0 if None not in outcomes else 2
+
+
+def _falsify_one(kind: str, system, model, fcfg: falsify.FalsifyConfig,
+                 seed: int) -> falsify.FalsificationOutcome | str:
+    """One trial of `falsify`, seeded by `seed`: its outcome, or its error text when a run blew up."""
+    try:
+        return falsify.run_baseline(kind, system, model, fcfg.replace(seed=seed))
+    except plants.SimulationBlowup as exc:
+        return str(exc)
 
 
 def _fmt_opt(value, digits: int = 1, missing: str = "-") -> str:

@@ -311,6 +311,9 @@ class SimulationBlowup(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
+    def __reduce__(self):  # pickle, as from a worker process, rebuilds it from both arguments
+        return type(self), (self.args[0], self.trace)
+
 
 def policy(controller, plant: PlantModel, period: float):
     """A fresh run of the controller, acting every `period` seconds on the plant: its action

@@ -133,18 +133,38 @@ class TestCollect:
 
 
 UNSAFE_MLP = Path(__file__).resolve().parent.parent / "bench" / "data" / "acc_unsafe.txt"
-# (config overrides, collect's exit code); the last is the CSTR blow-up of test_blowup_in_rk4_stage_is_contained
+# (config overrides, the exit code of collect, monitor and falsify); the last is the CSTR
+# blow-up of TestBlowupContained, whose monitored runs 2 and 3 and one trial of each algorithm diverge
 PIPELINES = {
     "acc_mlp": ({"plant": {"name": "acc", "params": {}}, "sim": {"dt": 0.1, "horizon": 50.0, "control_period": 0.1},
                  "controller": {"kind": "mlp", "path": str(UNSAFE_MLP)}, "collect": {"num_traces": 8},
-                 "labeling_spec": "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)", "abstraction": {"k": 3, "c": 10}}, 0),
+                 "labeling_spec": "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)", "abstraction": {"k": 3, "c": 10},
+                 "monitor": {"period": 5.0, "safety_metric": "G[0,50](d_rel - d_safe >= 0)",
+                             "performance_metric": "G[0,50](abs(v_ego - v_target) <= 0.2)"},
+                 "falsify": {"checkpoint_time": 5.0}}, 0),
     "cstr_pid": ({"plant": {"name": "cstr", "params": {}}, "sim": {"dt": 0.05, "horizon": 30.0, "control_period": 0.05},
                   "labeling_spec": "G[0,25]((abs(error) <= 0.3) U[0,5] (abs(error) <= 0.15))",
-                  "collect": {"num_traces": 8}, "abstraction": {"k": 2, "c": 20}}, 0),
+                  "collect": {"num_traces": 8}, "abstraction": {"k": 2, "c": 20},
+                  "monitor": {"safety_metric": "G[0,30](abs(error) <= 0.3)",
+                              "performance_metric": "G[5,30](abs(error) <= 0.05)"},
+                  "falsify": {"checkpoint_time": 5.0}}, 0),
     "cstr_blowup": ({"seed": 1, "plant": {"name": "cstr", "params": {}}, "input": {"num_control_points": 6},
                      "sim": {"dt": 0.5, "horizon": 30.0, "control_period": 0.5}, "collect": {"num_traces": 6},
-                     "labeling_spec": "G[0,25](abs(error) <= 0.3)", "abstraction": {"k": 3, "c": 10}}, 2),
+                     "labeling_spec": "G[0,25](abs(error) <= 0.3)", "abstraction": {"k": 3, "c": 10},
+                     "monitor": {"period": 5.0, "unknown_policy": "SAFE", "num_runs": 8,
+                                 "safety_metric": "G[0,25](conc >= 0)",
+                                 "performance_metric": "G[0,25](abs(error) <= 0.3)"},
+                     "falsify": {"queue_seed_count": 4, "global_budget": 5, "local_budget": 10,
+                                 "checkpoint_time": 5.0}}, 2),
 }
+FALSIFY_ALGOS = ("guided", "random", "opt", "guided-rand")
+
+
+def untimed(printed: str) -> str:
+    """Printed lines without their wall-clock times: monitor's overhead ratio, and falsify's
+    per-trial and mean times."""
+    printed = re.sub(r"(overhead_ratio|time)=\S+", r"\1=", printed)
+    return re.sub(r"(?m)^( +\d+ +\w+) +\d+\.\d\d ", r"\1 ", printed)
 
 
 @pytest.fixture
@@ -198,7 +218,9 @@ class TestRunJobs:
         assert cli._run_jobs(lambda j: j + 1, [1, 2, 3], 10**9) == [2, 3, 4]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(cli, "_FORK_MIN_COST", 100)
+        monkeypatch.setattr(cli, "_cgroup_cpu_quota", lambda: pytest.fail("serial work read the CPU quota"))
         assert cli._run_jobs(lambda j: j + 1, [1, 2, 3], 33) == [2, 3, 4]
+        assert cli._run_jobs(lambda j: j + 1, [1], 10**9) == [2]
         assert calls == []
 
     def test_lowest_failing_job_raises_as_in_the_serial_loop(self, forks):
@@ -260,9 +282,40 @@ class TestRunJobs:
         assert messages(list(range(8)), 1) == serial
         assert messages([0, 1, 2], 1) == ["job 0", "job 1", "job 2"]
 
+    def test_blowup_in_a_child_comes_back_with_its_trace(self, forks):
+        # job 2, in the child's bin, blows up as TestBlowup's CSTR run does
+        plant = plants.make_plant("cstr")
+        cfg = plants.SimConfig(dt=0.5, horizon=30.0, control_period=0.5)
+        spec = plants.default_input_spec(plant, num_control_points=1, duration=30.0)
+
+        def simulate(job):
+            return plants.simulate(plant, plants.default_pid(plant), signals.make_input(spec, [[job]]), cfg)
+
+        with pytest.raises(plants.SimulationBlowup) as serial:
+            [simulate(job) for job in (0.8, 1.0, 1.25, 1.3)]
+        calls = forks(2)
+        with pytest.raises(plants.SimulationBlowup) as forked:
+            cli._run_jobs(simulate, [0.8, 1.0, 1.25, 1.3], 1)
+        assert len(calls) == 1 and no_children_left()
+        assert str(forked.value) == str(serial.value) == "cstr: state diverged at t=23.000"
+        assert np.array_equal(forked.value.trace.states, serial.value.trace.states)
+
+    def test_short_falsify_stays_serial(self, tmp_path, monkeypatch):
+        # 3 trials of 1 x 1 candidates of 500 steps cost less than a fork at the real threshold
+        calls = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_cgroup_cpu_quota", lambda: None)
+        overrides, _ = PIPELINES["acc_mlp"]
+        cfg = write_config(tmp_path, **{**overrides, "falsify": {"trials": 3, "global_budget": 1, "local_budget": 1}})
+        assert run(["--config", cfg, "falsify", "--algo", "random"]) == 0
+        assert len(json.loads((tmp_path / "out" / "falsify_random.json").read_text())["per_trial"]) == 3
+        assert 3 * 1 * 1 * 500 < cli._FORK_MIN_COST and calls == []
+
 
 class TestCgroupQuota:
-    """collect's workers are capped by the CPU quota of the process's cgroup, read through a
+    """The workers of `_run_jobs` are capped by the CPU quota of the process's cgroup, read through a
     stand-in for the files."""
 
     @pytest.mark.parametrize("files, quota", [
@@ -298,10 +351,11 @@ class TestCgroupQuota:
 
 
 class TestWorkerProcesses:
-    """collect's traces run on forked workers once their cost reaches `cli._FORK_MIN_COST`, and
-    refine runs serially; every output byte is that of the serial loop."""
+    """collect's traces, monitor's runs and falsify's trials run on forked workers once their
+    cost reaches `cli._FORK_MIN_COST`, and refine runs serially; every output byte is that of
+    the serial loop."""
 
-    def pipeline(self, tmp_path, monkeypatch, overrides, collect_rc, cpus):
+    def pipeline(self, tmp_path, monkeypatch, overrides, rc, cpus):
         forks = []
         real_fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -310,26 +364,46 @@ class TestWorkerProcesses:
         monkeypatch.setattr(cli, "_FORK_MIN_COST", 0)
         tmp_path.mkdir()
         cfg = write_config(tmp_path, **overrides)
-        assert run(["--config", cfg, "collect"]) == collect_rc
+        assert run(["--config", cfg, "collect"]) == rc
         assert run(["--config", cfg, "build"]) == 0
         assert run(["--config", cfg, "refine"]) == 0
+        assert run(["--config", cfg, "monitor"]) == rc
+        for algo in FALSIFY_ALGOS:
+            assert run(["--config", cfg, "falsify", "--algo", algo]) == rc
         out = tmp_path / "out"
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}, len(forks)
 
     @pytest.mark.parametrize("name", sorted(PIPELINES))
-    def test_forked_pipeline_writes_the_serial_bytes(self, tmp_path, monkeypatch, name):
-        overrides, collect_rc = PIPELINES[name]
-        serial, no_forks = self.pipeline(tmp_path / "serial", monkeypatch, overrides, collect_rc, cpus=1)
-        forked, forks = self.pipeline(tmp_path / "forked", monkeypatch, overrides, collect_rc, cpus=3)
-        assert no_forks == 0 and forks == 2  # collect's two children; refine forks none
+    def test_forked_pipeline_writes_the_serial_bytes(self, tmp_path, monkeypatch, capsys, name):
+        overrides, rc = PIPELINES[name]
+        serial, no_forks = self.pipeline(tmp_path / "serial", monkeypatch, overrides, rc, cpus=1)
+        serial_out = capsys.readouterr().out
+        forked, forks = self.pipeline(tmp_path / "forked", monkeypatch, overrides, rc, cpus=3)
+        forked_out = capsys.readouterr().out
+        # two children each for collect, monitor and the four falsify commands (every one has
+        # at least three jobs); refine forks none
+        assert no_forks == 0 and forks == 2 * (2 + len(FALSIFY_ALGOS))
         assert list(forked) == list(serial)
         for path, data in serial.items():
             assert forked[path] == data, path
-        assert {"collect_manifest.json", "model.json", "model.tra", "model.lab"} <= {str(p) for p in serial}
+        assert untimed(forked_out.replace(str(tmp_path / "forked"), str(tmp_path / "serial"))) == untimed(serial_out)
+        names = {str(p) for p in serial}
+        assert {"collect_manifest.json", "model.json", "model.tra", "model.lab", "monitor_metrics.json",
+                *(f"falsify_{algo}.json" for algo in FALSIFY_ALGOS)} <= names
         manifest = json.loads(serial[Path("collect_manifest.json")])
-        if collect_rc:
+        runs = json.loads(serial[Path("monitor_metrics.json")])["runs"]
+        failed = [i for i, r in enumerate(runs) if "error" in r]
+        trials = {algo: json.loads(serial[Path(f"falsify_{algo}.json")])["per_trial"] for algo in FALSIFY_ALGOS}
+        failed_trials = {algo: [i for i, t in enumerate(trial) if "error" in t] for algo, trial in trials.items()}
+        if rc:
             assert len(manifest["traces"]) == 5 and len(manifest["failures"]) == 1
             assert manifest["failures"][0]["error"].startswith("cstr: state diverged at t=")
+            assert failed == [2, 3]  # in the first child's bin of runs 2-4
+            assert failed_trials == {"guided": [0], "random": [1], "opt": [2], "guided-rand": [1]}
+        else:
+            assert failed == [] and all(not f for f in failed_trials.values())
+        assert {f"monitored/monitored_{i:04d}.trace" for i in range(len(runs)) if i not in failed} == \
+            {p for p in names if p.startswith("monitored/")}
         assert len(json.loads(serial[Path("model.json")])["classifiers"]) >= 2
 
 

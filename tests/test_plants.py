@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,19 @@ class TestBlowup:
         assert np.array_equal(partial.inputs, head.inputs)
         # the last row's action was computed for the step that blew up
         assert np.array_equal(partial.actions[:-1], head.actions[:-1])
+
+    def test_blowup_survives_pickle(self):
+        # as a worker process sends it back to its parent
+        plant = make_plant("cstr")
+        sig = make_input(default_input_spec(plant, num_control_points=1, duration=30.0), [[1.25]])
+        with pytest.raises(SimulationBlowup) as info:
+            simulate(plant, default_pid(plant), sig, SimConfig(dt=0.5, horizon=30.0, control_period=0.5))
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is SimulationBlowup and str(copy) == str(info.value) == "cstr: state diverged at t=23.000"
+        assert copy.args == info.value.args
+        for field in ("states", "actions", "inputs"):
+            assert np.array_equal(getattr(copy.trace, field), getattr(info.value.trace, field))
+        assert len(copy.trace) == 46 and copy.trace.dt == 0.5
 
     def test_rk4_kernel_raises_on_non_finite_state(self):
         plant = make_plant("acc")
