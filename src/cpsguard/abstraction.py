@@ -42,11 +42,10 @@ state used when traces start in different cells. Models persist to
 JSON, and export to explicit-state ``.tra``/``.lab`` files for
 cross-checks with external probabilistic model checkers.
 
-A model is columns: the sorted state ids (`table.order`) with their
+A model is its columns: the sorted state ids (`table.order`) with their
 `label` and `support`, a `rank` dict from id to place, and one
-`TransitionTable`, which alone knows how rows group into choices. The
-`states` and `transitions` dicts are read-only views derived on first
-access, which no command needs. A model file lists the states as
+`TransitionTable`, which alone knows how rows group into choices; no
+dict view of them is kept. A model file lists the states as
 ``{"id", "label", "support"}`` entries and the transitions as
 ``[src, act, dst, p]`` rows, both sorted; `load_model` takes both in any
 order and refuses a file, naming it and the first offending entry, where
@@ -108,10 +107,6 @@ class AbstractionConfig(Record):
             object.__setattr__(self, "bounds", bounds)
 
 
-class StateInfo(Record):
-    __slots__ = ("label", "support")  # label -1 or +1; support: member count in the construction data
-
-
 class TransitionTable:
     """Every transition of a model as read-only columns, one row per transition: `src`
     and `dst` are ranks into `order` (the sorted state ids); rows are sorted by (src, act, dst).
@@ -131,26 +126,11 @@ class TransitionTable:
 
 
 class AbstractMdp:
-    """A labeled MDP whose mappings and arrays are read-only. `label` (-1 or +1) and `support`
-    hold each state's in `table.order`, and `rank` maps a state id to its place there. Built by
-    hand, it takes a `states` dict and a `transitions` dict, checked as a model file's rows are;
-    the library's builders and `load_model` make it of its columns with `_of`."""
+    """A labeled MDP as read-only columns: `table` holds every transition, `label` (-1 or +1) and
+    `support` each state's in `table.order`, and `rank` maps a state id to its place there."""
 
-    def __init__(self, pca: PcaTransform, config: AbstractionConfig, states: dict[StateId, StateInfo],
-                 initial: StateId, transitions=None, classifiers=None):
-        order = sorted(states)
-        rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
-        table = _table(order, dict(zip(order, range(len(order)))), list(zip(*rows)))
-        self._set(pca, config, initial, classifiers or {}, table,
-                  [states[sid].label for sid in order], [states[sid].support for sid in order])
-
-    @classmethod
-    def _of(cls, pca, config, initial, classifiers, table: TransitionTable, label, support) -> AbstractMdp:
-        model = cls.__new__(cls)
-        model._set(pca, config, initial, classifiers, table, label, support)
-        return model
-
-    def _set(self, pca, config, initial, classifiers, table, label, support):
+    def __init__(self, pca: PcaTransform, config: AbstractionConfig, initial: StateId, classifiers,
+                 table: TransitionTable, label, support):
         self.pca, self.config, self.initial, self.table = pca, config, initial, table
         self.classifiers: MappingProxyType[int, tuple[np.ndarray, float]] = MappingProxyType(dict(classifiers))
         for w, _ in self.classifiers.values():
@@ -159,26 +139,6 @@ class AbstractMdp:
         self.label, self.support = np.array(label, dtype=np.int64), np.array(support, dtype=np.int64)
         self.label.flags.writeable = self.support.flags.writeable = False
         self.caches: dict = {}
-        self._states = self._transitions = None
-
-    @property
-    def states(self) -> MappingProxyType:
-        """state id -> StateInfo: a read-only view of the columns, derived on first access."""
-        if self._states is None:
-            self._states = MappingProxyType({sid: StateInfo(label, support) for sid, label, support in
-                                             zip(self.table.order, self.label.tolist(), self.support.tolist())})
-        return self._states
-
-    @property
-    def transitions(self) -> MappingProxyType:
-        """(state, action) -> {successor: probability}: a read-only view of
-        the table, derived on first access."""
-        if self._transitions is None:
-            t, view = self.table, {}
-            for s, a, d, p in _rows(t):
-                view.setdefault((t.order[s], a), {})[t.order[d]] = p
-            self._transitions = MappingProxyType({key: MappingProxyType(d) for key, d in view.items()})
-        return self._transitions
 
     def num_transitions(self) -> int:
         return len(self.table.prob)
@@ -203,7 +163,7 @@ def _table(order: list[StateId], rank: dict, cols) -> TransitionTable:
     s0, s1, a0, a1 = src[:-1], src[1:], act[:-1], act[1:]
     perm = np.arange(len(src))
     if not np.all((s0 < s1) | (s0 == s1) & ((a0 < a1) | (a0 == a1) & (dst[:-1] <= dst[1:]))):
-        perm = np.lexsort((dst, act, src))  # a hand-edited file, or a dict
+        perm = np.lexsort((dst, act, src))  # a hand-edited or hand-built model
     src, act, dst = src[perm], act[perm], dst[perm]
     refuse(perm[~_new_runs(src, act, dst)], "is listed twice")
     table = TransitionTable(order, src, act, dst, p[perm])
@@ -443,7 +403,7 @@ def _assemble(codes, robs, actions, starts, pca, config, classifiers) -> Abstrac
     if len(state_codes) <= 1:
         warnings.warn("all concrete states fell into a single abstract state", stacklevel=2)
     table = _table(_sids(np.array(state_codes)), {code: r for r, code in enumerate(state_codes)}, cols)
-    return AbstractMdp._of(pca, config, initial, classifiers, table, label, support)
+    return AbstractMdp(pca, config, initial, classifiers, table, label, support)
 
 
 def build_abstraction(pairs, config: AbstractionConfig) -> AbstractMdp:
@@ -773,8 +733,8 @@ def _model_of(doc) -> AbstractMdp:
     r = rank.get(doc["initial"])
     if r is None:
         raise ValueError(f"initial state {doc['initial']} is not a listed state")
-    return AbstractMdp._of(pca, config, order[r], classifiers, _table(order, rank, cols),
-                           np.array(labels, dtype=np.int64)[perm], np.array(supports, dtype=np.int64)[perm])
+    return AbstractMdp(pca, config, order[r], classifiers, _table(order, rank, cols),
+                       np.array(labels, dtype=np.int64)[perm], np.array(supports, dtype=np.int64)[perm])
 
 
 def tra_lab_text(model: AbstractMdp) -> tuple[str, str]:

@@ -14,10 +14,10 @@ from cpsguard.abstraction import (
     AbstractionConfig,
     AbstractMdp,
     PcaTransform,
-    StateInfo,
     _cells_batch,
     _reduce_batch,
     _split,
+    _table,
     fit_pca,
     state_id_str,
 )
@@ -328,19 +328,42 @@ def simulate_oracle(plant, controller, input_signal, cfg, step_hook=None):
 # MDPs: hand construction, random generation, reachability oracles
 
 
+def model_from_dicts(pca, config, states, initial, transitions=None, classifiers=None):
+    """A model built by hand: `states` maps a state id to its (label, support), `transitions` a
+    (state, action) pair to {successor: probability}. The rows go through `_table` with a rank
+    dict, as a model file's do, so a broken row is refused with the same message."""
+    order = sorted(states)
+    rows = [(s, a, d, p) for (s, a), dests in (transitions or {}).items() for d, p in dests.items()]
+    table = _table(order, dict(zip(order, range(len(order)))), list(zip(*rows)))
+    return AbstractMdp(pca, config, initial, classifiers or {}, table,
+                       [states[sid][0] for sid in order], [states[sid][1] for sid in order])
+
+
+def states_of(model):
+    """state id -> (label, support), read back from the columns."""
+    return dict(zip(model.table.order, zip(model.label.tolist(), model.support.tolist())))
+
+
+def labels_of(model):
+    """state id -> label, read back from the columns."""
+    return dict(zip(model.table.order, model.label.tolist()))
+
+
+def transitions_of(model):
+    """(state, action) -> {successor: probability}, read back from the table."""
+    t, view = model.table, {}
+    for s, a, d, p in zip(t.src.tolist(), t.act.tolist(), t.dst.tolist(), t.prob.tolist()):
+        view.setdefault((t.order[s], a), {})[t.order[d]] = p
+    return view
+
+
 def make_mdp(n_states, transitions, labels=None, initial=0):
     labels = labels or {}
-    states = {(i, 0): StateInfo(label=labels.get(i, +1), support=1) for i in range(n_states)}
+    states = {(i, 0): (labels.get(i, +1), 1) for i in range(n_states)}
     trans = {((i, 0), act): {(j, 0): p for j, p in dests.items()}
              for (i, act), dests in transitions.items()}
-    return AbstractMdp(
-        pca=PcaTransform(mean=np.zeros(1), components=np.eye(1)),
-        config=AbstractionConfig(k=1, c=2, bounds=((0.0, 1.0),)),
-        states=states,
-        initial=(initial, 0),
-        transitions=trans,
-        classifiers={},
-    )
+    return model_from_dicts(PcaTransform(mean=np.zeros(1), components=np.eye(1)),
+                            AbstractionConfig(k=1, c=2, bounds=((0.0, 1.0),)), states, (initial, 0), trans)
 
 
 def random_mdp(rng, max_states=6, max_actions=3, self_loop=0.0):
@@ -365,12 +388,13 @@ def random_mdp(rng, max_states=6, max_actions=3, self_loop=0.0):
 
 
 def indexed_oracle(model):
-    """The checker's flat arrays built from the dict view, as the checker
-    built them before models carried a transition table: groups sorted by
-    (state, action), destinations sorted within a group."""
-    index = {sid: i for i, sid in enumerate(sorted(model.states))}
-    groups = sorted(model.transitions)
-    rows = [(g, index[d], p) for g, key in enumerate(groups) for d, p in sorted(model.transitions[key].items())]
+    """The checker's flat arrays built from the transition dicts, as the
+    checker built them before models carried a transition table: groups
+    sorted by (state, action), destinations sorted within a group."""
+    index = {sid: i for i, sid in enumerate(sorted(model.table.order))}
+    trans = transitions_of(model)
+    groups = sorted(trans)
+    rows = [(g, index[d], p) for g, key in enumerate(groups) for d, p in sorted(trans[key].items())]
     group_src = np.array([index[s] for s, _ in groups], dtype=int)
     has_choice = np.zeros(len(index), dtype=bool)
     has_choice[group_src] = True
@@ -387,27 +411,28 @@ def indexed_oracle(model):
 
 def writer_oracle(model):
     """The model file's transition rows and the `.tra` text, written from
-    the dict view as the writers did before models carried a table."""
+    the transition dicts as the writers did before models carried a table."""
+    trans = transitions_of(model)
     rows = [[state_id_str(src), act, state_id_str(dst), float(p)]
-            for (src, act) in sorted(model.transitions)
-            for dst, p in sorted(model.transitions[(src, act)].items())]
-    order = sorted(model.states)
+            for (src, act) in sorted(trans)
+            for dst, p in sorted(trans[(src, act)].items())]
+    order = sorted(model.table.order)
     index = {sid: i for i, sid in enumerate(order)}
     acts_of = {}
-    for sid, act in model.transitions:
+    for sid, act in trans:
         acts_of.setdefault(sid, []).append(act)
     tra, n_choices = [], 0
     for sid in order:
         acts = sorted(acts_of.get(sid, ()))
         n_choices += len(acts)
         for choice, act in enumerate(acts):
-            for dst, p in sorted(model.transitions[(sid, act)].items()):
+            for dst, p in sorted(trans[(sid, act)].items()):
                 tra.append(f"{index[sid]} {choice} {index[dst]} {p:.12g} a{act}")
     return rows, f"{len(order)} {n_choices} {len(tra)}\n" + "\n".join(tra) + ("\n" if tra else "")
 
 
 def model_doc_oracle(model, config_hash=None):
-    """The model file's document, built from the dict views as the writer built it
+    """The model file's document, built from the state and transition dicts as the writer built it
     before models were columns: `json.dumps(doc, sort_keys=True, indent=1)` wrote it."""
     doc = {
         "format": "cpsguard-mdp-v1",
@@ -423,8 +448,8 @@ def model_doc_oracle(model, config_hash=None):
             "components": [[float(v) for v in row] for row in model.pca.components],
         },
         "initial": state_id_str(model.initial),
-        "states": [{"id": state_id_str(sid), "label": info.label, "support": info.support}
-                   for sid, info in sorted(model.states.items())],
+        "states": [{"id": state_id_str(sid), "label": label, "support": support}
+                   for sid, (label, support) in sorted(states_of(model).items())],
         "classifiers": [{"cell": cell, "w": [float(v) for v in w], "b": float(b)}
                         for cell, (w, b) in sorted(model.classifiers.items())],
         "transitions": writer_oracle(model)[0],
@@ -436,7 +461,7 @@ def model_doc_oracle(model, config_hash=None):
 
 def oracle_bounded_reach(model, target, k, semantics):
     """Memoized top-down recursion over (state, steps-left)."""
-    trans = model.transitions
+    trans = transitions_of(model)
     actions = {}
     for (s, a) in trans:
         actions.setdefault(s, []).append(a)
@@ -454,16 +479,16 @@ def oracle_bounded_reach(model, target, k, semantics):
             memo[key] = max(vals) if semantics == "MAX" else min(vals)
         return memo[key]
 
-    return {s: rec(s, k) for s in model.states}
+    return {s: rec(s, k) for s in model.table.order}
 
 
 def oracle_scheduler_enumeration(model, target, k, semantics, start):
     """Every time-dependent memoryless scheduler, paths expanded fully."""
-    trans = model.transitions
+    trans = transitions_of(model)
     actions = {}
     for (s, a) in trans:
         actions.setdefault(s, []).append(a)
-    states = sorted(model.states)
+    states = sorted(model.table.order)
     slots = [(s, j) for j in range(k) for s in states if s in actions]
 
     def path_prob(sched, s, j):
@@ -489,15 +514,16 @@ def oracle_unbounded_until(model, hold, target, semantics):
     linear system after zeroing the states that cannot reach the target
     through hold states. Target states count 1; states outside hold or
     without a choice count 0 otherwise."""
-    states = sorted(model.states)
+    states = sorted(model.table.order)
+    trans = transitions_of(model)
     actions = {}
-    for (s, a) in model.transitions:
+    for (s, a) in trans:
         actions.setdefault(s, []).append(a)
     choosers = [s for s in states if s in actions and s in hold and s not in target]
     pick = max if semantics == "MAX" else min
     best = None
     for choice in itertools.product(*(sorted(actions[s]) for s in choosers)):
-        succ = {s: model.transitions[(s, a)] for s, a in zip(choosers, choice)}
+        succ = {s: trans[(s, a)] for s, a in zip(choosers, choice)}
         good = set(target)
         grown = True
         while grown:
@@ -608,18 +634,16 @@ def assemble_oracle(pairs, pca, config, classifiers):
             act = int(act)
             dests = counts.setdefault((sids[i], act), {})
             dests[sids[i + 1]] = dests.get(sids[i + 1], 0) + 1
-    states = {sid: StateInfo(label=-1 if min_rob[sid] < config.label_threshold else +1, support=support[sid])
-              for sid in support}
+    states = {sid: (-1 if min_rob[sid] < config.label_threshold else +1, support[sid]) for sid in support}
     transitions = {key: {dst: cnt / sum(dests.values()) for dst, cnt in dests.items()}
                    for key, dests in counts.items()}
     distinct_starts = sorted(set(start_ids))
     initial = distinct_starts[0]
     if len(distinct_starts) > 1:
         initial = INIT_STATE
-        states[INIT_STATE] = StateInfo(label=+1, support=0)
+        states[INIT_STATE] = (+1, 0)
         transitions[(INIT_STATE, 0)] = {sid: 1.0 / len(distinct_starts) for sid in distinct_starts}
-    return AbstractMdp(pca=pca, config=config, states=states, initial=initial,
-                       transitions=transitions, classifiers=dict(classifiers))
+    return model_from_dicts(pca, config, states, initial, transitions, dict(classifiers))
 
 
 def grid_bounds_oracle(R):

@@ -8,6 +8,7 @@ from oracles import (
     build_oracle,
     grid_bounds_oracle,
     indexed_oracle,
+    labels_of,
     make_mdp,
     model_doc_oracle,
     new_runs_oracle,
@@ -16,9 +17,11 @@ from oracles import (
     separable_cell_pairs,
     slow_chain,
     state_ids_oracle,
+    states_of,
     svm_active_set_solution,
     svm_brute_force,
     svm_objective,
+    transitions_of,
     writer_oracle,
 )
 
@@ -186,13 +189,13 @@ class TestBuild:
     def test_single_transition_probability_one(self):
         trace = trace_1d([0.0, 5.0])
         model = build_abstraction([(trace, np.ones(2))], AbstractionConfig(k=1, c=2))
-        (key, dests), = model.transitions.items()
+        (key, dests), = transitions_of(model).items()
         assert list(dests.values()) == [1.0]
 
     def test_count_ratio_two_thirds(self):
         model, a, b, c = two_thirds_setup()
         assert a is not None and b is not None and c is not None and b != c
-        dests = model.transitions[(a, 0)]
+        dests = transitions_of(model)[(a, 0)]
         assert dests[b] == 2 / 3
         assert dests[c] == 1 / 3
 
@@ -202,9 +205,9 @@ class TestBuild:
         robs = np.array([0.5, -0.1, 1.0])
         model = build_abstraction([(trace, robs)], AbstractionConfig(k=1, c=2))
         sid = abstract_state_of(model, np.array([0.1]))
-        assert model.states[sid].label == -1
+        assert model.label[model.rank[sid]] == -1
         far = abstract_state_of(model, np.array([5.0]))
-        assert model.states[far].label == +1
+        assert model.label[model.rank[far]] == +1
 
     def test_probabilities_normalize(self):
         rng = np.random.default_rng(5)
@@ -216,7 +219,7 @@ class TestBuild:
                        actions=rng.uniform(-3, 3, size=n), inputs=np.zeros((n, 1)))
             pairs.append((tr, rng.normal(size=n)))
         model = build_abstraction(pairs, AbstractionConfig(k=2, c=5))
-        for (_, _), dests in model.transitions.items():
+        for dests in transitions_of(model).values():
             assert abs(sum(dests.values()) - 1.0) <= 1e-9
 
     def test_construction_states_all_map(self):
@@ -241,7 +244,7 @@ class TestBuild:
         t2 = trace_1d([10.0, 0.0])
         model = build_abstraction([(t1, np.ones(2)), (t2, np.ones(2))], AbstractionConfig(k=1, c=2))
         assert model.initial == INIT_STATE
-        dests = model.transitions[(INIT_STATE, 0)]
+        dests = transitions_of(model)[(INIT_STATE, 0)]
         assert len(dests) == 2
         assert all(p == 0.5 for p in dests.values())
 
@@ -269,7 +272,7 @@ class TestBuild:
     def test_int64_extremes_kept(self):
         trace = trace_1d([0.0, 1.0, 2.0, 3.0], actions=[-2.0**63, 2.0**62, -2.5, 0.0])
         model = build_abstraction([(trace, np.ones(4))], AbstractionConfig(k=1, c=2))
-        assert {act for _, act in model.transitions} == {-2**63, 2**62, -2}
+        assert set(model.table.act.tolist()) == {-2**63, 2**62, -2}
 
 
 def separable_cell_pairs_2d(n_cluster=60, rng=None):
@@ -291,7 +294,7 @@ class TestRefine:
         model = build_abstraction(pairs, AbstractionConfig(k=1, c=2))
         refined = refine(model, pairs)
         assert refined.classifiers == {}
-        assert set(refined.states) == set(model.states)
+        assert refined.table.order == model.table.order
 
     def test_single_member_cell_not_split(self):
         trace = trace_1d([0.1, 5.0])
@@ -312,13 +315,13 @@ class TestRefine:
         model = build_abstraction(pairs, AbstractionConfig(k=1, c=2))
         refined = refine(model, pairs)
         assert len(refined.classifiers) == 1
-        assert len(refined.states) == len(model.states) + 1
+        assert len(refined.table.order) == len(model.table.order) + 1
         # training purity: every member routes to a side matching its sign
         trace, robs = pairs[0]
         for row, rob in zip(trace.states, robs):
             sid = abstract_state_of(refined, row)
             assert sid is not None
-            assert refined.states[sid].label == (1 if rob >= 0 else -1)
+            assert refined.label[refined.rank[sid]] == (1 if rob >= 0 else -1)
 
     def test_2d_mixed_cells_split_pure(self):
         pairs = separable_cell_pairs_2d()
@@ -328,7 +331,7 @@ class TestRefine:
         trace, robs = pairs[0]
         for row, rob in zip(trace.states, robs):
             sid = abstract_state_of(refined, row)
-            assert refined.states[sid].label == (1 if rob >= 0 else -1)
+            assert refined.label[refined.rank[sid]] == (1 if rob >= 0 else -1)
 
     def test_split_classes_follow_the_label_threshold(self):
         # every member is positive, but the clusters fall on both sides of the label threshold 0.5
@@ -339,7 +342,7 @@ class TestRefine:
         refined = refine(model, pairs)
         assert len(refined.classifiers) == 1
         for row, rob in zip(trace.states, pairs[0][1]):
-            assert refined.states[abstract_state_of(refined, row)].label == (1 if rob >= 0.5 else -1)
+            assert refined.label[refined.rank[abstract_state_of(refined, row)]] == (1 if rob >= 0.5 else -1)
         assert_same_model(refined, refine_oracle(model, pairs))
 
     def test_refinement_never_decreases_states(self):
@@ -348,8 +351,8 @@ class TestRefine:
         pairs = [(tr, rng.normal(size=80))]
         model = build_abstraction(pairs, AbstractionConfig(k=2, c=3))
         refined = refine(model, pairs)
-        assert len(refined.states) >= len(model.states)
-        for dests in refined.transitions.values():
+        assert len(refined.table.order) >= len(model.table.order)
+        for dests in transitions_of(refined).values():
             assert abs(sum(dests.values()) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan, np.nan], [0.5, np.nan, 0.5], [0.5, 0.5, np.inf]])
@@ -418,8 +421,8 @@ def closed_loop(request):
 
 
 def assert_same_model(model, expected):
-    assert model.states == expected.states
-    assert model.transitions == expected.transitions
+    assert states_of(model) == states_of(expected)
+    assert transitions_of(model) == transitions_of(expected)
     assert model.initial == expected.initial
     assert model.classifiers.keys() == expected.classifiers.keys()
     for cell, (w, b) in model.classifiers.items():
@@ -530,13 +533,13 @@ class TestAbstractionOracles:
         robs = np.array([np.nan, -1.0, 1.0, np.nan, -1.0, 1.0, 1.0])
         model = build_abstraction([(trace, robs)], AbstractionConfig(k=1, c=3))
         assert_same_model(model, build_oracle([(trace, robs)], AbstractionConfig(k=1, c=3)))
-        assert [model.states[abstract_state_of(model, np.array([v]))].label for v in (0.1, 5.0)] == [1, -1]
+        assert [labels_of(model)[abstract_state_of(model, np.array([v]))] for v in (0.1, 5.0)] == [1, -1]
 
     def test_single_row_traces_match(self):
         pairs = [(trace_1d([v]), np.array([r])) for v, r in ((0.1, 1.0), (5.0, -1.0), (0.2, 0.5))]
         model = build_abstraction(pairs, AbstractionConfig(k=1, c=2))
         assert_same_model(model, build_oracle(pairs, AbstractionConfig(k=1, c=2)))
-        assert list(model.transitions) == [(INIT_STATE, 0)]
+        assert list(transitions_of(model)) == [(INIT_STATE, 0)]
 
     def test_build_and_refine_match(self, closed_loop):
         pairs, more, cfg = closed_loop
@@ -584,7 +587,7 @@ class TestAbstractionOracles:
                 scalar = abstract_state_of(model, row)
                 if scalar is None:
                     unknown += 1
-                    assert sid not in model.states
+                    assert sid not in model.rank
                 else:
                     assert scalar == sid
         assert unknown  # the stretched trace leaves the grid
@@ -703,7 +706,7 @@ class TestSerialization:
         (tmp_path / "m.lab").write_text(lab)
         tra_lines = (tmp_path / "m.tra").read_text().splitlines()
         n_states, n_choices, n_trans = (int(x) for x in tra_lines[0].split())
-        assert n_states == len(model.states)
+        assert n_states == len(model.table.order)
         assert n_trans == len(tra_lines) - 1
         rows = [line.split() for line in tra_lines[1:]]
         keys = [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
@@ -712,7 +715,7 @@ class TestSerialization:
             float(r[3])  # probability column parses
         lab_lines = (tmp_path / "m.lab").read_text().splitlines()
         assert lab_lines[0] == '0="init" 1="rob=-1" 2="rob=+1"'
-        assert len(lab_lines) == 1 + len(model.states)
+        assert len(lab_lines) == 1 + len(model.table.order)
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +766,8 @@ class TestTransitionTable:
             oracle = indexed_oracle(model)
             assert np.array_equal(np.flatnonzero(oracle.pop("has_choice")), np.unique(model.table.choice_src))
             assert_same_arrays(indexed_arrays(model), oracle)
-            assert loaded.transitions == model.transitions
-            assert loaded.num_transitions() == sum(len(d) for d in model.transitions.values())
+            assert transitions_of(loaded) == transitions_of(model)
+            assert loaded.num_transitions() == sum(len(d) for d in transitions_of(model).values())
 
     def test_roundtrip_gives_bit_identical_verdicts(self, tmp_path):
         path = tmp_path / "m.json"
@@ -800,66 +803,35 @@ class TestTransitionTable:
             assert loaded.table.order == model.table.order
             assert model_to_json(loaded) == model_to_json(model)
 
-    def test_checking_leaves_the_dict_view_unbuilt(self, tmp_path):
+    def test_a_model_is_its_columns(self, tmp_path):
         (tmp_path / "m.json").write_text(model_to_json(slow_chain(30, self_loops=True)))
         model = load_model(tmp_path / "m.json")
         for text in QUERIES:
             for semantics in ("MAX", "MIN"):
                 check_all(model, parse_pctl(text), semantics)
         reach_prob(model, {(30, 0)}, k=5)
-        model_to_json(model)
-        tra_lab_text(model)
-        assert model._transitions is None
-        view = model.transitions
-        assert view[((1, 0), 0)] == {(0, 0): 0.5, (2, 0): 0.5}
-        with pytest.raises(TypeError):
-            view[((1, 0), 0)][(0, 0)] = 1.0
-        with pytest.raises(TypeError):
-            view[((0, 0), 0)] = {}
-        with pytest.raises(AttributeError):
-            model.transitions = {}
-        with pytest.raises(ValueError, match="read-only"):
-            model.table.prob[0] = 0.25
-
-    def test_loading_and_checking_leave_the_states_view_unbuilt(self, tmp_path):
-        pairs = separable_cell_pairs()
-        model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
-        (tmp_path / "m.json").write_text(model_to_json(model))
-        model = load_model(tmp_path / "m.json")
-        for text in QUERIES:
-            check_all(model, parse_pctl(text))
-        known = [abstract_state_of(model, row) for row in pairs[0][0].states]
-        assert None not in known
-        model_to_json(model)
-        tra_lab_text(model)
-        assert model._states is None
-        view = model.states
-        assert list(view) == model.table.order
-        assert [info.label for info in view.values()] == model.label.tolist()
-        assert [info.support for info in view.values()] == model.support.tolist()
-        assert model.states is view
-        with pytest.raises(TypeError):
-            view[known[0]] = view[known[0]]
-        with pytest.raises(AttributeError):
-            model.states = {}
-        with pytest.raises(ValueError, match="read-only"):
-            model.support[0] = 0
+        assert not hasattr(model, "states") and not hasattr(model, "transitions")
+        assert transitions_of(model)[((1, 0), 0)] == {(0, 0): 0.5, (2, 0): 0.5}
+        assert transitions_of(model)[((1, 0), 1)] == {(1, 0): 1.0}
+        assert states_of(model)[(30, 0)] == (-1, 1) and states_of(model)[(0, 0)] == (1, 1)
+        assert list(states_of(model)) == model.table.order == sorted(model.rank)
 
     def test_a_model_is_read_only(self, tmp_path):
         pairs = separable_cell_pairs()
         model = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
         (tmp_path / "m.json").write_text(model_to_json(model))
         for model in (model, load_model(tmp_path / "m.json")):
-            sid, cell = next(iter(model.states)), next(iter(model.classifiers))
+            sid, cell = model.table.order[0], next(iter(model.classifiers))
             with pytest.raises(TypeError):
-                model.states[sid] = model.states[sid]
+                model.rank[sid] = 0
             with pytest.raises(TypeError):
                 model.classifiers[cell + 1] = model.classifiers[cell]
-            for array in (model.classifiers[cell][0], model.label, model.pca.mean, model.pca.components,
-                          model.table.choice, model.table.choice_src, model.table.first_choice):
+            for array in (model.classifiers[cell][0], model.label, model.support, model.pca.mean,
+                          model.pca.components, model.table.prob, model.table.choice, model.table.choice_src,
+                          model.table.first_choice):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[0]
-            assert model.label.tolist() == [model.states[sid].label for sid in model.table.order]
+            assert [model.rank[sid] for sid in model.table.order] == list(range(len(model.table.order)))
 
     @pytest.mark.parametrize("defect,message", [
         (lambda doc: doc["transitions"][0].__setitem__(3, float("nan")),

@@ -5,17 +5,20 @@ from fixed seeds, so every number here is reproducible.
 """
 
 import json
+import os
 import statistics
 import time
 
 import numpy as np
 import pytest
 from oracles import (
+    labels_of,
     oracle_bounded_reach,
     random_mdp,
     random_stl_case,
     rob_oracle,
     separable_cell_pairs,
+    transitions_of,
 )
 
 from cpsguard import cli, pmc, stl
@@ -75,13 +78,16 @@ def clone_controller(plant, spec, simcfg, teacher_plant=None, seed=1000):
 
 
 def collect_pairs(plant, controller, spec, simcfg, n, seed, labeling):
+    """n closed-loop traces with their labeling robustness: the input signals drawn in turn from
+    one seeded stream, then each simulated and labeled on every usable CPU by `cli._run_jobs`."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(n):
-        sig = random_signal(spec, rng)
+    sigs = [random_signal(spec, rng) for _ in range(n)]
+
+    def one(sig):
         tr = simulate(plant, controller, sig, simcfg)
-        pairs.append((tr, stl.labeling_robustness(tr, labeling)))
-    return pairs
+        return tr, stl.labeling_robustness(tr, labeling)
+
+    return cli._run_jobs(one, sigs, simcfg.n_steps)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +134,27 @@ def unsafe_model(unsafe_pairs):
     return model
 
 
+def test_forked_collect_pairs_equal_the_serial_loop(acc_world, unsafe_controller, monkeypatch):
+    w = acc_world
+    rng = np.random.default_rng(2000)
+    serial = []
+    for _ in range(5):  # signal, trace, robustness in turn, as one process would
+        tr = simulate(w["plant"], unsafe_controller, random_signal(w["spec"], rng), w["simcfg"])
+        serial.append((tr, stl.labeling_robustness(tr, w["phi1"])))
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(cli, "_FORK_MIN_COST", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli, "_cgroup_cpu_quota", lambda: None)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forked = collect_pairs(w["plant"], unsafe_controller, w["spec"], w["simcfg"], 5, seed=2000, labeling=w["phi1"])
+    assert len(forks) == 2 and len(forked) == len(serial)
+    for (got, got_robs), (want, want_robs) in zip(forked, serial):
+        assert (got.dt, got.channels) == (want.dt, want.channels)
+        for column in ("states", "actions", "inputs"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert np.array_equal(got_robs, want_robs)
+
+
 @pytest.fixture(scope="module")
 def falsify_target(acc_world):
     # cloned from a wider-headway teacher, lightly corrupted: violations
@@ -152,12 +179,12 @@ class TestCriterion1:
         worst = 0.0
         for _ in range(200):
             model = random_mdp(rng, max_states=6, max_actions=3)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             k = int(rng.integers(0, 6))
             for semantics in ("MAX", "MIN"):
                 got = pmc.reach_prob(model, target, k=k, semantics=semantics).probs
                 want = oracle_bounded_reach(model, target, k, semantics)
-                for sid in model.states:
+                for sid in model.table.order:
                     worst = max(worst, abs(got[sid] - want[sid]))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-9 and elapsed < 60.0
@@ -190,13 +217,13 @@ class TestCriterion3:
 
         model = unsafe_model
         # probability normalization
-        worst = max(abs(sum(d.values()) - 1.0) for d in model.transitions.values())
+        worst = max(abs(sum(d.values()) - 1.0) for d in transitions_of(model).values())
         # state-map totality on the whole construction set
         unmapped = 0
         for trace, _ in unsafe_pairs:
             reduced = _reduce_batch(model.pca, trace.states)
             for sid in _state_ids(model.config, model.classifiers, reduced):
-                if sid not in model.states:
+                if sid not in model.rank:
                     unmapped += 1
         # deterministic rebuild on a subset, bit-identical serialization
         subset = unsafe_pairs[:300]
@@ -214,7 +241,7 @@ class TestCriterion3:
         a = abstract_state_of(synth, np.array([0.1]))
         b = abstract_state_of(synth, np.array([1.1]))
         c = abstract_state_of(synth, np.array([2.1]))
-        ratios = synth.transitions[(a, 0)]
+        ratios = transitions_of(synth)[(a, 0)]
         ratio_ok = abs(ratios[b] - 2 / 3) < 1e-15 and abs(ratios[c] - 1 / 3) < 1e-15
         ok = worst <= 1e-9 and unmapped == 0 and identical and ortho <= 1e-8 and ratio_ok
         report(3, "abstraction-soundness", ok,
@@ -237,7 +264,7 @@ class TestCriterion4:
         trace, robs = pairs[0]
         for row, rob in zip(trace.states, robs):
             sid = abstract_state_of(refined, row)
-            if refined.states[sid].label != (1 if rob >= 0 else -1):
+            if refined.label[refined.rank[sid]] != (1 if rob >= 0 else -1):
                 pure = False
         blocked = refine(model, pairs, AbstractionConfig(k=1, c=2, variance_threshold=1e9))
         never_split = blocked.classifiers == {}
@@ -352,7 +379,7 @@ class TestCriterion8:
         assert cli.main(["--config", str(tmp_path / "config.json"), "monitor"]) == 0
         stdout = capsys.readouterr().out
         ratio = float(stdout.split("overhead_ratio=")[1].split("%")[0]) / 100.0
-        n_states = len(unsafe_model.states)
+        n_states = len(unsafe_model.table.order)
         ok = median_latency < 0.050 and ratio < 0.10 and n_states <= 2000
         report(8, "overhead-shape", ok,
                f"median query latency {median_latency * 1e3:.2f} ms on {n_states} states, "

@@ -465,9 +465,8 @@ class TestBuild:
         run(["--config", cfg, "collect", "--num", "1"])
         assert run(["--config", cfg, "build"]) == 0
         model = abstraction.load_model(tmp_path / "out" / "model.json")
-        assert len(model.states) >= 1
-        for dests in model.transitions.values():
-            assert abs(sum(dests.values()) - 1.0) <= 1e-9
+        assert len(model.table.order) >= 1
+        assert np.all(np.abs(np.bincount(model.table.choice, weights=model.table.prob) - 1.0) <= 1e-9)
         assert (tmp_path / "out" / "model.tra").exists()
         assert (tmp_path / "out" / "model.lab").exists()
 
@@ -496,7 +495,7 @@ class TestBuild:
             reduced = model.pca.components @ (first - model.pca.mean)
         expected = len(occupied)
         n_synthetic = 1 if model.initial == abstraction.INIT_STATE else 0
-        assert len(model.states) == expected + n_synthetic
+        assert len(model.table.order) == expected + n_synthetic
 
     def test_refine_with_infinite_threshold_is_identity(self, tmp_path):
         cfg = write_config(tmp_path, abstraction={"variance_threshold": 1e18})
@@ -609,7 +608,7 @@ class TestCheck:
 
     def test_unsafe_state_probability_one(self, tmp_path, capsys):
         cfg, model = self.build_model(tmp_path)
-        bad = [sid for sid, info in model.states.items() if info.label == -1]
+        bad = [sid for sid, label in zip(model.table.order, model.label.tolist()) if label == -1]
         assert bad, "expected at least one unsafe-labeled state in the test model"
         sid = abstraction.state_id_str(bad[0])
         assert run(["--config", cfg, "check", "--state", sid]) == 0
@@ -636,8 +635,8 @@ class TestCheck:
 
         cfg, model = self.build_model(tmp_path)
         query = pmc.parse_pctl('P>0.8 [ F<=10 "rob=-1" ]')
-        safe_states = [s for s, info in model.states.items()
-                       if info.label == +1 and not pmc.check(model, s, query).holds]
+        safe_states = [s for s, label in zip(model.table.order, model.label.tolist())
+                       if label == +1 and not pmc.check(model, s, query).holds]
         if not safe_states:
             pytest.skip("no safe state in this model")
         sid = abstraction.state_id_str(safe_states[0])
@@ -671,12 +670,14 @@ class TestCheck:
         lambda width: json.dumps([1.0, 2.0] + [0.0] * width),
         lambda width: json.dumps([True] * width),
         lambda width: "[1, 2",
+        lambda width: b"[1.0, \xff]",  # not UTF-8
     ])
     def test_bad_state_file_exits_2_naming_it(self, tmp_path, capsys, text):
         cfg, model = self.build_model(tmp_path)
         width = len(model.pca.mean)
         vec = tmp_path / "state.json"
-        vec.write_text(text(width))
+        data = text(width)
+        vec.write_bytes(data if isinstance(data, bytes) else data.encode())
         capsys.readouterr()
         assert run(["--config", cfg, "check", "--state-file", vec]) == 2
         assert capsys.readouterr().err == f"error: {vec}: expected a JSON list of {width} finite numbers\n"
@@ -720,8 +721,8 @@ class TestModelValidation:
         assert f"error: {path}:" in capsys.readouterr().err
 
 
-class TestTransitionView:
-    def test_check_monitor_and_guided_falsify_never_build_the_dict_view(self, tmp_path, monkeypatch):
+class TestReversedRows:
+    def test_check_monitor_guided_falsify_and_report_read_reversed_rows(self, tmp_path):
         cfg, _ = TestCheck().build_model(tmp_path)
         path = tmp_path / "out" / "model.json"
         doc = json.loads(path.read_text())
@@ -729,12 +730,6 @@ class TestTransitionView:
         doc["states"].reverse()
         (tmp_path / "rev").mkdir()
         (tmp_path / "rev" / "model.json").write_text(json.dumps(doc))
-
-        def refuse(model):
-            raise AssertionError("a dict view of the model was built")
-
-        monkeypatch.setattr(abstraction.AbstractMdp, "transitions", property(refuse))
-        monkeypatch.setattr(abstraction.AbstractMdp, "states", property(refuse))
         for out in ("out", "rev"):
             for query in ('P>0.8 [ F<=10 "rob=-1" ]', 'P>0.5 [ "rob=+1" U "rob=-1" ]', 'P>0.5 [ G "rob=+1" ]'):
                 for sem in ("MAX", "MIN"):
@@ -775,6 +770,22 @@ class TestMonitorCmd:
             assert row["safety_frac"] == pytest.approx(s)
             assert row["perf_frac"] == pytest.approx(p)
         assert "overhead_ratio" in capsys.readouterr().out
+
+    def test_the_verdicts_are_solved_before_the_runs_fork(self, tmp_path, forks, monkeypatch):
+        cfg = write_config(tmp_path)
+        run(["--config", cfg, "collect"])
+        run(["--config", cfg, "build"])
+        warm, run_jobs = [], cli._run_jobs
+
+        def spy(fn, jobs, cost):
+            config, model = fn.args[0], fn.args[3]  # the arguments `cmd_monitor` binds to `_monitor_one`
+            warm.append(("verdicts", config.monitor_config.query, "MAX") in model.caches)
+            return run_jobs(fn, jobs, cost)
+
+        monkeypatch.setattr(cli, "_run_jobs", spy)
+        calls = forks(2)
+        assert run(["--config", cfg, "monitor", "--runs", "2"]) == 0
+        assert warm == [True] and len(calls) == 1
 
     def test_monitored_outputs_have_no_wall_times(self, tmp_path):
         cfg = write_config(tmp_path)

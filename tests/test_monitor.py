@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import model_from_dicts
 
 from cpsguard import pmc
 from cpsguard.abstraction import AbstractionConfig, build_abstraction
@@ -88,10 +89,7 @@ class TestRunMonitored:
         plant, cfg, sig, ai = tank_setup()
         trace = simulate(plant, ai, sig, cfg)
         model = model_from_trace(trace, rob_value=1.0)
-        empty = type(model)(
-            pca=model.pca, config=model.config, states={}, initial=model.initial,
-            transitions={}, classifiers={},
-        )
+        empty = model_from_dicts(model.pca, model.config, {}, model.initial)
         mcfg = MonitorConfig(QUERY, period=5.0, unknown_policy="SAFE")
         mt = run_monitored(plant, ai, default_pid(plant), empty, mcfg, sig, cfg)
         assert np.all(mt.controller_tags == SAFE_TAG)

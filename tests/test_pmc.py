@@ -18,6 +18,7 @@ import pickle
 import numpy as np
 import pytest
 from oracles import (
+    labels_of,
     make_mdp,
     oracle_bounded_reach,
     oracle_scheduler_enumeration,
@@ -229,12 +230,12 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(77)
         for _ in range(60):
             model = random_mdp(rng)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             k = int(rng.integers(0, 6))
             for semantics in ("MAX", "MIN"):
                 got = reach_prob(model, target, k=k, semantics=semantics).probs
                 want = oracle_bounded_reach(model, target, k, semantics)
-                for sid in model.states:
+                for sid in model.table.order:
                     assert got[sid] == pytest.approx(want[sid], abs=1e-9)
 
     def test_matches_full_scheduler_enumeration_on_tiny_models(self):
@@ -242,7 +243,7 @@ class TestOracleEquivalence:
         done = 0
         while done < 12:
             model = random_mdp(rng, max_states=3, max_actions=2)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             if not target:
                 continue
             k = 3
@@ -256,17 +257,17 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(79)
         for _ in range(30):
             model = random_mdp(rng)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             prev = None
             for k in range(0, 6):
                 cur = reach_prob(model, target, k=k).probs
                 if prev is not None:
-                    for sid in model.states:
+                    for sid in model.table.order:
                         assert cur[sid] >= prev[sid] - 1e-12
                 prev = cur
             pmax = reach_prob(model, target, k=4, semantics="MAX").probs
             pmin = reach_prob(model, target, k=4, semantics="MIN").probs
-            for sid in model.states:
+            for sid in model.table.order:
                 assert pmax[sid] >= pmin[sid] - 1e-12
                 assert -1e-12 <= pmax[sid] <= 1.0 + 1e-12
 
@@ -282,7 +283,7 @@ class TestBoundedFixpoint:
         rng = np.random.default_rng(81)
         for _ in range(40):
             model = random_mdp(rng)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             for semantics in ("MAX", "MIN"):
                 calls.clear()
                 far = reach_prob(model, target, k=100000, semantics=semantics).probs
@@ -291,20 +292,20 @@ class TestBoundedFixpoint:
                 near = reach_prob(model, target, k=1000, semantics=semantics).probs
                 assert far == near
                 assert far_sweeps == len(calls) < 1000
-                want = oracle_unbounded_until(model, set(model.states), target, semantics)
-                for sid in model.states:
+                want = oracle_unbounded_until(model, set(model.rank), target, semantics)
+                for sid in model.table.order:
                     assert far[sid] == pytest.approx(want[sid], abs=1e-12)
 
     def test_early_stop_keeps_short_horizons_exact(self):
         rng = np.random.default_rng(82)
         for _ in range(40):
             model = random_mdp(rng)
-            target = {sid for sid in model.states if model.states[sid].label == -1}
+            target = {sid for sid, label in labels_of(model).items() if label == -1}
             for k in range(8):
                 for semantics in ("MAX", "MIN"):
                     got = reach_prob(model, target, k=k, semantics=semantics).probs
                     want = oracle_bounded_reach(model, target, k, semantics)
-                    for sid in model.states:
+                    for sid in model.table.order:
                         assert got[sid] == pytest.approx(want[sid], abs=1e-12)
 
     def test_a_chain_runs_every_sweep_until_it_settles(self, monkeypatch):
@@ -333,7 +334,7 @@ class TestUnboundedOracle:
 
     def test_until_with_hold_masks(self):
         for rng, model in self.models(90, 800):
-            order = sorted(model.states)
+            order = model.table.order
             hold = rng.random(len(order)) < 0.8
             target = rng.random(len(order)) < 0.3
             for semantics in ("MAX", "MIN"):
@@ -345,16 +346,16 @@ class TestUnboundedOracle:
 
     def test_f_g_u_queries(self):
         queries = {
-            'P>0.5 [ F "rob=-1" ]': lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.states), unsafe, sem),
+            'P>0.5 [ F "rob=-1" ]': lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.rank), unsafe, sem),
             'P>0.5 [ "rob=+1" U "rob=-1" ]':
-                lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.states) - unsafe, unsafe, sem),
+                lambda m, unsafe, sem: oracle_unbounded_until(m, set(m.rank) - unsafe, unsafe, sem),
             # per scheduler P(G safe) = 1 - P(F unsafe), so the extremes swap
             'P>0.5 [ G "rob=+1" ]': lambda m, unsafe, sem: {
                 s: 1.0 - p for s, p in oracle_unbounded_until(
-                    m, set(m.states), unsafe, "MIN" if sem == "MAX" else "MAX").items()},
+                    m, set(m.rank), unsafe, "MIN" if sem == "MAX" else "MAX").items()},
         }
         for _, model in self.models(91, 200):
-            unsafe = {sid for sid, info in model.states.items() if info.label == -1}
+            unsafe = {sid for sid, label in labels_of(model).items() if label == -1}
             for text, oracle in queries.items():
                 for semantics in ("MAX", "MIN"):
                     verdicts = check_all(model, parse_pctl(text), semantics)
@@ -368,9 +369,9 @@ class TestUnboundedOracle:
         inner P's holding set as its target."""
         inners = ('P>0.3 [ X "rob=-1" ]', 'P>=0.5 [ F<=2 "rob=-1" ]', 'P<0.6 [ F "rob=-1" ]')
         outers = {
-            "P>=0.5 [ F ({}) ]": lambda m, target, sem: oracle_unbounded_until(m, set(m.states), target, sem),
+            "P>=0.5 [ F ({}) ]": lambda m, target, sem: oracle_unbounded_until(m, set(m.rank), target, sem),
             'P>0.4 [ "rob=+1" U ({}) ]': lambda m, target, sem: oracle_unbounded_until(
-                m, {sid for sid, info in m.states.items() if info.label == +1}, target, sem),
+                m, {sid for sid, label in labels_of(m).items() if label == +1}, target, sem),
             "P>=0.2 [ F<=3 ({}) ]": lambda m, target, sem: oracle_bounded_reach(m, target, 3, sem),
         }
         for _, model in self.models(92, 300):
@@ -474,7 +475,7 @@ class TestCheck:
         model = make_mdp(3, {(0, 0): {1: 1.0}, (1, 0): {2: 1.0}}, labels={2: -1})
         f = parse_pctl('P>0.5 [ F<=2 "rob=-1" ]')
         first = check_all(model, f)
-        assert set(first) == set(model.states)
+        assert set(first) == set(model.rank)
         assert check_all(model, f) is first  # memoized on the model
 
     def test_check_equals_check_all_without_building_every_verdict(self):
@@ -485,10 +486,10 @@ class TestCheck:
             for text in texts:
                 for semantics in ("MAX", "MIN"):
                     formula = parse_pctl(text)
-                    verdicts = [check(model, sid, formula, semantics) for sid in model.states]
+                    verdicts = [check(model, sid, formula, semantics) for sid in model.table.order]
                     assert ("verdicts", formula, semantics) not in model.caches
                     everyone = check_all(model, formula, semantics)
-                    assert verdicts == [everyone[sid] for sid in model.states]
+                    assert verdicts == [everyone[sid] for sid in model.table.order]
 
     def test_non_prob_formula_has_no_probability(self):
         model = make_mdp(2, {(0, 0): {1: 1.0}}, labels={0: -1})
