@@ -4,7 +4,7 @@ and a clamped PID with anti-windup.
 Nets use tanh hidden layers and an affine scalar output clamped to the
 plant's control range. Both kinds of controller are immutable records,
 safe to share across runs. A run acts through a policy bound from the
-controller: `mlp_policy` binds a net's layers once, and `pid_policy`
+controller: `mlp_policy` binds each layer's matrix product once, and `pid_policy`
 returns a closure that holds one run's PID state (integral, previous
 error), so each binding starts fresh.
 
@@ -49,19 +49,21 @@ class MlpNet(Record):
 
 def mlp_policy(net: MlpNet):
     """The net's deterministic forward pass with its layers bound once:
-    obs -> action, clamped to the control range."""
-    hidden = tuple(zip(net.weights[:-1], net.biases[:-1]))
-    w_out, b_out, lo, hi = net.weights[-1], float(net.biases[-1][0]), net.out_lo, net.out_hi
+    obs -> action, clamped to the control range. Each layer multiplies
+    through its weight matrix's bound `ndarray.dot`, the routine `np.dot`
+    forwards to, so the bits are np.dot's without its dispatch."""
+    hidden = tuple((w.dot, b) for w, b in zip(net.weights[:-1], net.biases[:-1]))
+    out_dot, b_out, lo, hi = net.weights[-1].dot, float(net.biases[-1][0]), net.out_lo, net.out_hi
     shape = (net.weights[0].shape[1],)
-    dot, tanh, asarray = np.dot, np.tanh, np.asarray
+    tanh, asarray = np.tanh, np.asarray
 
     def act(obs) -> float:
         h = asarray(obs, dtype=float)
         if h.shape != shape:
             raise ValueError(f"observation has shape {h.shape}, net expects {shape}")
-        for w, b in hidden:
-            h = tanh(dot(w, h) + b)
-        out = float(dot(w_out, h)[0]) + b_out
+        for dot, b in hidden:
+            h = tanh(dot(h) + b)
+        out = float(out_dot(h)[0]) + b_out
         return lo if out < lo else hi if out > hi else out
     return act
 

@@ -44,11 +44,16 @@ tuples of Python floats, with the same float operations, in the same
 order, as numpy on arrays. Its kernel factory `step(p, dt)` reads the
 params once per run and returns the step (s, u, e) -> next state: the
 control and exogenous input clamped once, classical RK4, then the
-projection. `simulate` binds it once per run, and `policy` binds a
-controller to a fresh run; `observe` gives a controller's observation as
-an array. Controllers are immutable, so simulations are pure functions
-of (plant, controller, input, cfg): identical inputs give bit-identical
-traces, and one controller can drive any number of runs at once.
+projection; a non-finite stage state or result raises FloatingPointError.
+Its row factory `row(p, times)` reads the params, and the CSTR's
+reference ramp at each time of the run's grid, once per run and returns
+(s, e, i) -> the channel values recorded at step i; the observation is
+read off that row. `simulate` binds both once per run, and `policy`
+binds a controller to a fresh run; `observe` gives a controller's
+observation as an array. Controllers are immutable, so simulations are
+pure functions of (plant, controller, input, cfg): identical inputs give
+bit-identical traces, and one controller can drive any number of runs at
+once.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .stl import Record
 
 class _PlantDef(Record):
     """One plant: names, defaults and float kernels. A kernel reads p (params), s (state, a
-    tuple of floats), u (control), e (exogenous values) and t (time)."""
+    tuple of floats), u (control), e (exogenous values) and i (step index)."""
 
     __slots__ = (
         "state_names",  # integration state vector
@@ -76,16 +81,16 @@ class _PlantDef(Record):
         "sim",  # default dt, horizon, control_period
         "pid",  # default kp, ki, kd, integral_limit
         "step",  # (p, dt) -> (s, u, e) -> next s, projected
-        "row",  # (p, s, e, t) -> recorded channel values
-        "observe",  # (p, s, e, t) -> controller observation
+        "row",  # (p, times) -> (s, e, i) -> recorded channel values at step i, time times[i]
+        "observe",  # recorded channel values -> controller observation
         "error",  # (p, observation) -> PID error
     )
 
 
 def _acc_step(p, dt):
     """RK4, s + dt/6*(k1 + 2*k2 + 2*k3 + k4), over the derivative f; the inputs are clamped
-    before it, as the clamp does not depend on the stage state. A non-finite stage state
-    raises FloatingPointError (in every plant)."""
+    before it, as the clamp does not depend on the stage state. A non-finite stage state or
+    projected result raises FloatingPointError (in every plant)."""
     e_lo, e_hi, u_lo, u_hi = p["lead_accel_min"], p["lead_accel_max"], p["accel_min"], p["accel_max"]
     h, w = 0.5 * dt, dt / 6.0
 
@@ -103,9 +108,17 @@ def _acc_step(p, dt):
         b0, b1, b2, b3 = f((x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3), a_l, a_e)
         c0, c1, c2, c3 = f((x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3), a_l, a_e)
         d0, d1, d2, d3 = f((x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3), a_l, a_e)
-        return (x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), max(x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1), 0.0),
-                x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), max(x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3), 0.0))
+        y0, y1 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), max(x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1), 0.0)
+        y2, y3 = x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), max(x3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3), 0.0)
+        if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):
+            raise FloatingPointError(f"acc: non-finite state {(y0, y1, y2, y3)}")
+        return y0, y1, y2, y3
     return step
+
+
+def _acc_row(p, times):
+    d_default, t_gap, v_target = p["d_default"], p["t_gap"], p["v_target"]
+    return lambda s, e, i: (*s, s[0] - s[2], d_default + t_gap * s[3], v_target)
 
 
 def _acc_error(p, obs):
@@ -115,16 +128,6 @@ def _acc_error(p, obs):
     # while the gap is still comfortable
     gap_term = (d_rel - d_aim) / p["t_gap"] + (v_l - v_e)
     return min(p["v_target"] - v_e, gap_term)
-
-
-def _conc_ref(p, t):
-    """CSTR concentration setpoint: hold, ramp, hold."""
-    if t <= p["ramp_start"]:
-        return p["ref_start"]
-    if t >= p["ramp_end"]:
-        return p["ref_end"]
-    frac = (t - p["ramp_start"]) / (p["ramp_end"] - p["ramp_start"])
-    return p["ref_start"] + frac * (p["ref_end"] - p["ref_start"])
 
 
 def _cstr_step(p, dt):
@@ -146,13 +149,19 @@ def _cstr_step(p, dt):
         b0, b1 = f((x0 + h * a0, x1 + h * a1), c_feed, u)
         c0, c1 = f((x0 + h * b0, x1 + h * b1), c_feed, u)
         d0, d1 = f((x0 + dt * c0, x1 + dt * c1), c_feed, u)
-        return max(x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), 0.0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        y0, y1 = max(x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), 0.0), x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        if not (isfinite(y0) and isfinite(y1)):
+            raise FloatingPointError(f"cstr: non-finite state {(y0, y1)}")
+        return y0, y1
     return step
 
 
-def _cstr_row(p, s, e, t):
-    ref = _conc_ref(p, t)
-    return s[0], s[1], ref, s[0] - ref
+def _cstr_row(p, times):
+    """conc_ref holds ref_start, ramps to ref_end over [ramp_start, ramp_end], then holds; it is
+    evaluated once per run, at each time of the run's grid."""
+    r0, r1, t0, t1 = p["ref_start"], p["ref_end"], p["ramp_start"], p["ramp_end"]
+    ref = [r0 if t <= t0 else r1 if t >= t1 else r0 + (t - t0) / (t1 - t0) * (r1 - r0) for t in times.tolist()]
+    return lambda s, e, i: (s[0], s[1], ref[i], s[0] - ref[i])
 
 
 def _tank_step(p, dt):
@@ -172,7 +181,10 @@ def _tank_step(p, dt):
         c = f(x + h * b, u)
         d = f(x + dt * c, u)
         x = x + w * (a + 2.0 * b + 2.0 * c + d)
-        return (0.0 if x <= 0.0 else x,)  # as np.maximum(s, 0.0): NaN stays NaN, -0.0 becomes 0.0
+        x = 0.0 if x <= 0.0 else x  # as np.maximum(s, 0.0): NaN stays NaN, -0.0 becomes 0.0
+        if not isfinite(x):
+            raise FloatingPointError(f"watertank: non-finite state {(x,)}")
+        return (x,)
     return step
 
 
@@ -193,9 +205,8 @@ _PLANTS = {
         # anticipates, and a memoryless law is what behavior cloning
         # can actually reproduce from single observations
         sim=(0.1, 50.0, 0.1), pid=(1.5, 0.02, 0.0, 50.0),
-        step=_acc_step, error=_acc_error,
-        row=lambda p, s, e, t: (*s, s[0] - s[2], p["d_default"] + p["t_gap"] * s[3], p["v_target"]),
-        observe=lambda p, s, e, t: (s[0] - s[2], s[3], s[1], p["v_target"] - s[3]),
+        step=_acc_step, row=_acc_row, error=_acc_error,
+        observe=lambda r: (r[4], r[3], r[1], r[6] - r[3]),
     ),
     "cstr": _PlantDef(
         state_names=("conc", "temp"), channels=("conc", "temp", "conc_ref", "error"),
@@ -206,8 +217,7 @@ _PLANTS = {
         },
         divisors=("theta", "temp0"), control=("u_min", "u_max"), exogenous=("feed_min", "feed_max"),
         sim=(0.05, 30.0, 0.05), pid=(400.0, 60.0, 40.0, 10.0),
-        step=_cstr_step, row=_cstr_row,
-        observe=lambda p, s, e, t: (s[0], s[1], _conc_ref(p, t)), error=lambda p, o: o[0] - o[2],
+        step=_cstr_step, row=_cstr_row, observe=lambda r: r[:3], error=lambda p, o: o[0] - o[2],
     ),
     "watertank": _PlantDef(
         state_names=("level",), channels=("level", "level_ref"),
@@ -218,7 +228,7 @@ _PLANTS = {
         divisors=("area",), control=("inflow_min", "inflow_max"), exogenous=("ref_min", "ref_max"),
         sim=(0.05, 20.0, 0.05), pid=(4.0, 0.5, 0.2, 10.0),
         step=_tank_step, error=lambda p, o: o[1] - o[0],
-        row=lambda p, s, e, t: (s[0], e[0]), observe=lambda p, s, e, t: (s[0], e[0]),
+        row=lambda p, times: lambda s, e, i: (s[0], e[0]), observe=lambda r: r,
     ),
 }
 
@@ -301,7 +311,8 @@ def initial_state(plant: PlantModel) -> np.ndarray:
 
 def observe(plant: PlantModel, state: np.ndarray, exo: np.ndarray, t: float) -> np.ndarray:
     """Observation vector fed to controllers."""
-    return np.array(_PLANTS[plant.name].observe(plant.params, tuple(state), exo, t))
+    kind = _PLANTS[plant.name]
+    return np.array(kind.observe(kind.row(plant.params, np.array([t]))(tuple(state), exo, 0)))
 
 
 class SimulationBlowup(RuntimeError):
@@ -342,17 +353,19 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
     monitor uses it to switch controllers at its period boundaries; a
     policy it hands back again carries on from its own run state.
 
-    The state steps through the plant's float kernels. A step that
-    overflows or leaves a non-finite state, in an RK4 stage or after
-    projection, raises `SimulationBlowup` with the trace up to it.
+    The state steps through the plant's float kernels, bound once per
+    run. A step that overflows or leaves a non-finite state, in an RK4
+    stage or after projection, raises `SimulationBlowup` with the trace
+    up to it.
     """
     if input_signal.spec.duration + 1e-9 < cfg.horizon:
         raise ValueError(f"input duration {input_signal.spec.duration} shorter than horizon {cfg.horizon}")
     act = policy(controller, plant, cfg.control_period)
     kind = _PLANTS[plant.name]
-    p, dt, per, n_steps = plant.params, cfg.dt, cfg.steps_per_control, cfg.n_steps
-    step, row_of, observe_of = kind.step(p, dt), kind.row, kind.observe
-    inputs = sample(input_signal, np.arange(n_steps + 1) * dt)
+    dt, per, n_steps = cfg.dt, cfg.steps_per_control, cfg.n_steps
+    times = np.arange(n_steps + 1) * dt
+    step, row_of, observe_of = kind.step(plant.params, dt), kind.row(plant.params, times), kind.observe
+    inputs = sample(input_signal, times)
     state = tuple(initial_state(plant).tolist())
     values, actions = [], []  # the recorded rows, end to end in one flat list
 
@@ -361,23 +374,21 @@ def simulate(plant: PlantModel, controller, input_signal: InputSignal, cfg: SimC
 
     action = 0.0
     for i, exo in enumerate(inputs.tolist()):
-        t = i * dt
-        row = row_of(p, state, exo, t)
+        row = row_of(state, exo, i)
         if step_hook is not None:
-            act = step_hook(i, t, row)
+            act = step_hook(i, i * dt, row)
         if i % per == 0 and i < n_steps:
-            action = act(observe_of(p, state, exo, t))
+            action = act(observe_of(row))
         values += row
         actions.append(action)
         if i < n_steps:
             try:
                 state = step(state, action, exo)
-                finite = all(map(isfinite, state))
             except (FloatingPointError, OverflowError):
-                finite = False
-            if not finite:
-                raise SimulationBlowup(f"{plant.name}: state diverged at t={t + dt:.3f}", trace(i + 1))
-    return trace(len(actions))
+                break  # raised below, outside this handler
+    else:
+        return trace(len(actions))
+    raise SimulationBlowup(f"{plant.name}: state diverged at t={i * dt + dt:.3f}", trace(i + 1))
 
 
 class ClosedLoopSystem(Record):

@@ -57,7 +57,7 @@ class TestForward:
             assert mlp_forward(net, obs) == pytest.approx(straight_line_forward(net, obs), abs=1e-12)
 
     def test_policy_matches_oracle_bit_for_bit(self):
-        # the bound policy multiplies with np.dot, the oracle with `@`
+        # the bound policy multiplies with each weight matrix's bound `ndarray.dot`, the oracle with `@`
         rng = np.random.default_rng(13)
         for trial in range(300):
             width = int(rng.integers(1, 6))

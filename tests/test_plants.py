@@ -336,6 +336,26 @@ class TestBlowup:
         # the last row's action was computed for the step that blew up
         assert np.array_equal(partial.actions[:-1], head.actions[:-1])
 
+    def test_combined_state_overflow_becomes_simulation_blowup(self):
+        # every RK4 stage of the first step is finite, but x_lead + dt/6*(k1 + 2*k2 + 2*k3 + k4)
+        # overflows: the kernel refuses its own result, at the step the array loop stops at
+        plant = make_plant("acc", {"v_lead0": 1e308})
+        step = _PLANTS["acc"].step(plant.params, 0.1)
+        cell = step.__closure__[step.__code__.co_freevars.index("f")]
+        f, stages = cell.cell_contents, []
+        cell.cell_contents = lambda s, *args: stages.append(s) or f(s, *args)
+        with pytest.raises(FloatingPointError):
+            step(tuple(initial_state(plant).tolist()), 0.0, (0.0,))
+        assert len(stages) == 4 and all(map(math.isfinite, np.ravel(stages)))
+        cfg, sig = default_sim_config(plant), constant_input(plant, 0.0)
+        with pytest.raises(SimulationBlowup) as info:
+            simulate(plant, default_pid(plant), sig, cfg)
+        with np.errstate(over="ignore"), pytest.raises(SimulationBlowup) as want:
+            simulate_oracle(plant, default_pid(plant), sig, cfg)
+        assert str(info.value) == str(want.value) == "acc: state diverged at t=0.100"
+        assert len(info.value.trace) == 1
+        assert_same_run(info.value.trace, want.value.trace)
+
     def test_blowup_survives_pickle(self):
         # as a worker process sends it back to its parent
         plant = make_plant("cstr")
