@@ -49,11 +49,11 @@ Its row factory `row(p, times)` reads the params, and the CSTR's
 reference ramp at each time of the run's grid, once per run and returns
 (s, e, i) -> the channel values recorded at step i; the observation is
 read off that row. `simulate` binds both once per run, and `policy`
-binds a controller to a fresh run; `observe` gives a controller's
-observation as an array. Controllers are immutable, so simulations are
-pure functions of (plant, controller, input, cfg): identical inputs give
-bit-identical traces, and one controller can drive any number of runs at
-once.
+binds a controller to a fresh run, a PID with its error map `error(p)`;
+`observe` gives a controller's observation as an array. Controllers
+are immutable, so simulations are pure functions of (plant, controller,
+input, cfg): identical inputs give bit-identical traces, and one
+controller can drive any number of runs at once.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class _PlantDef(Record):
         "step",  # (p, dt) -> (s, u, e) -> next s, projected
         "row",  # (p, times) -> (s, e, i) -> recorded channel values at step i, time times[i]
         "observe",  # recorded channel values -> controller observation
-        "error",  # (p, observation) -> PID error
+        "error",  # p -> observation -> PID error
     )
 
 
@@ -121,13 +121,13 @@ def _acc_row(p, times):
     return lambda s, e, i: (*s, s[0] - s[2], d_default + t_gap * s[3], v_target)
 
 
-def _acc_error(p, obs):
-    d_rel, v_e, v_l, _dv = obs
-    d_aim = p["d_default"] + p["pid_headway_factor"] * p["t_gap"] * v_e
-    # spacing error includes the closing speed so braking starts
-    # while the gap is still comfortable
-    gap_term = (d_rel - d_aim) / p["t_gap"] + (v_l - v_e)
-    return min(p["v_target"] - v_e, gap_term)
+def _acc_error(p):
+    d_default, headway, t_gap, v_target = p["d_default"], p["pid_headway_factor"] * p["t_gap"], p["t_gap"], p["v_target"]
+
+    def error(obs):  # the spacing term includes the closing speed, so braking starts while the gap is comfortable
+        d_rel, v_e, v_l, _dv = obs
+        return min(v_target - v_e, (d_rel - (d_default + headway * v_e)) / t_gap + (v_l - v_e))
+    return error
 
 
 def _cstr_step(p, dt):
@@ -217,7 +217,7 @@ _PLANTS = {
         },
         divisors=("theta", "temp0"), control=("u_min", "u_max"), exogenous=("feed_min", "feed_max"),
         sim=(0.05, 30.0, 0.05), pid=(400.0, 60.0, 40.0, 10.0),
-        step=_cstr_step, row=_cstr_row, observe=lambda r: r[:3], error=lambda p, o: o[0] - o[2],
+        step=_cstr_step, row=_cstr_row, observe=lambda r: r[:3], error=lambda p: lambda o: o[0] - o[2],
     ),
     "watertank": _PlantDef(
         state_names=("level",), channels=("level", "level_ref"),
@@ -227,7 +227,7 @@ _PLANTS = {
         },
         divisors=("area",), control=("inflow_min", "inflow_max"), exogenous=("ref_min", "ref_max"),
         sim=(0.05, 20.0, 0.05), pid=(4.0, 0.5, 0.2, 10.0),
-        step=_tank_step, error=lambda p, o: o[1] - o[0],
+        step=_tank_step, error=lambda p: lambda o: o[1] - o[0],
         row=lambda p, times: lambda s, e, i: (s[0], e[0]), observe=lambda r: r,
     ),
 }
@@ -333,8 +333,8 @@ def policy(controller, plant: PlantModel, period: float):
     if isinstance(controller, MlpNet):
         return mlp_policy(controller)
     if isinstance(controller, PidController):
-        act, error, p = pid_policy(controller, period), _PLANTS[plant.name].error, plant.params
-        return lambda obs: act(error(p, obs))
+        act, error = pid_policy(controller, period), _PLANTS[plant.name].error(plant.params)
+        return lambda obs: act(error(obs))
     raise TypeError(f"not a controller: {controller!r}")
 
 

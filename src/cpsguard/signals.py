@@ -27,7 +27,8 @@ reader. It refuses, naming the file and, for a prelude fault, the line:
 another format line (v1 text traces included), a missing or bad dt, a
 column row without ``time`` first or without ``action``, and a body
 that is not one non-empty 2-D ``<f8`` array, is truncated, is followed
-by more bytes or differs in width from the column row. Input signals
+by more bytes or differs in width from the column row, and a time
+column other than row * dt, bit for bit. Input signals
 are not persisted: a run is reproduced from its seed. All values are
 immutable after construction and safe to share across concurrent runs.
 
@@ -243,6 +244,10 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
                          "expected a 2-D <f8 array with at least one row")
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: the body has {data.shape[1]} columns, the column row names {len(names)}")
+    times = np.arange(len(data)) * dt  # as `trace_bytes` writes them
+    bad = np.flatnonzero(data[:, 0].view("<i8") != times.view("<i8"))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0]} of the time column is {data[bad[0], 0]}, not row * dt = {times[bad[0]]}")
     act_col = names.index("action")
     exo_cols = [j for j, n in enumerate(names) if n.startswith("input_")]
     trace = Trace(dt=dt, channels=tuple(names[1:act_col]), states=data[:, 1:act_col],

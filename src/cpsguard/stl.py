@@ -35,6 +35,15 @@ Concrete grammar (infix, keywords are case-sensitive)::
     factor   := number | channel | 'abs' '(' expr ')' | '-' factor
               | '(' expr ')'
 
+The parser reads each token once, climbing precedence over one table of
+infix binding powers: '->' 1 (right-associative), 'or' 2, 'and' 3, 'U' 4,
+comparisons 5, '+' and '-' 6, '*' 7; 'not', 'G[a,b]' and 'F[a,b]' take
+an operand joined by powers 5 and up, unary '-' an atom. Boolean and
+temporal operators take formulas, comparisons and arithmetic values (so
+comparisons do not chain); after an operator only looser ones join the
+result, or the same one if it chains ('U' does not). A parenthesised
+group is whichever of the two its contents are: no '(' is read twice.
+
 Channel names must resolve against the trace they are evaluated on.
 Numbers must be finite. This tokenizer and cursor are also the front
 end of `pmc`'s PCTL parser; a syntax error gives the position of the
@@ -295,42 +304,69 @@ class _Cursor:
 
 _NUM_OR_NAME = r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
 _KEYWORDS = {"not", "and", "or", "abs"}
+# the binding powers of the infix operators, loosest first; the module docstring gives the rules
+_BINDING = {"->": 1, "or": 2, "and": 3, "U": 4, "<=": 5, "<": 5, ">=": 5, ">": 5, "+": 6, "-": 6, "*": 7}
+_BOOLEAN = {"->": Implies, "or": Or, "and": And}
 
 
 class _Parser(_Cursor):
     _TOKEN = _token_pattern(_NUM_OR_NAME + r"|(?P<op><=|>=|->|[-+*<>()\[\],])")
     _ERROR = StlSyntaxError
 
-    # formula levels ---------------------------------------------------
-
-    def parse_formula(self) -> StlFormula:
-        left = self.parse_or()
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> StlFormula:
-        node = self.parse_and()
-        while self.peek()[1] == "or":
-            self.next()
-            node = Or(node, self.parse_and())
+    def parse(self, floor: int, kind: str | None) -> StlFormula | Expr:
+        """The node that starts here, grown by each infix operator after it that binds at least
+        `floor`; `kind` is what the caller needs: "formula", "value", or None (a group: either)."""
+        node = self.prefix(kind)
+        ceiling = 8  # after an operator only looser ones follow, or the same one if it chains
+        while True:
+            op = self.tokens[self.pos][1]
+            power = _BINDING.get(op, 0)
+            if not floor <= power < ceiling or (power < 5) == isinstance(node, Expr):
+                break  # no operator of this level, or one whose left operand is of the other kind
+            self.pos += 1
+            ceiling = power if op == "U" else power + 1  # U does not chain; a comparison yields no value
+            if power > 5:
+                node = BinExpr(op, node, self.parse(power + 1, "value"))
+            elif power == 5:
+                node = Pred(node, op, self.parse(6, "value"))
+            elif power == 4:
+                lo, hi = self.parse_interval()
+                node = Until(lo, hi, node, self.parse(5, "formula"))
+            else:
+                node = _BOOLEAN[op](node, self.parse(power + (op != "->"), "formula"))
+        if kind == "formula" and isinstance(node, Expr):
+            self.expected("a comparison operator")
         return node
 
-    def parse_and(self) -> StlFormula:
-        node = self.parse_until()
-        while self.peek()[1] == "and":
-            self.next()
-            node = And(node, self.parse_until())
-        return node
-
-    def parse_until(self) -> StlFormula:
-        node = self.parse_unary()
-        if self.peek()[1] == "U":
-            self.next()
-            lo, hi = self.parse_interval()
-            node = Until(lo, hi, node, self.parse_unary())
-        return node
+    def prefix(self, kind: str | None) -> StlFormula | Expr:
+        """The operand that starts here. Where a value is needed, `not`, G[..] and F[..] are
+        not read as operators, and a group holds a value."""
+        tok, val, _ = self.tokens[self.pos]
+        if tok == "num":
+            return Const(self.parse_number())
+        if tok == "name" and val not in _KEYWORDS:
+            self.pos += 1
+            if val in ("G", "F") and kind != "value" and self.tokens[self.pos][1] == "[":
+                lo, hi = self.parse_interval()
+                return (Always if val == "G" else Eventually)(lo, hi, self.parse(5, "formula"))
+            return Var(val)
+        if val == "(":
+            self.pos += 1
+            node = self.parse(6, "value") if kind == "value" else self.parse(1, None)
+            self.expect(")")
+            return node
+        if val == "-":
+            self.pos += 1
+            return NegExpr(self.prefix("value"))
+        if val == "abs":
+            self.pos += 1
+            if self.tokens[self.pos][1] != "(":
+                self.expected("'('")
+            return AbsExpr(self.prefix("value"))
+        if val == "not" and kind != "value":
+            self.pos += 1
+            return Not(self.parse(5, "formula"))
+        self.expected("a value")
 
     def parse_interval(self) -> tuple[float, float]:
         self.expect("[")
@@ -357,90 +393,11 @@ class _Parser(_Cursor):
             raise StlSyntaxError(f"number {val} is not finite", at)
         return sign * value
 
-    def parse_unary(self) -> StlFormula:
-        kind, val, at = self.peek()
-        if val == "not":
-            self.next()
-            return Not(self.parse_unary())
-        if val in ("G", "F") and self.tokens[self.pos + 1][1] == "[":
-            self.next()
-            lo, hi = self.parse_interval()
-            node = self.parse_unary()
-            return Always(lo, hi, node) if val == "G" else Eventually(lo, hi, node)
-        if val == "(":
-            # Could open a parenthesized formula or the left expression of a
-            # predicate; try the formula reading and fall back on the latter,
-            # keeping whichever error got further into the input.
-            saved = self.pos
-            try:
-                self.next()
-                node = self.parse_formula()
-                self.expect(")")
-            except StlSyntaxError as formula_err:
-                self.pos = saved
-                try:
-                    return self.parse_predicate()
-                except StlSyntaxError as pred_err:
-                    raise formula_err if formula_err.position >= pred_err.position else pred_err from None
-            if self.peek()[1] in ("<=", "<", ">=", ">", "+", "-", "*"):
-                self.pos = saved
-                return self.parse_predicate()
-            return node
-        return self.parse_predicate()
-
-    # predicates and expressions ----------------------------------------
-
-    def parse_predicate(self) -> Pred:
-        left = self.parse_expr()
-        val = self.peek()[1]
-        if val not in ("<=", "<", ">=", ">"):
-            self.expected("a comparison operator")
-        self.next()
-        right = self.parse_expr()
-        return Pred(left, val, right)
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinExpr(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek()[1] == "*":
-            self.next()
-            node = BinExpr("*", node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Expr:
-        kind, val, _ = self.peek()
-        if val == "-":
-            self.next()
-            return NegExpr(self.parse_factor())
-        if kind == "num":
-            return Const(self.parse_number())
-        if val == "abs":
-            self.next()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
-            return AbsExpr(inner)
-        if kind == "name" and val not in _KEYWORDS:
-            self.next()
-            return Var(val)
-        if val == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        self.expected("a value")
-
 
 def parse_stl(text: str) -> StlFormula:
     """Parse the documented grammar; raises StlSyntaxError with a position."""
     parser = _Parser(text)
-    return parser.finish(parser.parse_formula())
+    return parser.finish(parser.parse(1, "formula"))
 
 
 # ---------------------------------------------------------------------------

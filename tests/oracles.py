@@ -33,6 +33,25 @@ from cpsguard.falsify import (
 )
 from cpsguard.plants import SimulationBlowup
 from cpsguard.signals import PIECEWISE_CONSTANT, Trace, make_input, random_signal
+from cpsguard.stl import (
+    _KEYWORDS,
+    AbsExpr,
+    Always,
+    And,
+    BinExpr,
+    Const,
+    Eventually,
+    Expr,
+    Implies,
+    NegExpr,
+    Not,
+    Or,
+    Pred,
+    StlFormula,
+    StlSyntaxError,
+    Until,
+    Var,
+)
 
 # ---------------------------------------------------------------------------
 # STL: naive recursive robustness
@@ -144,6 +163,132 @@ def subterms(node):
         value = getattr(node, name)
         if isinstance(value, stl.Record):
             yield from subterms(value)
+
+
+# ---------------------------------------------------------------------------
+# STL: the grammar parsed by recursive descent, one method per level; where
+# `(` may open a formula or a predicate's expression it tries the formula,
+# falls back on the predicate and keeps the error that got further.
+# `parse_stl` must build the same trees and refuse the same texts.
+
+
+class _DescentParser(stl._Parser):
+    """Inherits the tokens, errors, parse_interval and parse_number of stl._Parser."""
+
+    # formula levels ---------------------------------------------------
+
+    def parse_formula(self) -> StlFormula:
+        left = self.parse_or()
+        if self.peek()[1] == "->":
+            self.next()
+            return Implies(left, self.parse_formula())
+        return left
+
+    def parse_or(self) -> StlFormula:
+        node = self.parse_and()
+        while self.peek()[1] == "or":
+            self.next()
+            node = Or(node, self.parse_and())
+        return node
+
+    def parse_and(self) -> StlFormula:
+        node = self.parse_until()
+        while self.peek()[1] == "and":
+            self.next()
+            node = And(node, self.parse_until())
+        return node
+
+    def parse_until(self) -> StlFormula:
+        node = self.parse_unary()
+        if self.peek()[1] == "U":
+            self.next()
+            lo, hi = self.parse_interval()
+            node = Until(lo, hi, node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> StlFormula:
+        kind, val, at = self.peek()
+        if val == "not":
+            self.next()
+            return Not(self.parse_unary())
+        if val in ("G", "F") and self.tokens[self.pos + 1][1] == "[":
+            self.next()
+            lo, hi = self.parse_interval()
+            node = self.parse_unary()
+            return Always(lo, hi, node) if val == "G" else Eventually(lo, hi, node)
+        if val == "(":
+            # Could open a parenthesized formula or the left expression of a
+            # predicate; try the formula reading and fall back on the latter,
+            # keeping whichever error got further into the input.
+            saved = self.pos
+            try:
+                self.next()
+                node = self.parse_formula()
+                self.expect(")")
+            except StlSyntaxError as formula_err:
+                self.pos = saved
+                try:
+                    return self.parse_predicate()
+                except StlSyntaxError as pred_err:
+                    raise formula_err if formula_err.position >= pred_err.position else pred_err from None
+            if self.peek()[1] in ("<=", "<", ">=", ">", "+", "-", "*"):
+                self.pos = saved
+                return self.parse_predicate()
+            return node
+        return self.parse_predicate()
+
+    # predicates and expressions ----------------------------------------
+
+    def parse_predicate(self) -> Pred:
+        left = self.parse_expr()
+        val = self.peek()[1]
+        if val not in ("<=", "<", ">=", ">"):
+            self.expected("a comparison operator")
+        self.next()
+        right = self.parse_expr()
+        return Pred(left, val, right)
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
+            node = BinExpr(op, node, self.parse_term())
+        return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while self.peek()[1] == "*":
+            self.next()
+            node = BinExpr("*", node, self.parse_factor())
+        return node
+
+    def parse_factor(self) -> Expr:
+        kind, val, _ = self.peek()
+        if val == "-":
+            self.next()
+            return NegExpr(self.parse_factor())
+        if kind == "num":
+            return Const(self.parse_number())
+        if val == "abs":
+            self.next()
+            self.expect("(")
+            inner = self.parse_expr()
+            self.expect(")")
+            return AbsExpr(inner)
+        if kind == "name" and val not in _KEYWORDS:
+            self.next()
+            return Var(val)
+        if val == "(":
+            self.next()
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        self.expected("a value")
+
+
+def parse_stl_oracle(text):
+    parser = _DescentParser(text)
+    return parser.finish(parser.parse_formula())
 
 
 # ---------------------------------------------------------------------------

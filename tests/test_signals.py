@@ -175,6 +175,24 @@ class TestTrace:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("edit,row", [
+        (lambda t: t[::-1], 0),
+        (lambda t: np.where(np.arange(6) == 3, 0.3, t), 3),  # 3 * 0.1 is 0.30000000000000004
+        (lambda t: np.where(np.arange(6) == 0, -0.0, t), 0),  # equal to 0.0, other bits
+        (lambda t: np.where(np.arange(6) == 5, np.nan, t), 5),
+    ], ids=["reversed", "rounded", "negative zero", "nan"])
+    def test_time_column_other_than_row_times_dt_is_refused(self, tmp_path, edit, row):
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path)
+        data = path.read_bytes()
+        start = data.index(b"\x93NUMPY")
+        body = np.lib.format.read_array(io.BytesIO(data[start:]))
+        body[:, 0] = edit(body[:, 0].copy())
+        path.write_bytes(data[:start] + npy_bytes(body))
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: row {row} of the time column is ")
+
     def test_object_body_refused_without_unpickling(self, tmp_path):
         path = tmp_path / "t.trace"
         save_trace(small_trace(), path)

@@ -9,7 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import random_formula, random_stl_case, rob_oracle, subterms
+from oracles import parse_stl_oracle, random_formula, random_stl_case, rob_oracle, subterms
 
 from cpsguard import stl
 from cpsguard.abstraction import AbstractionConfig
@@ -87,6 +87,30 @@ class TestParse:
             f = parse_stl(text)
             assert parse_stl(format_stl(f)) == f, text
 
+    # format_stl parenthesises every boolean operand, so the random round trip never meets these
+    @pytest.mark.parametrize("text,want", [
+        ("not a >= 1 and b < 2", "(not (a >= 1)) and (b < 2)"),
+        ("a >= 0 -> b >= 0 -> c >= 0", "(a >= 0) -> ((b >= 0) -> (c >= 0))"),
+        ("G[0,1] x >= 0 U[0,2] y >= 0", "(G[0,1](x >= 0)) U[0,2] (y >= 0)"),
+        ("not a >= 0 U[0,1] b >= 0", "(not (a >= 0)) U[0,1] (b >= 0)"),
+        ("((a)) >= 1", "a >= 1"),
+        ("(a + b) >= 1", "a + b >= 1"),
+        ("-a*b - c >= abs(-(d))", "-a*b - c >= abs(-d)"),
+    ])
+    def test_precedence(self, text, want):
+        assert format_stl(parse_stl(text)) == want
+
+    @pytest.mark.parametrize("text,message", [
+        ("a < b < c", "trailing input '<' (at position 6)"),
+        ("x >= 0 U[0,1] y >= 0 U[0,1] z >= 0", "trailing input 'U' (at position 21)"),
+        ("a >= 0 and b >= 0 U[0,1] c >= 0 U[0,1] d >= 0", "trailing input 'U' (at position 32)"),
+        ("(a >= 0) -> b >= 0 U[0,1] c >= 0 U[0,1] d >= 0", "trailing input 'U' (at position 33)"),
+    ])
+    def test_until_and_comparisons_do_not_chain(self, text, message):
+        with pytest.raises(StlSyntaxError) as err:
+            parse_stl(text)
+        assert str(err.value) == message
+
 
 # numbers that `%g` would round, and numbers on both sides of the
 # printer's switch from integer to exponent form at 1e15
@@ -142,6 +166,95 @@ class TestFrontEnd:
         with pytest.raises(StlSyntaxError, match="is not finite") as err:
             parse_stl(text)
         assert err.value.position == position
+
+
+@pytest.fixture(scope="module")
+def printed_formulas():
+    """20,000 random formulas as format_stl prints them."""
+    rng = np.random.default_rng(25)
+    return [format_stl(random_parsed_stl(rng, int(rng.integers(0, 4)))) for _ in range(20_000)]
+
+
+def parse_outcome(parse, text):
+    """The tree `parse` returns for `text`, or None where it raises StlSyntaxError."""
+    try:
+        return parse(text)
+    except StlSyntaxError:
+        return None
+
+
+# every token kind of the grammar, one spelling each
+MUTATION_TOKENS = ("(", ")", "[", "]", ",", "-", "+", "*", "<=", "<", ">=", ">", "->",
+                   "and", "or", "not", "abs", "U", "G", "F", "x", "1", "0.5")
+BRACKETS = ("(", ")", "[", "]")
+
+
+class TestParserOracle:
+    """parse_stl against the recursive-descent parser it replaced, oracles.parse_stl_oracle:
+    equal trees where either accepts, and the same refusals; error positions may differ."""
+
+    def test_equal_trees_on_random_formulas(self, printed_formulas):
+        for text in printed_formulas:
+            assert parse_stl(text) == parse_stl_oracle(text), text
+
+    @pytest.mark.parametrize("text", [
+        "G[0,50](d_rel - (d_safe + 1.4*v_ego) >= 0)",
+        "G[0,50]((d_rel < d_safe + 1.4*v_ego) -> F[0,5](d_rel > d_safe + 1.4*v_ego))",
+        "G[0,25]((abs(error) <= 0.3) U[0,5] (abs(error) <= 0.15))",
+        "G[0,5](1.2 - level >= 0))", "G[0,5](1.2 - level)", "G[0,5](1.2 - level >= 0",
+        "not not a > 0 or b > 0 and c > 0 -> d > 0", "F[0,1] not a >= 0 U[0,1] b >= 0 and c > 0",
+        "not (a) > 0", "(a >= 0) + 1 >= 0", "x >= (a >= 0)", "(a) and b >= 0", "a and b >= 0", "G >= F",
+        "G[0,1] >= 0", "U U[0,1] U > 0", "abs x > 0", "abs((a)) > 0", "x >= -(-(1))",
+        "((a >= 0) U[0,1] (b >= 0)) -> (not ((c)) > 1)", "", "()", "(((",
+        "a >= 0 and b >= 0 U[0,1] c >= 0 U[0,1] d >= 0", "a > 0 or b > 0 U[0,1] c > 0 U[0,1] d > 0",
+        "(a >= 0) -> b >= 0 U[0,1] c >= 0 U[0,1] d >= 0", "a > 0 -> b > 0 -> c > 0 U[0,1] d > 0 U[0,1] e > 0",
+    ])
+    def test_equal_trees_or_both_refuse_on_handwritten_texts(self, text):
+        assert parse_outcome(parse_stl, text) == parse_outcome(parse_stl_oracle, text)
+
+    def test_same_verdict_on_mutated_strings(self, printed_formulas):
+        """Each formula with one token deleted, one inserted, or one bracket deleted or added."""
+        rng = np.random.default_rng(26)
+        accepted = 0
+        for n, text in enumerate(printed_formulas):
+            tokens = [val for _, val, _ in stl._Parser(text).tokens[:-1]]
+            at = int(rng.integers(len(tokens) + 1))
+            if n % 3 == 0:
+                del tokens[min(at, len(tokens) - 1)]
+            elif n % 3 == 1:
+                tokens.insert(at, str(rng.choice(MUTATION_TOKENS)))
+            else:
+                brackets = [i for i, val in enumerate(tokens) if val in BRACKETS]
+                if brackets and rng.random() < 0.5:
+                    del tokens[int(rng.choice(brackets))]
+                else:
+                    tokens.insert(at, str(rng.choice(BRACKETS)))
+            mutant = " ".join(tokens)
+            got = parse_outcome(parse_stl, mutant)
+            assert got == parse_outcome(parse_stl_oracle, mutant), mutant
+            accepted += got is not None
+        assert 1000 < accepted < 19_000  # both verdicts are well represented
+
+    def test_same_outcome_with_parentheses_dropped(self, printed_formulas):
+        """Each formula with each matched pair of parentheses dropped at even odds, so that
+        operators meet bare, as the printer never writes them."""
+        rng = np.random.default_rng(27)
+        accepted = 0
+        for text in printed_formulas:
+            tokens = [val for _, val, _ in stl._Parser(text).tokens[:-1]]
+            opened, dropped = [], set()
+            for i, val in enumerate(tokens):
+                if val == "(":
+                    opened.append(i)
+                elif val == ")" and rng.random() < 0.5:
+                    dropped.update((opened.pop(), i))
+                elif val == ")":
+                    opened.pop()
+            bare = " ".join(val for i, val in enumerate(tokens) if i not in dropped)
+            got = parse_outcome(parse_stl, bare)
+            assert got == parse_outcome(parse_stl_oracle, bare), bare
+            accepted += got is not None
+        assert 1000 < accepted < 19_000
 
 
 # between them, one of each of the thirteen STL node types
