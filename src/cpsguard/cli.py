@@ -401,11 +401,11 @@ def _load_trace_pairs(cfg: RunConfig) -> list[tuple[signals.Trace, np.ndarray]]:
     manifest_path = cfg.output_dir / "collect_manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no collected traces: {manifest_path} missing (run collect first)")
-    pairs = []
+    pairs, out = [], cfg.output_dir
     for entry in _read_json(manifest_path, traces=list)["traces"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ValueError(f"{manifest_path}: each entry of 'traces' must be an object with a string 'file'")
-        trace, extras = signals.load_trace(cfg.output_dir / entry["file"])
+        trace, extras = signals.load_trace(out / entry["file"])
         if "rob" not in extras:
             raise ValueError(f"{entry['file']}: missing rob column")
         pairs.append((trace, extras["rob"]))

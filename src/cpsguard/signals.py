@@ -19,18 +19,27 @@ the nearest grid index, never inter-sample interpolation.
 A trace file (format ``cpsguard-trace v2``) is an ASCII prelude, the
 format line, ``# dt=<repr>``, an optional ``# config=<hash>`` and a row
 of column names, followed directly by one .npy array of shape
-(T, columns) and dtype ``<f8``, written and read by ``numpy.lib.format``
-with ``allow_pickle=False``, so values read back bit for bit.
+(T, columns) and dtype ``<f8``, written by ``numpy.lib.format`` with
+``allow_pickle=False``, so values read back bit for bit.
 `trace_bytes` is the one writer (callers add extra columns: collected
 traces ``rob``, monitored runs ``controller``) and `load_trace` the one
-reader. It refuses, naming the file and, for a prelude fault, the line:
-another format line (v1 text traces included), a missing or bad dt, a
-column row without ``time`` first or without ``action``, and a body
-that is not one non-empty 2-D ``<f8`` array, is truncated, is followed
-by more bytes or differs in width from the column row, and a time
-column other than row * dt, bit for bit. Input signals
-are not persisted: a run is reproduced from its seed. All values are
-immutable after construction and safe to share across concurrent runs.
+reader. The reader takes a file in one read. Where the body's header is
+the one the writer emits (version 1.0, ``{'descr': '<f8',
+'fortran_order': False, 'shape': (T, C), }``, space-padded to a
+newline), byte for byte, and 8*T*C bytes follow it, it views them in
+place; the trace's arrays are then read-only views of the file's bytes,
+which no one can write. Any other header, or a body of another length,
+goes to ``numpy.lib.format.read_array``: a header numpy reads (a
+version 2.0 one, a Fortran-order body) loads bit for bit as the written
+one would, and any other is refused in numpy's words. The reader
+refuses, naming the file and, for a prelude fault, the line: another
+format line (v1 text traces included), a missing or bad dt, a column
+row without ``time`` first or without ``action``, and a body that is
+not one non-empty 2-D ``<f8`` array, is truncated, is followed by more
+bytes or differs in width from the column row, and a time column other
+than row * dt, bit for bit. Input signals are not persisted: a run is
+reproduced from its seed. All values are immutable after construction
+and safe to share across concurrent runs.
 
 Every JSON file the package writes is `json_text`: the bytes of
 ``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` with the bulk
@@ -51,6 +60,8 @@ import functools
 import io
 import json
 import math
+import re
+import tokenize
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -147,9 +158,7 @@ class Trace(Record):
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        states = np.atleast_2d(np.array(self.states, dtype=float))
-        actions = np.array(self.actions, dtype=float).reshape(-1)
-        inputs = np.atleast_2d(np.array(self.inputs, dtype=float))
+        states, actions, inputs = _read_only(self.states, 2), _read_only(self.actions, 1), _read_only(self.inputs, 2)
         if states.shape[0] < 1:
             raise ValueError("trace must contain at least one step")
         if states.shape[1] != len(self.channels):
@@ -158,8 +167,6 @@ class Trace(Record):
             raise ValueError(
                 f"unequal lengths: states {states.shape[0]}, actions {actions.shape[0]}, inputs {inputs.shape[0]}"
             )
-        for arr in (states, actions, inputs):
-            arr.flags.writeable = False
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
@@ -180,6 +187,21 @@ class Trace(Record):
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.channel_index(name)]
+
+
+def _read_only(values, ndim: int) -> np.ndarray:
+    """values as a float array of ndim dimensions (1: flattened, 2: at least 2-D) that no one can
+    write. A view of a bytes object that has them already, as `load_trace` makes, is kept; anything
+    else is copied."""
+    base = values
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if type(base) is bytes and values.dtype == float and values.ndim == ndim:
+        return values
+    values = np.array(values, dtype=float)
+    values = np.atleast_2d(values) if ndim == 2 else values.reshape(-1)
+    values.flags.writeable = False
+    return values
 
 
 def time_index(trace: Trace, t: float) -> int:
@@ -209,12 +231,35 @@ def trace_bytes(trace: Trace, config_hash: str | None = None,
     return ("\n".join(lines) + "\n").encode() + out.getvalue()
 
 
+# the start of the header `_npy_header` writes, up to its shape; at most 20 digits, which int() takes
+_NPY_SHAPE = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '<f8', 'fortran_order': False, "
+                        rb"'shape': \((\d{1,20}), (\d{1,20})\), \}", re.DOTALL)
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(rows: int, cols: int) -> bytes:
+    """The .npy header `np.lib.format.write_array` writes before a C-order (rows, cols) <f8 array."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": "<f8", "fortran_order": False, "shape": (rows, cols)})
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_bytes(rows: int, dt: float) -> bytes:
+    """The bytes of the time column `trace_bytes` writes."""
+    return (np.arange(rows) * dt).tobytes()
+
+
 def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
     """(trace, extra columns) read from a trace file; each refusal the module docstring lists names the file."""
     dt = names = None
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.decode(errors="replace").strip()
+        raw = fh.read()
+        lineno = start = 0
+        while start < len(raw):  # the lines a binary file iterates, up to the column row
+            lineno, end = lineno + 1, raw.find(b"\n", start) + 1 or len(raw)
+            line = raw[start:end].decode(errors="replace").strip()
+            start = end
             if lineno == 1 and line != _TRACE_FORMAT:
                 raise ValueError(f"{path}:1: not a {_TRACE_FORMAT[2:]} file: its first line is {line[:40]!r}")
             if line.startswith("#"):
@@ -233,25 +278,39 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
                 break
         if dt is None or names is None:
             raise ValueError(f"{path}: not a trace file (missing dt header or column row)")
-        try:
-            data = np.lib.format.read_array(fh, allow_pickle=False)
-        except (ValueError, MemoryError) as exc:  # MemoryError: a header declaring a huge shape
-            raise ValueError(f"{path}: body: {exc}") from None
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes after the body's array")
+        data = None
+        match = _NPY_SHAPE.match(raw, start)
+        if match:
+            rows, cols = int(match[1]), int(match[2])
+            header = _npy_header(rows, cols)
+            if raw.startswith(header, start) and len(raw) - start - len(header) == 8 * rows * cols:
+                data = np.frombuffer(raw, "<f8", rows * cols, start + len(header)).reshape(rows, cols)
+        if data is None:  # another header, or a body of another length: numpy reads it, or refuses in its words
+            fh.seek(start)
+            try:
+                data = np.lib.format.read_array(fh, allow_pickle=False)
+            # MemoryError: a header declaring a huge shape; the others: one numpy's header filter cannot tokenize
+            except (ValueError, MemoryError, SyntaxError, tokenize.TokenError) as exc:
+                raise ValueError(f"{path}: body: {exc}") from None
+            if fh.read(1):
+                raise ValueError(f"{path}: bytes after the body's array")
+            data.flags.writeable = False  # extra columns are read-only views on either path
     if data.dtype != "<f8" or data.ndim != 2 or not len(data):
         raise ValueError(f"{path}: the body is a {data.dtype.str} array of shape {data.shape}, "
                          "expected a 2-D <f8 array with at least one row")
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: the body has {data.shape[1]} columns, the column row names {len(names)}")
-    times = np.arange(len(data)) * dt  # as `trace_bytes` writes them
-    bad = np.flatnonzero(data[:, 0].view("<i8") != times.view("<i8"))
-    if len(bad):
-        raise ValueError(f"{path}: row {bad[0]} of the time column is {data[bad[0], 0]}, not row * dt = {times[bad[0]]}")
+    if data[:, 0].tobytes() != _grid_bytes(len(data), dt):
+        times = np.arange(len(data)) * dt
+        bad = np.flatnonzero(data[:, 0].view("<i8") != times.view("<i8"))[0]
+        raise ValueError(f"{path}: row {bad} of the time column is {data[bad, 0]}, not row * dt = {times[bad]}")
     act_col = names.index("action")
     exo_cols = [j for j, n in enumerate(names) if n.startswith("input_")]
+    exo = slice(act_col + 1, act_col + 1 + len(exo_cols))  # where `trace_bytes` writes them: a view
+    if exo_cols != list(range(exo.start, exo.stop)):
+        exo = exo_cols  # elsewhere: a copy
     trace = Trace(dt=dt, channels=tuple(names[1:act_col]), states=data[:, 1:act_col],
-                  actions=data[:, act_col], inputs=data[:, exo_cols])
+                  actions=data[:, act_col], inputs=data[:, exo])
     return trace, {names[j]: data[:, j] for j in range(act_col + 1, len(names)) if j not in exo_cols}
 
 

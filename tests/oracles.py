@@ -32,7 +32,7 @@ from cpsguard.falsify import (
     hill_climb,
 )
 from cpsguard.plants import SimulationBlowup
-from cpsguard.signals import PIECEWISE_CONSTANT, Trace, make_input, random_signal
+from cpsguard.signals import _TRACE_FORMAT, PIECEWISE_CONSTANT, Trace, make_input, random_signal
 from cpsguard.stl import (
     _KEYWORDS,
     AbsExpr,
@@ -289,6 +289,57 @@ class _DescentParser(stl._Parser):
 def parse_stl_oracle(text):
     parser = _DescentParser(text)
     return parser.finish(parser.parse_formula())
+
+
+# ---------------------------------------------------------------------------
+# trace files: the reader that iterated the prelude's lines on the open file
+# and handed every body to numpy's `read_array`
+
+
+def load_trace_oracle(path) -> tuple[Trace, dict[str, np.ndarray]]:
+    """(trace, extra columns) read from a trace file; each refusal the module docstring lists names the file."""
+    dt = names = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.decode(errors="replace").strip()
+            if lineno == 1 and line != _TRACE_FORMAT:
+                raise ValueError(f"{path}:1: not a {_TRACE_FORMAT[2:]} file: its first line is {line[:40]!r}")
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("dt="):
+                    try:
+                        dt = float(comment[3:])
+                    except ValueError:
+                        dt = math.nan
+                    if not 0.0 < dt < math.inf:
+                        raise ValueError(f"{path}:{lineno}: dt must be a finite positive number, got {comment[3:]!r}")
+            elif line:
+                names = line.split()
+                if names[0] != "time" or "action" not in names:
+                    raise ValueError(f"{path}:{lineno}: the column row needs 'time' first and an 'action' column")
+                break
+        if dt is None or names is None:
+            raise ValueError(f"{path}: not a trace file (missing dt header or column row)")
+        try:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:  # MemoryError: a header declaring a huge shape
+            raise ValueError(f"{path}: body: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the body's array")
+    if data.dtype != "<f8" or data.ndim != 2 or not len(data):
+        raise ValueError(f"{path}: the body is a {data.dtype.str} array of shape {data.shape}, "
+                         "expected a 2-D <f8 array with at least one row")
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: the body has {data.shape[1]} columns, the column row names {len(names)}")
+    times = np.arange(len(data)) * dt  # as `trace_bytes` writes them
+    bad = np.flatnonzero(data[:, 0].view("<i8") != times.view("<i8"))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0]} of the time column is {data[bad[0], 0]}, not row * dt = {times[bad[0]]}")
+    act_col = names.index("action")
+    exo_cols = [j for j, n in enumerate(names) if n.startswith("input_")]
+    trace = Trace(dt=dt, channels=tuple(names[1:act_col]), states=data[:, 1:act_col],
+                  actions=data[:, act_col], inputs=data[:, exo_cols])
+    return trace, {names[j]: data[:, j] for j in range(act_col + 1, len(names)) if j not in exo_cols}
 
 
 # ---------------------------------------------------------------------------

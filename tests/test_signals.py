@@ -1,5 +1,6 @@
 import io
 import json
+import tokenize
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cpsguard.signals import (
     time_index,
     trace_bytes,
 )
+from oracles import load_trace_oracle
 
 
 def spec_1ch(n=2, interp="pconst", duration=10.0, rng=(0.0, 10.0)):
@@ -85,9 +87,9 @@ def save_trace(trace, path, config_hash=None, extra_columns=None):
     path.write_bytes(trace_bytes(trace, config_hash, extra_columns))
 
 
-def npy_bytes(array, allow_pickle=False):
+def npy_bytes(array, allow_pickle=False, version=None):
     out = io.BytesIO()
-    np.lib.format.write_array(out, array, allow_pickle=allow_pickle)
+    np.lib.format.write_array(out, array, version=version, allow_pickle=allow_pickle)
     return out.getvalue()
 
 
@@ -229,6 +231,22 @@ class TestTrace:
             load_trace(path)
         assert str(err.value).startswith(f"{path}: body: ")
 
+    @pytest.mark.parametrize("header", [
+        b"{'descr': '<f8', 'fortran_order': False, 'shape': (6, ",
+        b"1\n  2\n 3",
+    ], ids=["cut short", "badly indented"])
+    def test_header_numpy_cannot_tokenize_is_refused(self, tmp_path, header):
+        # numpy's parser for Python 2 headers raises tokenize.TokenError and IndentationError
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path)
+        data = path.read_bytes()
+        start = data.index(b"\x93NUMPY")
+        body = data[start + 10 + int.from_bytes(data[start + 8:start + 10], "little"):]
+        path.write_bytes(data[:start] + b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header + body)
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: body: ")
+
     def test_v1_text_trace_refused_naming_the_format(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("# cpsguard-trace v1\n# dt=0.1\ntime a b action input_0\n0.0 0.0 1.0 0.0 0.0\n")
@@ -236,6 +254,174 @@ class TestTrace:
             load_trace(path)
         assert str(err.value) == (f"{path}:1: not a cpsguard-trace v2 file: "
                                   "its first line is '# cpsguard-trace v1'")
+
+
+def read_outcome(load, path):
+    """What `load` makes of a trace file: its arrays as (name, dtype, shape, bytes) and its dt and
+    channels, or the message of the ValueError it raises."""
+    try:
+        trace, extras = load(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = {"states": trace.states, "actions": trace.actions, "inputs": trace.inputs, **extras}
+    return (trace.dt, trace.channels,
+            [(name, a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()])
+
+
+SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+
+
+def random_trace_file(rng) -> bytes:
+    """A trace file as `trace_bytes` writes it: 1-40 rows, 1-3 channels, 0-2 exogenous columns,
+    some values NaN, infinite or -0.0, and any of the `rob` and `controller` extra columns."""
+    rows = 1 if rng.random() < 0.25 else int(rng.integers(2, 41))
+
+    def values(cols):
+        out = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9, size=(rows, cols))
+        special = rng.random((rows, cols)) < 0.2
+        out[special] = np.array(SPECIAL_VALUES)[rng.integers(len(SPECIAL_VALUES), size=int(special.sum()))]
+        return out
+
+    channels = ("x", "v_ego", "d_rel")[:int(rng.integers(1, 4))]
+    trace = Trace(dt=float((0.1, 0.05, 1.0, 0.3)[rng.integers(4)]), channels=channels,
+                  states=values(len(channels)), actions=values(1), inputs=values(int(rng.integers(0, 3))))
+    extras = {}
+    if rng.random() < 0.5:
+        extras["rob"] = values(1)[:, 0]
+    if rng.random() < 0.5:
+        extras["controller"] = rng.integers(0, 2, rows).astype(float)
+    return trace_bytes(trace, "cafe" if rng.random() < 0.5 else None, extras)
+
+
+def header_edits(data):
+    """The file with its .npy header's shape, length, version or fields edited, one way each."""
+    start = data.index(b"\x93NUMPY")
+    hlen = int.from_bytes(data[start + 8:start + 10], "little")
+    header = data[start + 10:start + 10 + hlen]
+    rows, cols = (int(v) for v in header[header.index(b"(") + 1:header.index(b")")].split(b", "))
+    body = data[start + 10 + hlen:]
+
+    def with_header(text, version=b"\x01\x00", length=None):
+        text = text.ljust(hlen - 1) + b"\n" if length is None else text
+        size = len(text) if length is None else length
+        return data[:start] + b"\x93NUMPY" + version + size.to_bytes(2, "little") + text + body
+
+    dict_text = header.rstrip()
+    shape = f"({rows}, {cols})"
+    edits = [(shape, new) for new in (f"({rows + 1}, {cols})", f"({rows - 1}, {cols})", f"({rows}, {cols + 1})",
+                                      f"({rows}, {cols - 1})", f"(0{rows}, {cols})", f"({rows},{cols})",
+                                      f"({rows * cols},)", f"({10**13}, {cols})", f"({cols}, {rows})",
+                                      f"({'9' * 5000}, {cols})")]
+    edits += [("'<f8'", "'>f8'"), ("'<f8'", "'<i8'"), ("'<f8'", "'|O'"), ("False", "True"), ("}", "'extra': 1, }"),
+              ("'descr'", "'DESCR'")]
+    for old, new in edits:
+        yield with_header(dict_text.replace(old.encode(), new.encode()))
+    yield with_header((dict_text + b"\n").ljust(hlen), length=hlen)  # the newline early, spaces after it
+    yield with_header(header, length=hlen)  # unchanged, as a baseline
+    for length in (hlen - 1, hlen + 1, hlen + 64, hlen - 64, 0, 65535):
+        yield with_header(header, length=length)
+    for version in (b"\x02\x00", b"\x01\x01", b"\x00\x00"):
+        yield with_header(header, version=version)
+
+
+class TestReaderOracle:
+    """load_trace against the reader it replaced, oracles.load_trace_oracle: bit-equal arrays where
+    it accepts, and the same refusal in the same words where it refuses."""
+
+    def test_bit_equal_on_random_traces(self, tmp_path):
+        rng = np.random.default_rng(26)
+        path = tmp_path / "t.trace"
+        one_row, exo_widths, extras = set(), set(), set()
+        for _ in range(300):
+            path.write_bytes(random_trace_file(rng))
+            got = read_outcome(load_trace, path)
+            assert not isinstance(got, str), got
+            assert got == read_outcome(load_trace_oracle, path)
+            rows, width = got[2][2][2]  # the inputs' shape
+            one_row.add(rows == 1)
+            exo_widths.add(width)
+            extras.update(name for name, *_ in got[2][3:])
+        assert one_row == {True, False} and exo_widths == {0, 1, 2} and extras == {"rob", "controller"}
+
+    # numpy warns as it reads a header through its parser for Python 2 files, on either reader
+    @pytest.mark.filterwarnings("ignore:Reading `.npy` or `.npz` file required additional header parsing")
+    def test_same_verdict_on_mutated_files(self, tmp_path):
+        rng = np.random.default_rng(27)
+        path = tmp_path / "t.trace"
+        accepted = refused = 0
+        for n in range(6):
+            data = random_trace_file(rng)
+            start = data.index(b"\x93NUMPY")
+            mutants = [data[:cut] for cut in range(0, len(data), 1 if n == 0 else 7)]
+            for at in range(start):  # one prelude byte flipped
+                for byte in (data[at] ^ 0x20, data[at] ^ 0xFF, ord("\n"), ord("#"), ord(" ")):
+                    mutants.append(data[:at] + bytes([byte]) + data[at + 1:])
+            for at in range(start, start + 10):  # the magic, version and length bytes
+                mutants.append(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
+            mutants.extend(header_edits(data))
+            mutants.append(data + b"\0")
+            for mutant in mutants:
+                path.write_bytes(mutant)
+                got = read_outcome(load_trace, path)
+                try:
+                    want = read_outcome(load_trace_oracle, path)
+                except (SyntaxError, tokenize.TokenError):  # which the old reader let escape
+                    want = got if got.startswith(f"{path}: body: ") else "a refusal naming the body"
+                assert got == want, mutant[:start + 128]
+                refused += isinstance(got, str)
+                accepted += not isinstance(got, str)
+        assert accepted > 100 and refused > 1000  # both verdicts are well represented
+
+
+class TestHeaderPolicy:
+    """A body under any .npy header numpy reads is read, bit for bit as under the header that
+    `trace_bytes` writes; only that one is matched without numpy's header parser."""
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda body: npy_bytes(body, version=(2, 0)),
+        lambda body: npy_bytes(np.asfortranarray(body)),
+    ], ids=["version 2.0", "fortran order"])
+    def test_other_header_forms_load_bit_identically(self, tmp_path, rewrite):
+        canonical, other = tmp_path / "canonical.trace", tmp_path / "other.trace"
+        save_trace(small_trace(), canonical, extra_columns={"rob": np.linspace(-1.0, 1.0, 6)})
+        data = canonical.read_bytes()
+        start = data.index(b"\x93NUMPY")
+        body = np.lib.format.read_array(io.BytesIO(data[start:]))
+        other.write_bytes(data[:start] + rewrite(body))
+        assert other.read_bytes() != data
+        assert read_outcome(load_trace, other) == read_outcome(load_trace, canonical)
+
+    def test_written_files_are_read_without_numpys_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(28)
+        files = [random_trace_file(rng) for _ in range(20)]
+
+        def numpys_reader(*args, **kwargs):
+            raise AssertionError("a written file went to numpy's reader")
+
+        monkeypatch.setattr(np.lib.format, "read_array", numpys_reader)
+        path = tmp_path / "t.trace"
+        for data in files:
+            path.write_bytes(data)
+            load_trace(path)
+
+    def test_loaded_arrays_cannot_be_made_writable(self, tmp_path):
+        path = tmp_path / "t.trace"
+        save_trace(small_trace(), path, extra_columns={"rob": np.zeros(6)})
+        trace, extras = load_trace(path)
+        for array in (trace.states, trace.actions, trace.inputs, extras["rob"]):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    @pytest.mark.parametrize("make", [
+        lambda base: base[:, :1],
+        lambda base: np.frombuffer(bytearray(base.tobytes()), "<f8").reshape(base.shape)[:, :1],
+    ], ids=["view of an array", "view of a bytearray"])
+    def test_trace_copies_what_its_caller_can_still_write(self, make):
+        base = np.zeros((4, 2))
+        states = make(base)
+        states.flags.writeable = False
+        trace = Trace(dt=0.1, channels=("a",), states=states, actions=np.zeros(4), inputs=np.zeros((4, 1)))
+        assert not np.shares_memory(trace.states, states)
 
 
 # ---------------------------------------------------------------------------

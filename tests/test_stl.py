@@ -117,31 +117,37 @@ class TestParse:
 ROUNDTRIP_NUMBERS = (0.0, 1.0, 0.5, 0.99999999, 0.1234567, 3e20, 1e15, 1e-7, 2.5e-300, 0.1 + 0.2, 123456789.0)
 
 
+def pick(rng, options):
+    """One of options, each equally likely; an index is cheaper to draw than `Generator.choice`, which
+    makes an array of the options."""
+    return options[rng.integers(len(options))]
+
+
 def random_parsed_expr(rng, depth):
-    kind = rng.choice(["var", "const", "neg", "abs", "+", "-", "*"] if depth > 0 else ["var", "const"])
+    kind = pick(rng, ("var", "const", "neg", "abs", "+", "-", "*") if depth > 0 else ("var", "const"))
     if kind == "var":
-        return stl.Var(str(rng.choice(["a", "b", "v_ego", "G", "U"])))
+        return stl.Var(pick(rng, ("a", "b", "v_ego", "G", "U")))
     if kind == "const":  # non-negative: a leading minus parses as negation
-        return stl.Const(float(rng.choice(ROUNDTRIP_NUMBERS)) if rng.random() < 0.7 else float(rng.exponential(10.0)))
+        return stl.Const(pick(rng, ROUNDTRIP_NUMBERS) if rng.random() < 0.7 else float(rng.exponential(10.0)))
     if kind == "neg":
         return stl.NegExpr(random_parsed_expr(rng, depth - 1))
     if kind == "abs":
         return stl.AbsExpr(random_parsed_expr(rng, depth - 1))
-    return stl.BinExpr(str(kind), random_parsed_expr(rng, depth - 1), random_parsed_expr(rng, depth - 1))
+    return stl.BinExpr(kind, random_parsed_expr(rng, depth - 1), random_parsed_expr(rng, depth - 1))
 
 
 def random_parsed_stl(rng, depth):
     """A random formula of the kind parse_stl returns."""
-    kind = rng.choice(["pred", "not", "and", "or", "->", "G", "F", "U"] if depth > 0 else ["pred"])
+    kind = pick(rng, ("pred", "not", "and", "or", "->", "G", "F", "U") if depth > 0 else ("pred",))
     if kind == "pred":
-        op = str(rng.choice(["<=", "<", ">=", ">"]))
+        op = pick(rng, ("<=", "<", ">=", ">"))
         return Pred(random_parsed_expr(rng, 2), op, random_parsed_expr(rng, 2))
     if kind == "not":
         return Not(random_parsed_stl(rng, depth - 1))
     if kind in ("and", "or", "->"):
         node = {"and": And, "or": Or, "->": stl.Implies}[kind]
         return node(random_parsed_stl(rng, depth - 1), random_parsed_stl(rng, depth - 1))
-    lo, hi = sorted(float(v) for v in rng.choice(ROUNDTRIP_NUMBERS, size=2))
+    lo, hi = sorted((pick(rng, ROUNDTRIP_NUMBERS), pick(rng, ROUNDTRIP_NUMBERS)))
     if kind == "U":
         return Until(lo, hi, random_parsed_stl(rng, depth - 1), random_parsed_stl(rng, depth - 1))
     return (Always if kind == "G" else Eventually)(lo, hi, random_parsed_stl(rng, depth - 1))
