@@ -28,7 +28,10 @@ to six times as much.
 Refinement splits each unsplit state whose members' robustness has a
 population variance above the variance threshold and falls on both sides
 of the label threshold into a + and a - sub-state, by a hyperplane in
-reduced space, then rebuilds the MDP with the extended state map. The
+reduced space, then rebuilds the MDP with the extended state map. One
+pass counts every state's members on each side of the label threshold;
+only the unsplit states that hold both labels have their variance taken
+and, above the threshold, a hyperplane fitted. The
 hyperplane is a linear SVM (squared hinge loss, L2-regularized, bias
 not) solved to its optimum by a finite Newton method, with a negative
 member's loss weighted x100, since one negative member labels a
@@ -437,9 +440,11 @@ def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, neg_cost: float)
     the first solution that keeps its own active set is the optimum. A degenerate w falls back, with a
     warning, to the class-mean hyperplane."""
     n, k = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])  # z = (w, b) acts on rows (x, 1)
+    Xa = np.empty((n, k + 1))  # z = (w, b) acts on rows (x, 1)
+    Xa[:, :k], Xa[:, k] = X, 1.0
     weight = (2.0 / n) * np.where(y > 0, 1.0, neg_cost)
-    ridge = np.diag(np.append(np.full(k, lam), 0.0))  # b is not regularized
+    ridge = np.zeros((k + 1, k + 1))
+    ridge.flat[:-1:k + 2] = lam  # the diagonal but its last entry: b is not regularized
     z, margin = np.zeros(k + 1), np.zeros(n)
     for _ in range(_MAX_STEPS):
         active = margin < 1.0
@@ -448,16 +453,16 @@ def _train_linear_svm(X: np.ndarray, y: np.ndarray, lam: float, neg_cost: float)
             Aw = A.T * weight[active]
             target = np.linalg.solve(ridge + Aw @ A, Aw @ y[active])
         else:  # every margin reached 1 (within rounding) short of the optimum: descend as the regularizer does
-            target = np.append(np.zeros(k), z[k])
+            target = np.concatenate((np.zeros(k), z[k:]))
         target_margin = y * (Xa @ target)
-        if np.array_equal(target_margin < 1.0, active):
+        if ((target_margin < 1.0) == active).all():
             z = target
             break
         t = _line_search(margin, target_margin - margin, weight, z[:k], target[:k] - z[:k], lam)
         z = z + t * (target - z)
         margin = y * (Xa @ z)
     w, b = z[:k], float(z[k])
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
+    if not (np.isfinite(w).all() and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
         warnings.warn("SVM training degenerated; using the class-mean hyperplane", stacklevel=2)
         mean_pos = X[y > 0].mean(axis=0)
         mean_neg = X[y < 0].mean(axis=0)
@@ -471,14 +476,14 @@ def _line_search(margin, slope, weight, w, dw, lam) -> float:
     derivative, piecewise linear and nondecreasing, reaches zero. A piece ends where a member's margin crosses 1."""
     live = np.where(slope < 0.0, margin <= 1.0, margin < 1.0)  # members in the loss just after t = 0
     gain, curve = weight * slope * (margin - 1.0), weight * slope * slope  # each one's share of the derivative
-    crossing = np.flatnonzero((slope > 0.0) & live | (slope < 0.0) & ~live)  # leaves, or joins, the loss
+    crossing = ((slope > 0.0) & live | (slope < 0.0) & ~live).nonzero()[0]  # leaves, or joins, the loss
     at = (1.0 - margin[crossing]) / slope[crossing]  # where each crosses, all after t = 0
-    order = np.argsort(at, kind="stable")
+    order = at.argsort(kind="stable")
     at, crossing = at[order], crossing[order]
     sign = np.where(slope[crossing] < 0.0, 1.0, -1.0)
-    offset = lam * float(w @ dw) + float(gain[live].sum()) + np.cumsum(np.append(0.0, sign * gain[crossing]))
-    rate = lam * float(dw @ dw) + float(curve[live].sum()) + np.cumsum(np.append(0.0, sign * curve[crossing]))
-    piece = int(np.searchsorted(offset[:-1] + rate[:-1] * at >= 0.0, True))  # the first with a root by its end
+    offset = lam * float(w @ dw) + float(gain[live].sum()) + np.concatenate(([0.0], sign * gain[crossing])).cumsum()
+    rate = lam * float(dw @ dw) + float(curve[live].sum()) + np.concatenate(([0.0], sign * curve[crossing])).cumsum()
+    piece = int((offset[:-1] + rate[:-1] * at >= 0.0).searchsorted(True))  # the first with a root by its end
     return float(-offset[piece] / rate[piece])
 
 
@@ -498,11 +503,11 @@ def _split(X: np.ndarray, y: np.ndarray):
 def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -> AbstractMdp:
     """One refinement pass over a model built from the same traces.
 
-    States whose member robustness variance exceeds the threshold and
-    whose members fall on both sides of the label threshold get a
-    hyperplane (`_split`); everything is then recounted under the
-    extended state map. Call again for further passes (already-split
-    cells keep their single hyperplane). A
+    Unsplit states whose members fall on both sides of the label
+    threshold (one pass counts them) and whose robustness variance
+    exceeds the threshold get a hyperplane (`_split`); everything is
+    then recounted under the extended state map. Call again for further
+    passes (already-split cells keep their single hyperplane). A
     ValueError names the trace and row of a state outside the model's
     grid, which no state of the model could hold.
     """
@@ -515,17 +520,17 @@ def refine(model: AbstractMdp, pairs, config: AbstractionConfig | None = None) -
         n = np.searchsorted(starts, outside[0], "right") - 1
         raise ValueError(f"trace {n}: row {outside[0] - starts[n]} lies outside the grid of the model it refines")
     order, heads = _groups(codes)
+    ends, head_codes = np.append(heads[1:], len(order)), codes[order[heads]]
+    positive = robs_all[order] >= config.label_threshold  # the members `_assemble` does not label -1
+    n_positive = np.add.reduceat(positive, heads)
+    mixed = (head_codes % 3 == 1) & (n_positive > 0) & (n_positive < ends - heads)  # unsplit, both labels
     classifiers = dict(model.classifiers)
-    for code, members in zip(codes[order[heads]].tolist(), np.split(order, heads[1:])):
-        cell, side = _sid(code)
-        if side != 0:
-            continue  # one hyperplane per cell
+    for head, end, code in zip(heads[mixed].tolist(), ends[mixed].tolist(), head_codes[mixed].tolist()):
+        members, cell = order[head:end], _sid(code)[0]  # the state's rows, ascending
         robs = robs_all[members]
-        variance = float(np.mean((robs - robs.mean()) ** 2))
-        positive = robs >= config.label_threshold  # the members `_assemble` does not label -1
-        if variance > config.variance_threshold and positive.any() and not positive.all():
-            classifiers[cell] = _split(R[members], np.where(positive, 1.0, -1.0))
-            codes[members] = _code((cell, _sides(classifiers, cell, R, members)))  # the cell's rows, ascending
+        if float(np.mean((robs - robs.mean()) ** 2)) > config.variance_threshold:
+            classifiers[cell] = _split(R[members], np.where(positive[head:end], 1.0, -1.0))
+            codes[members] = _code((cell, _sides(classifiers, cell, R, members)))
     return _assemble(codes, robs_all, actions, starts, model.pca, config, classifiers)
 
 

@@ -421,7 +421,6 @@ def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
-    pairs = _load_trace_pairs(cfg)
     model_path = cfg.output_dir / "model.json"
     if not model_path.exists():
         raise FileNotFoundError(f"{model_path} missing (run build first)")
@@ -433,7 +432,7 @@ def cmd_refine(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"c={model.config.c}, config asks for k={acfg.k}, c={acfg.c}"
         )
     before = len(model.label)
-    refined = abstraction.refine(model, pairs, acfg)
+    refined = abstraction.refine(model, _load_trace_pairs(cfg), acfg)
     _write_model(cfg, refined)
     print(
         f"refined: {before} -> {len(refined.label)} states, "

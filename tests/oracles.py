@@ -4,6 +4,7 @@ definitions and stays off the production code paths."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from cpsguard import stl
 from cpsguard.abstraction import (
     INIT_STATE,
     OUT_OF_BOUNDS,
+    _MAX_STEPS,
     AbstractionConfig,
     AbstractMdp,
     PcaTransform,
@@ -909,6 +911,62 @@ def svm_brute_force(X, y, lam, neg_cost):
                 if best is None or f < best[0]:
                     best = (f, w, b)
     return best[1], best[2]
+
+
+# the Newton SVM built with numpy's array wrappers (hstack, diag, append, array_equal); its
+# floating-point operations are the library's, so the two agree bit for bit
+
+
+def train_linear_svm_oracle(X: np.ndarray, y: np.ndarray, lam: float, neg_cost: float):
+    """The (w, b) minimizing lam/2 |w|^2 + (1/n) sum_i c_i max(0, 1 - y_i (w.x_i + b))^2, c_i 1 where y_i is +1
+    and `neg_cost` where it is -1, by the finite Newton method (Keerthi & DeCoste, JMLR 2005): a step solves
+    the quadratic of the active set (the members of margin below 1) and searches the line to its solution;
+    the first solution that keeps its own active set is the optimum. A degenerate w falls back, with a
+    warning, to the class-mean hyperplane."""
+    n, k = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])  # z = (w, b) acts on rows (x, 1)
+    weight = (2.0 / n) * np.where(y > 0, 1.0, neg_cost)
+    ridge = np.diag(np.append(np.full(k, lam), 0.0))  # b is not regularized
+    z, margin = np.zeros(k + 1), np.zeros(n)
+    for _ in range(_MAX_STEPS):
+        active = margin < 1.0
+        if active.any():
+            A = Xa[active]
+            Aw = A.T * weight[active]
+            target = np.linalg.solve(ridge + Aw @ A, Aw @ y[active])
+        else:  # every margin reached 1 (within rounding) short of the optimum: descend as the regularizer does
+            target = np.append(np.zeros(k), z[k])
+        target_margin = y * (Xa @ target)
+        if np.array_equal(target_margin < 1.0, active):
+            z = target
+            break
+        t = line_search_oracle(margin, target_margin - margin, weight, z[:k], target[:k] - z[:k], lam)
+        z = z + t * (target - z)
+        margin = y * (Xa @ z)
+    w, b = z[:k], float(z[k])
+    if not (np.all(np.isfinite(w)) and math.isfinite(b)) or float(np.linalg.norm(w)) < 1e-12:
+        warnings.warn("SVM training degenerated; using the class-mean hyperplane", stacklevel=2)
+        mean_pos = X[y > 0].mean(axis=0)
+        mean_neg = X[y < 0].mean(axis=0)
+        w = mean_pos - mean_neg
+        b = -float(w @ (mean_pos + mean_neg) / 2.0)
+    return w, b
+
+
+def line_search_oracle(margin, slope, weight, w, dw, lam) -> float:
+    """The t > 0 minimizing lam/2 |w + t dw|^2 + sum_i weight_i / 2 max(0, 1 - margin_i - t slope_i)^2: where its
+    derivative, piecewise linear and nondecreasing, reaches zero. A piece ends where a member's margin crosses 1."""
+    live = np.where(slope < 0.0, margin <= 1.0, margin < 1.0)  # members in the loss just after t = 0
+    gain, curve = weight * slope * (margin - 1.0), weight * slope * slope  # each one's share of the derivative
+    crossing = np.flatnonzero((slope > 0.0) & live | (slope < 0.0) & ~live)  # leaves, or joins, the loss
+    at = (1.0 - margin[crossing]) / slope[crossing]  # where each crosses, all after t = 0
+    order = np.argsort(at, kind="stable")
+    at, crossing = at[order], crossing[order]
+    sign = np.where(slope[crossing] < 0.0, 1.0, -1.0)
+    offset = lam * float(w @ dw) + float(gain[live].sum()) + np.cumsum(np.append(0.0, sign * gain[crossing]))
+    rate = lam * float(dw @ dw) + float(curve[live].sum()) + np.cumsum(np.append(0.0, sign * curve[crossing]))
+    piece = int(np.searchsorted(offset[:-1] + rate[:-1] * at >= 0.0, True))  # the first with a root by its end
+    return float(-offset[piece] / rate[piece])
 
 
 def refine_oracle(model, pairs):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from oracles import (
     svm_active_set_solution,
     svm_brute_force,
     svm_objective,
+    train_linear_svm_oracle,
     transitions_of,
     writer_oracle,
 )
@@ -37,6 +39,7 @@ from cpsguard.abstraction import (
     _new_runs,
     _reduce_batch,
     _split,
+    _state_codes,
     _state_ids,
     _train_linear_svm,
     abstract_action,
@@ -429,6 +432,47 @@ def assert_same_model(model, expected):
         assert np.array_equal(w, expected.classifiers[cell][0]) and b == expected.classifiers[cell][1]
 
 
+def svm_cells(seed, count):
+    """`count` seeded cells of 2 to 400 members in 1 to 3 dims, on scales 0.1 to 10, whose classes
+    overlap, touch or are separable along x, then the two hand-built cells the SVM tests single out."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n, k = int(np.exp(rng.uniform(np.log(2), np.log(401)))), int(rng.integers(1, 4))
+        y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        X = rng.normal(size=(n, k))
+        X[:, 0] = rng.uniform(0.0, 1.0, n) + np.where(y > 0, 0.0, (-0.5, 1.0, 1.2)[trial % 3])
+        yield X * 10.0 ** rng.uniform(-1, 1, k), y
+    yield np.zeros((70, 2)), np.where(np.arange(70) % 3 == 0, 1.0, -1.0)  # the class-mean fallback
+    yield np.array([[2.9, 1.7], [-0.9, 2.1], [5.0, -0.4], [3.0, 1.0]]), np.array([1.0, -1.0, 1.0, 1.0])
+
+
+def random_refine_case(seed):
+    """Traces of 3 channels whose robustness follows x0 + x1/2 with noise, in k = 1 to 3 reduced dims,
+    a label threshold of 0, 0.4 or -0.3, NaN robustness on a state's first member and on a later member
+    of another state, and the config with a variance threshold at the median variance of its mixed states
+    (0 where NaN leaves none)."""
+    rng = np.random.default_rng(seed)
+    cfg = AbstractionConfig(k=1 + seed % 3, c=int(rng.integers(2, 6)),
+                            label_threshold=(0.0, 0.4, -0.3)[seed // 3 % 3])
+    traces = [trace_nd(rng.normal(size=(int(rng.integers(20, 80)), 3))) for _ in range(int(rng.integers(2, 6)))]
+    robs = [t.states[:, 0] + 0.5 * t.states[:, 1] + 0.3 * rng.normal(size=len(t)) for t in traces]
+    model = build_abstraction(list(zip(traces, robs)), cfg)
+    codes = _state_codes(model.config, {}, _reduce_batch(model.pca, np.vstack([t.states for t in traces])))
+    rob = np.concatenate(robs)
+    later = np.flatnonzero(codes == np.bincount(codes[codes != codes[0]]).argmax())[-1]  # of the largest state
+    assert np.sum(codes == codes[later]) > 1  # row 0 is not in
+    rob[[0, later]] = np.nan
+    variances = []
+    for code in set(codes.tolist()):
+        members = rob[codes == code]
+        positive = members >= cfg.label_threshold
+        if positive.any() and not positive.all() and not np.isnan(members).any():
+            variances.append(float(np.mean((members - members.mean()) ** 2)))
+    return list(zip(traces, np.split(rob, np.cumsum([len(t) for t in traces])[:-1]))), \
+        cfg.replace(variance_threshold=float(np.median(variances)) if variances else 0.0)
+
+
 def svm_cell(n, pos_share):
     """A cell of n members in 3-D, on scales 3, 1 and 0.2, the positive ones shifted along x."""
     rng = np.random.default_rng(n)
@@ -494,6 +538,38 @@ class TestAbstractionOracles:
         assert max(searched_from) >= 1.0
         w_ref, b_ref = svm_brute_force(X, y, _LAMBDA, _NEG_COST)
         assert np.max(np.abs(np.append(w - w_ref, b - b_ref))) <= 1e-9 * max(1.0, np.max(np.abs(w_ref)))
+
+    def test_svm_matches_its_oracle_bit_for_bit(self):
+        cases, fallbacks = 0, 0
+        for X, y in svm_cells(27, 1000):
+            for neg_cost in (1.0, _NEG_COST):
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    w, b = _train_linear_svm(X, y, _LAMBDA, neg_cost)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    w_ref, b_ref = train_linear_svm_oracle(X, y, _LAMBDA, neg_cost)
+                assert np.append(w, b).tobytes() == np.append(w_ref, b_ref).tobytes(), (X.shape, neg_cost)
+                assert [str(m.message) for m in got] == [str(m.message) for m in want]
+                cases, fallbacks = cases + 1, fallbacks + len(got)
+        assert cases >= 2000 and fallbacks >= 2  # the class-mean cell falls back under both costs
+
+    def test_refine_matches_its_oracle_on_random_cases(self):
+        seen = {"blocked by the variance": 0, "split": 0, "split in the second pass": 0}
+        for seed in range(30):
+            pairs, cfg = random_refine_case(seed)
+            model = build_abstraction(pairs, cfg)
+            half = pairs[:len(pairs) // 2]
+            once = refine(model, half)
+            expected = refine_oracle(model, half)
+            assert_same_model(once, expected)
+            twice = refine(once, pairs)  # routes through the first pass's hyperplanes, splits the cells it left
+            assert_same_model(twice, refine_oracle(expected, pairs))
+            seen["split"] += len(once.classifiers)
+            seen["split in the second pass"] += len(twice.classifiers) - len(once.classifiers)
+            unblocked = refine(model, pairs, cfg.replace(variance_threshold=0.0))
+            seen["blocked by the variance"] += len(unblocked.classifiers) - len(refine(model, pairs).classifiers)
+        assert min(seen.values()) >= 10, seen
 
     def test_split_leaves_no_negative_member_on_the_plus_side(self):
         rng = np.random.default_rng(12)

@@ -520,12 +520,15 @@ class TestBuild:
         assert run(["--config", cfg, "refine"]) == 2
         assert "error: trace 1: row 2 lies outside the grid of the model it refines" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change, message", [
-        ({"abstraction": {"c": 5}},
+    @pytest.mark.parametrize("change, cut, message", [
+        ({"abstraction": {"c": 5}}, False,
          "error: abstraction schema mismatch: model was built with k=2, c=4, config asks for k=2, c=5\n"),
-        (None, "model.json missing (run build first)\n"),
-    ], ids=["other_c", "no_model"])
-    def test_refine_needs_the_model_of_its_config(self, tmp_path, capsys, change, message):
+        (None, False, "model.json missing (run build first)\n"),
+        # the model is checked before any trace is read
+        ({"abstraction": {"c": 5}}, True,
+         "error: abstraction schema mismatch: model was built with k=2, c=4, config asks for k=2, c=5\n"),
+    ], ids=["other_c", "no_model", "other_c_and_a_truncated_trace"])
+    def test_refine_needs_the_model_of_its_config(self, tmp_path, capsys, change, cut, message):
         cfg = write_config(tmp_path)
         run(["--config", cfg, "collect", "--num", "2"])
         assert run(["--config", cfg, "build"]) == 0
@@ -533,6 +536,9 @@ class TestBuild:
             (tmp_path / "out" / "model.json").unlink()
         else:
             cfg = write_config(tmp_path, **change)
+        if cut:
+            path = tmp_path / "out" / "traces" / "trace_0001.trace"
+            path.write_bytes(path.read_bytes()[:300])
         capsys.readouterr()
         assert run(["--config", cfg, "refine"]) == 2
         assert capsys.readouterr().err.endswith(message)
@@ -877,8 +883,11 @@ class TestReadBack:
     @pytest.mark.parametrize("command, name, text, message", READ_BACK_DEFECTS)
     def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, command, name, text, message):
         cfg = write_config(tmp_path)
+        if command == "refine":  # refine reads the traces only once its model has passed
+            run(["--config", cfg, "collect", "--num", "2"])
+            assert run(["--config", cfg, "build"]) == 0
         path = tmp_path / "out" / name
-        path.parent.mkdir()
+        path.parent.mkdir(exist_ok=True)
         path.write_text(text)
         assert run(["--config", cfg, command]) == 2
         assert f"error: {path}{message}" in capsys.readouterr().err
