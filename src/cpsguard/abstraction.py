@@ -318,10 +318,6 @@ def _sids(codes: np.ndarray) -> list[StateId]:
     return list(zip((codes // 3 - 1).tolist(), (codes % 3 - 1).tolist()))
 
 
-def _state_ids(config, classifiers, R: np.ndarray) -> list[StateId]:
-    return _sids(_state_codes(config, classifiers, R))
-
-
 def _new_runs(*keys) -> np.ndarray:
     """True where a row of the sorted key columns differs from the one
     before, and at row 0."""

@@ -198,7 +198,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         duration = section["duration"] if section["duration"] is not None else simcfg.horizon
         input_spec = plants.default_input_spec(plant, section["num_control_points"], duration, section["interpolation"])
         if section["ranges"] is not None:
-            input_spec = input_spec.replace(dims=len(section["ranges"]), ranges=section["ranges"])
+            input_spec = input_spec.replace(ranges=section["ranges"])
     with _section("labeling_spec"):
         labeling_spec = stl.parse_stl(raw["labeling_spec"])
     with _section("abstraction"):
@@ -214,6 +214,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         search = {key: value for key, value in f.items() if key not in ("spec", "query", "trials")}
         if f["trials"] < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= f["checkpoint_time"] <= simcfg.horizon:
+            raise ValueError(f"checkpoint_time {f['checkpoint_time']} is outside [0, sim.horizon {simcfg.horizon}]")
         falsify_config = falsify.FalsifyConfig(stl_spec=stl.parse_stl(f["spec"]) if f["spec"] else labeling_spec,
                                                safety_query=pmc.parse_pctl(f["query"]), **search)
     return RunConfig(raw=raw, config_hash=digest, base_dir=base_dir, plant=plant, simcfg=simcfg,

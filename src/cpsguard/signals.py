@@ -40,18 +40,6 @@ bytes or differs in width from the column row, and a time column other
 than row * dt, bit for bit. Input signals are not persisted: a run is
 reproduced from its seed. All values are immutable after construction
 and safe to share across concurrent runs.
-
-Every JSON file the package writes is `json_text`: the bytes of
-``json.dumps(doc, sort_keys=True, indent=1) + "\n"`` with the bulk
-encoded in json's C encoder, which cannot indent. A container of
-scalars is one C call with the separator of its depth. So is a list of
-non-empty rows of one container type that hold scalars, then
-``str.replace`` indents the row boundaries: an encoded string holds no
-raw newline, so in rows of scalars a close bracket, the separator and
-an open bracket meet only between rows. One bracket count, the list's
-own bracket and one per row, sends every other list down the per-item
-path: rows that nest a container (a classifier's weight list, a
-monitored run's queries) and rows whose strings hold a bracket.
 """
 
 from __future__ import annotations
@@ -62,7 +50,6 @@ import json
 import math
 import re
 import tokenize
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -318,59 +305,6 @@ def load_trace(path) -> tuple[Trace, dict[str, np.ndarray]]:
 # JSON files
 
 
-_CONTAINERS = (list, tuple, dict)
-
-
 def json_text(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=1) + "\n"``, byte for byte, for a
-    document of dicts with string keys, lists, tuples and scalars."""
-    return _indented(doc, 0) + "\n"
-
-
-@functools.cache
-def _one_line(separator: str):
-    """The one-line JSON of a value: sorted keys, `separator` between items, in C where json has it."""
-    if c_make_encoder is None:
-        return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
-    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", separator,
-                            True, False, True)
-    return lambda value: "".join(encode(value, 0))
-
-
-def _indented(value, level: int) -> str:
-    """The text of a value whose first line is indented by `level` spaces."""
-    if not isinstance(value, _CONTAINERS) or not value:  # a scalar or an empty container: one line
-        return _one_line(",")(value)
-    inner, end = "\n" + " " * (level + 1), "\n" + " " * level
-    if _flat(value):
-        text = _one_line("," + inner)(value)
-        return text[0] + inner + text[1:-1] + end + text[-1]
-    kinds = set(map(type, value)) if isinstance(value, list | tuple) and all(value) else ()
-    text = _rows_text(value, inner, end) if len(kinds) == 1 and issubclass(kinds.pop(), _CONTAINERS) else None
-    if text is not None:
-        return text
-    if isinstance(value, dict):
-        parts = [f"{encode_basestring_ascii(key)}: {_indented(v, level + 1)}" for key, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(parts) + end + "}"
-    return "[" + inner + ("," + inner).join([_indented(v, level + 1) for v in value]) + end + "]"
-
-
-def _flat(value) -> bool:
-    """Whether a container holds no container."""
-    items = value.values() if isinstance(value, dict) else value
-    return not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, items)))
-
-
-def _rows_text(rows, inner: str, end: str) -> str | None:
-    """The text of a list of rows of one container type that hold scalars, written as one C
-    call and a `str.replace` at the row boundaries; None where a row nests a container or a
-    bracket in a string could pass for a row's."""
-    if not _flat(rows[0]):  # the first row, before encoding all
-        return None
-    row = inner + " "
-    text = _one_line("," + row)(rows)
-    if text.count("[") + text.count("{") != len(rows) + 1:
-        return None
-    open_, close = text[1], text[-2]
-    text = text[2:-2].replace(close + "," + row + open_, inner + close + "," + inner + open_ + row)
-    return "[" + inner + open_ + row + text + inner + close + end + "]"
+    """Every JSON file the package writes: ``json.dumps(doc, sort_keys=True)`` and a newline."""
+    return json.dumps(doc, sort_keys=True) + "\n"

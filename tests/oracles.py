@@ -631,7 +631,7 @@ def writer_oracle(model):
 
 def model_doc_oracle(model, config_hash=None):
     """The model file's document, built from the state and transition dicts as the writer built it
-    before models were columns: `json.dumps(doc, sort_keys=True, indent=1)` wrote it."""
+    before models were columns; the file is `json.dumps(doc, sort_keys=True)` of it."""
     doc = {
         "format": "cpsguard-mdp-v1",
         "abstraction": {

@@ -39,8 +39,8 @@ from cpsguard.abstraction import (
     _new_runs,
     _reduce_batch,
     _split,
+    _sids,
     _state_codes,
-    _state_ids,
     _train_linear_svm,
     abstract_action,
     abstract_state_of,
@@ -640,7 +640,8 @@ class TestAbstractionOracles:
         assert model.classifiers
         for trace, _ in more:
             R = _reduce_batch(model.pca, trace.states)
-            assert _state_ids(model.config, model.classifiers, R) == state_ids_oracle(model.config, model.classifiers, R)
+            want = state_ids_oracle(model.config, model.classifiers, R)
+            assert _sids(_state_codes(model.config, model.classifiers, R)) == want
 
     def test_state_ids_on_the_hyperplane(self):
         """Rows whose margin is zero as `_route` computes it: the batch dot
@@ -651,14 +652,14 @@ class TestAbstractionOracles:
             R = rng.uniform(0.0, 0.5, size=(40, 3))
             w = rng.normal(size=3)
             classifiers = {0: (w, -float(w @ R[int(rng.integers(40))]))}
-            assert _state_ids(config, classifiers, R) == state_ids_oracle(config, classifiers, R)
+            assert _sids(_state_codes(config, classifiers, R)) == state_ids_oracle(config, classifiers, R)
 
     def test_state_ids_agree_with_abstract_state_of(self, closed_loop):
         pairs, more, cfg = closed_loop
         model = refine(build_abstraction(pairs, cfg), pairs)
         unknown = 0
         for trace, _ in more:
-            sids = _state_ids(model.config, model.classifiers, _reduce_batch(model.pca, trace.states))
+            sids = _sids(_state_codes(model.config, model.classifiers, _reduce_batch(model.pca, trace.states)))
             for row, sid in zip(trace.states, sids):
                 scalar = abstract_state_of(model, row)
                 if scalar is None:
@@ -743,7 +744,7 @@ class TestSerialization:
                 parse_state_id(text)
 
     def test_model_file_is_json_dumps_of_its_document(self):
-        """The writer against json's indenting encoder on the document the dict views give:
+        """The writer against json's encoder on the document the dict views give:
         random MDPs, slow chains, a refined model and one with the synthetic init state."""
         pairs = separable_cell_pairs()
         refined = refine(build_abstraction(pairs, AbstractionConfig(k=1, c=2)), pairs)
@@ -753,7 +754,7 @@ class TestSerialization:
         assert starts.initial == INIT_STATE and not starts.classifiers
         for model in (*table_models(), refined, starts):
             for config_hash in (None, "0123abcd"):
-                want = json.dumps(model_doc_oracle(model, config_hash), sort_keys=True, indent=1) + "\n"
+                want = json.dumps(model_doc_oracle(model, config_hash), sort_keys=True) + "\n"
                 assert model_to_json(model, config_hash) == want
 
     def test_closed_loop_model_files_are_json_dumps(self, closed_loop, tmp_path):
@@ -761,7 +762,7 @@ class TestSerialization:
         built = build_abstraction(pairs, cfg)
         for model in (built, refine(built, pairs)):
             text = model_to_json(model, "h")
-            assert text == json.dumps(model_doc_oracle(model, "h"), sort_keys=True, indent=1) + "\n"
+            assert text == json.dumps(model_doc_oracle(model, "h"), sort_keys=True) + "\n"
             (tmp_path / "m.json").write_text(text)
             assert model_to_json(load_model(tmp_path / "m.json"), "h") == text
 

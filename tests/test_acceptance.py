@@ -213,7 +213,7 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_abstraction_soundness(self, unsafe_pairs, unsafe_model):
-        from cpsguard.abstraction import _reduce_batch, _state_ids
+        from cpsguard.abstraction import _reduce_batch, _sids, _state_codes
 
         model = unsafe_model
         # probability normalization
@@ -222,7 +222,7 @@ class TestCriterion3:
         unmapped = 0
         for trace, _ in unsafe_pairs:
             reduced = _reduce_batch(model.pca, trace.states)
-            for sid in _state_ids(model.config, model.classifiers, reduced):
+            for sid in _sids(_state_codes(model.config, model.classifiers, reduced)):
                 if sid not in model.rank:
                     unmapped += 1
         # deterministic rebuild on a subset, bit-identical serialization

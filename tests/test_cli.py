@@ -390,6 +390,8 @@ class TestWorkerProcesses:
         names = {str(p) for p in serial}
         assert {"collect_manifest.json", "model.json", "model.tra", "model.lab", "monitor_metrics.json",
                 *(f"falsify_{algo}.json" for algo in FALSIFY_ALGOS)} <= names
+        for path in (p for p in serial if p.suffix == ".json"):  # json's own encoding of the document
+            assert serial[path].decode() == json.dumps(json.loads(serial[path]), sort_keys=True) + "\n", path
         manifest = json.loads(serial[Path("collect_manifest.json")])
         runs = json.loads(serial[Path("monitor_metrics.json")])["runs"]
         failed = [i for i, r in enumerate(runs) if "error" in r]
@@ -963,6 +965,8 @@ SECTION_DEFECTS = [
     ({"plant": {"name": "cstr", "params": {"temp0": 0}}}, "plant", "cstr parameter 'temp0' must be positive, got 0.0"),
     ({"plant": {"params": {"inflow_min": 3, "inflow_max": 0}}}, "plant",
      "watertank control range is empty: inflow_min 3.0 is not below inflow_max 0.0"),
+    ({"input": {"ranges": [[0.5, 1.5], [100, 200]]}}, "input", "need one (lo, hi) range per channel: dims=1, got 2"),
+    ({"falsify": {"checkpoint_time": 80.0}}, "falsify", "checkpoint_time 80.0 is outside [0, sim.horizon 5.0]"),
 ]
 
 
@@ -1035,7 +1039,7 @@ class TestUsage:
     @pytest.mark.parametrize("command", [["collect"], ["falsify", "--algo", "random"]], ids=["collect", "falsify"])
     @pytest.mark.parametrize("overrides, section, message", SECTION_DEFECTS,
                              ids=["falsify", "input", "abstraction", "monitor", "sim", "sim_steps", "trials", "area",
-                                  "t_gap", "theta", "temp0", "control_range"])
+                                  "t_gap", "theta", "temp0", "control_range", "input_channels", "checkpoint_time"])
     def test_a_value_its_section_refuses_exits_2_before_any_output(self, tmp_path, capsys, overrides, section,
                                                                    message, command):
         cfg = write_config(tmp_path, **overrides)

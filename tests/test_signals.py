@@ -1,5 +1,4 @@
 import io
-import json
 import tokenize
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from cpsguard.signals import (
     InputSpec,
     Trace,
-    json_text,
     load_trace,
     make_input,
     sample,
@@ -423,93 +421,3 @@ class TestHeaderPolicy:
         trace = Trace(dt=0.1, channels=("a",), states=states, actions=np.zeros(4), inputs=np.zeros((4, 1)))
         assert not np.shares_memory(trace.states, states)
 
-
-# ---------------------------------------------------------------------------
-# the JSON writer against json's own indenting encoder
-
-TRICKY_STRINGS = ["", "SAFE", "\u0394t \u2265 0 \U0001f600", "],\n  [", "},\n {", "a\nb", "[", "{x}", 'q"uo\\te',
-                  "%s %d", "\u2028"]
-
-
-def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def random_doc(rng, depth=3):
-    """A random JSON document that leans on what the writer treats apart: flat
-    containers, lists of flat rows, rows that nest, empty containers and odd scalars."""
-    def scalar():
-        return [lambda: int(rng.integers(-5, 10**6)), lambda: float(rng.normal() * 10.0 ** rng.integers(-5, 20)),
-                lambda: [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e16][rng.integers(6)],
-                lambda: bool(rng.integers(2)), lambda: None,
-                lambda: TRICKY_STRINGS[rng.integers(len(TRICKY_STRINGS))]][rng.integers(6)]()
-
-    def flat(kind):
-        n = int(rng.integers(0, 4))
-        if kind == "list":
-            return [scalar() for _ in range(n)]
-        return {TRICKY_STRINGS[rng.integers(len(TRICKY_STRINGS))] + str(i): scalar() for i in range(n)}
-
-    def value(level):
-        roll = rng.integers(6) if level < depth else 0
-        if roll == 0:
-            return scalar()
-        if roll == 1:
-            return flat("list" if rng.integers(2) else "dict")
-        if roll == 2:  # a table: rows of one kind, some holding a flat container of the other kind or nesting
-            kind = "list" if rng.integers(2) else "dict"
-            rows = [flat(kind) for _ in range(int(rng.integers(1, 6)))]
-            for row in rows:
-                if rng.integers(3) == 0:
-                    nested = flat("dict" if kind == "list" else "list") if rng.integers(3) else value(level + 1)
-                    row.append(nested) if kind == "list" else row.__setitem__("nested", nested)
-            return rows
-        if roll == 3:
-            return [value(level + 1) for _ in range(int(rng.integers(0, 4)))]
-        if roll == 4:
-            return tuple(value(level + 1) for _ in range(int(rng.integers(0, 3))))
-        return {f"k{i}": value(level + 1) for i in range(int(rng.integers(0, 4)))}
-
-    return value(0)
-
-
-class TestJsonText:
-    def test_random_documents_match_json_dumps(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1500):
-            doc = random_doc(rng)
-            assert json_text(doc) == dumps(doc)
-
-    def test_result_documents_match_json_dumps(self):
-        queries = [{"t": 0.1 * i, "verdict": "SAFE", "unknown": i == 2, "probability": None if i == 2 else 1 / 3}
-                   for i in range(5)]
-        docs = [
-            {"runs": [{"seed": 7, "error": "acc: state diverged at t=1.250"},
-                      {"seed": 8, "safety_frac": 1.0, "perf_frac": float("nan"), "switched_steps": 0,
-                       "queries": queries},
-                      {"seed": 9, "error": "\u0394 blew up,\n\tagain"}],
-             "mean_safety_frac": None, "mean_perf_frac": float("inf"), "config_hash": "abc"},
-            {"per_trial": [{"seed": 1, "error": "x"}, {"seed": 2, "success": True, "simulations": 3,
-                                                       "best_robustness": -float("inf")}], "fsr": 1, "trials": 2},
-            {"traces": [], "failures": [{"index": 0, "seed": 3, "error": "],\n  ["}],
-             "labeling_spec": "G[0,5](x >= 0)"},
-            {"rows": [["a", [1.5]], ["b", [2.5]]], "dicts": [{"w": [1, 2], "b": 0.5}, {"w": [3], "b": -0.5}]},
-            {"rows": [[1, 2], []], "mixed": [[1, 2], {"a": 1}], "deep": [[[1, 2], [3]], [[4]]], "empty": [[], {}]},
-            {"np": [np.float64(0.1), np.float64(2.0)], "tuple": (1, (2, 3)), "top": [None, True, False]},
-            [], {}, "\u00e9", 5, -0.0,
-        ]
-        for doc in docs:
-            assert json_text(doc) == dumps(doc)
-
-    def test_rows_holding_flat_containers_match_json_dumps(self):
-        classifiers = [{"cell": cell, "w": [0.5 * cell, -1.0, 1e-17], "b": 0.25} for cell in range(4)]
-        docs = [
-            {"classifiers": classifiers, "z": 1}, [classifiers],
-            [{"w": [], "b": 1}, {"w": [2], "b": [], "c": [3, 4]}],
-            [[1, {"a": 1, "b": [2]}]], [[1, {"a": 1}], [{}], [2, {"b": "x"}]],
-            [{"w": [[1]]}], [{"w": [1], "s": "]"}], [{"w": [1], "z": "]"}], [{"w": ["]"]}], [{"w": [1], "s": "["}],
-            [{"s": "a[", "t": "b]"}], [{"s": "a[", "t": "b]", "w": [2]}], [[{"a": "}"}, "}"]], [[{"a": 1}, "{"]],
-            [{"w": ["x,\n  y"], "s": "{"}], [["{", {"a": "}"}]], [{"w": ({"a": 1},)}], [{"w": (1, 2)}],
-        ]
-        for doc in docs:
-            assert json_text(doc) == dumps(doc)
